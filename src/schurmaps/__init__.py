@@ -46,6 +46,7 @@ from .decomposition import (
 )
 from .dilation import Dilation, build_dilation, environment_state, kolmogorov_vectors
 from .errors import (
+    BadCount,
     BadDiagonal,
     BadDimension,
     DimensionMismatch,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDiagonal, NotPSD, NotState, ShapeMismatch
+from .errors import BadCount, BadDiagonal, NotPSD, NotState, ShapeMismatch
 from .numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
@@ -138,7 +138,7 @@ def iterate(
     xi^T, which is exactly equivalent for Schur maps and stabler for large n.
     """
     if n < 0:
-        raise ValueError("iteration count must be nonnegative")
+        raise BadCount(f"iteration count must be nonnegative, got {n}")
     _check_dim(ch, rho.matrix)
     powered = np.power(ch.xi.matrix.T, n)
     out = schur_product(powered, rho.matrix)
@@ -154,9 +154,8 @@ def choi_operator(ch: SchurChannel) -> np.ndarray:
     """Choi operator: entries <k,k|R_C|l,l> = xi_kl, zero elsewhere (d^2 x d^2)."""
     d = ch.dim
     r = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            r[k * d + k, l * d + l] = ch.xi.matrix[k, l]
+    kk = np.arange(d) * (d + 1)
+    r[np.ix_(kk, kk)] = ch.xi.matrix
     return r
 
 
@@ -164,7 +163,6 @@ def jamiolkowski_operator(ch: SchurChannel) -> np.ndarray:
     """Jamiolkowski operator: sum_kl xi_kl |l,k><k,l| (d^2 x d^2)."""
     d = ch.dim
     r = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            r[l * d + k, k * d + l] = ch.xi.matrix[k, l]
+    k, l = np.indices((d, d))
+    r[l * d + k, k * d + l] = ch.xi.matrix
     return r

@@ -96,12 +96,11 @@ def cmd_evolve(args) -> int:
     prefix = args.out or "evolve"
     d = xi.dim
     pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
+    final = iterate(ch, rho, args.n, tol)  # rejects a negative n before any file is written
     rows = []
-    final = rho
     for n in range(args.n + 1):
         state = iterate(ch, rho, n, tol)
         rows.append([n] + [abs(state.matrix[k, l]) for k, l in pairs])
-        final = state
     serialize.save_json(prefix + "_state.json", serialize.matrix_to_dict(final.matrix, "state"))
     csv_path = prefix + "_decay.csv"
     with open(csv_path, "w") as f:

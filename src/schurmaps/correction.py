@@ -23,7 +23,7 @@ from .decomposition import (
     reconstruct_xi,
     verify_decomposition,
 )
-from .dilation import Dilation, unitary_from_env_vectors
+from .dilation import Dilation
 from .errors import BadDimension, DimensionMismatch, RecoveryFailure, VerificationFailure
 from .numerics import DEFAULT_TOL, ToleranceProfile
 
@@ -90,6 +90,13 @@ class ScreenPattern:
     visibility: float
 
 
+def _decomposition_env(dec: FlatDecomposition) -> np.ndarray:
+    """Environment kets of :func:`dilation_from_decomposition` as rows."""
+    env = np.zeros((dec.dim, max(dec.terms, 2)), dtype=complex)
+    env[:, : dec.terms] = np.sqrt(dec.weights)[None, :] * dec.phase_vectors.conj().T
+    return env
+
+
 def dilation_from_decomposition(
     dec: FlatDecomposition, tol: ToleranceProfile = DEFAULT_TOL
 ) -> Dilation:
@@ -106,12 +113,8 @@ def dilation_from_decomposition(
         raise VerificationFailure(
             f"decomposition is internally inconsistent (residual {report.residual:.3e})"
         )
-    d, m = dec.dim, dec.terms
-    de = max(m, 2)
-    env = np.zeros((d, de), dtype=complex)
-    env[:, :m] = np.sqrt(dec.weights)[None, :] * dec.phase_vectors.conj().T
-    u = unitary_from_env_vectors(env)
-    return Dilation(dim_sys=d, dim_env=de, env_vectors=env, unitary=u)
+    env = _decomposition_env(dec)
+    return Dilation(dim_sys=dec.dim, dim_env=env.shape[1], env_vectors=env)
 
 
 def correcting_povm(dec: FlatDecomposition) -> EnvPovm:
@@ -135,33 +138,41 @@ def _measure_and_correct(
     """Project the environment on each effect and undo the heralded unitary.
 
     ``env`` holds the dilation's environment kets as rows; the joint state
-    after the dilation is rho_kl |k><l| (x) |e_k><e_l| in closed form.
-    ``heralded_phases[i]`` is the diagonal of the unitary W_i heralded by
-    outcome i; the correction conjugates by its inverse, sigma -> W_i* sigma W_i.
-    Returns (records, recovered) with the recovered state unnormalized-summed
-    over outcomes.
+    after the dilation is rho_kl |k><l| (x) |e_k><e_l|, so projecting the
+    environment on |v_i> leaves rho o (c_i c_i*) with c_ik = <v_i|e_k>, in
+    closed form and without the joint unitary. ``heralded_phases[i]`` is the
+    diagonal of the unitary W_i heralded by outcome i; the correction
+    conjugates by its inverse, which turns c_i into g_i = conj(W_i) c_i.
+    Returns (records, recovered) with the recovered state
+    sum_i rho o (g_i g_i*) = rho o (G G*), unnormalized-summed over outcomes.
     """
-    d = rho.dim
-    j4 = np.einsum("kl,ka,lb->kalb", rho.matrix, env, env.conj())
-    records = []
-    recovered = np.zeros((d, d), dtype=complex)
-    for i, v in enumerate(povm.effects):
-        sigma = np.einsum("aebf,e,f->ab", j4, v.conj(), v)
-        prob = float(np.trace(sigma).real)
-        w = heralded_phases[i]
-        corrected_unnorm = w.conj()[:, None] * sigma * w[None, :]
-        recovered += corrected_unnorm
-        if prob < ZERO_PROB:
-            continue
-        records.append(
-            CorrectionOutcomeRecord(
-                outcome_index=i,
-                probability=prob,
-                conditional_state=DensityMatrix.from_matrix(sigma / prob, tol),
-                corrected_state=DensityMatrix.from_matrix(corrected_unnorm / prob, tol),
-            )
+    rho_m = rho.matrix
+    c = env @ povm.effects.conj().T  # column i = c_i
+    g = heralded_phases.conj().T * c  # column i = g_i
+    probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
+    records = [
+        CorrectionOutcomeRecord(
+            outcome_index=i,
+            probability=float(p),
+            conditional_state=DensityMatrix.from_matrix(
+                rho_m * np.outer(c[:, i], c[:, i].conj()) / p, tol
+            ),
+            corrected_state=DensityMatrix.from_matrix(
+                rho_m * np.outer(g[:, i], g[:, i].conj()) / p, tol
+            ),
         )
-    return records, recovered
+        for i, p in enumerate(probs)
+        if p >= ZERO_PROB
+    ]
+    return records, rho_m * (g @ g.conj().T)
+
+
+def _check_recovery(recovered, rho, recovery_tol, tol) -> DensityMatrix:
+    """The recovered state, or :class:`RecoveryFailure` if it misses rho."""
+    residual = float(np.linalg.norm(recovered - rho.matrix))
+    if residual > recovery_tol:
+        raise RecoveryFailure(residual)
+    return DensityMatrix.from_matrix(recovered, tol)
 
 
 def run_correction(
@@ -186,20 +197,12 @@ def run_correction(
         )
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
-    # env kets in the decomposition frame (the verification above already
-    # certifies them; no need for the full dilation unitary here)
-    de = max(dec.terms, 2)
-    env = np.zeros((ch.dim, de), dtype=complex)
-    env[:, : dec.terms] = np.sqrt(dec.weights)[None, :] * dec.phase_vectors.conj().T
     povm = correcting_povm(dec)
     # outcome i heralds the Kraus sqrt(p_i) U_i^dagger of the Schrodinger action
     heralded = np.ones((povm.effects.shape[0], ch.dim), dtype=complex)
     heralded[: dec.terms] = dec.phase_vectors.conj()
-    records, recovered = _measure_and_correct(env, povm, heralded, rho, tol)
-    residual = float(np.linalg.norm(recovered - rho.matrix))
-    if residual > recovery_tol:
-        raise RecoveryFailure(residual)
-    return records, DensityMatrix.from_matrix(recovered, tol)
+    records, recovered = _measure_and_correct(_decomposition_env(dec), povm, heralded, rho, tol)
+    return records, _check_recovery(recovered, rho, recovery_tol, tol)
 
 
 def eraser_scenario(d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EraserScenario:
@@ -215,9 +218,8 @@ def eraser_scenario(d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EraserScenar
         raise BadDimension(f"eraser needs d >= 2, got {d}")
     xi = validate_correlation(np.eye(d), tol)
     ch = SchurChannel(xi)
-    env = np.eye(d, dtype=complex)  # probe as register: e_k = |k>
-    u = unitary_from_env_vectors(env)
-    dil = Dilation(dim_sys=d, dim_env=d, env_vectors=env, unitary=u)
+    # probe as register: e_k = |k>
+    dil = Dilation(dim_sys=d, dim_env=d, env_vectors=np.eye(d, dtype=complex))
     k = np.arange(d)
     fourier = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)  # row j = |e~_j>
     povm = EnvPovm(dim_env=d, effects=fourier)
@@ -245,10 +247,7 @@ def run_eraser(
     records, recovered = _measure_and_correct(
         scenario.dilation.env_vectors, scenario.povm, heralded, rho, tol
     )
-    residual = float(np.linalg.norm(recovered - rho.matrix))
-    if residual > recovery_tol:
-        raise RecoveryFailure(residual)
-    return records, DensityMatrix.from_matrix(recovered, tol)
+    return records, _check_recovery(recovered, rho, recovery_tol, tol)
 
 
 def which_way_readout(scenario: EraserScenario, rho: DensityMatrix, tol=DEFAULT_TOL):

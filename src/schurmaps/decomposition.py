@@ -22,7 +22,7 @@ from .errors import (
     NoDecompositionFound,
     WrongDimension,
 )
-from .numerics import DEFAULT_TOL, ToleranceProfile, hermitian_eig
+from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, hermitian_eig
 
 __all__ = [
     "FlatDecomposition",
@@ -37,8 +37,6 @@ __all__ = [
     "extremality_test",
     "reconstruct_xi",
 ]
-
-RANK_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -267,9 +265,9 @@ def verify_decomposition(
     )
 
 
-def correlation_rank(xi: CorrelationMatrix, threshold: float = RANK_THRESHOLD) -> int:
+def correlation_rank(xi: CorrelationMatrix) -> int:
     vals = hermitian_eig(xi.matrix).eigenvalues
-    return int(np.sum(vals > threshold))
+    return int(np.sum(vals > RANK_THRESHOLD))
 
 
 def extremality_test(xi: CorrelationMatrix) -> ExtremalityResult:

@@ -14,30 +14,32 @@ from .channels import CorrelationMatrix, DensityMatrix, SchurChannel
 from .errors import DimensionMismatch
 from .numerics import (
     DEFAULT_TOL,
+    RANK_THRESHOLD,
     ToleranceProfile,
     _fill_remaining_columns,
     hermitian_eig,
-    partial_trace_sys,
 )
 
 __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_state"]
 
-RANK_THRESHOLD = 1e-9
-
 
 @dataclass(frozen=True)
 class Dilation:
-    """System-environment unitary realization with pure environment input.
+    """System-environment unitary realization with pure environment input |0>_e.
 
     ``env_vectors[k]`` is the environment ket the interaction writes when the
-    system is in basis state k; ``env_initial_index`` is the |0>_e slot.
+    system is in basis state k. The kets determine the dilation; the joint
+    unitary is built from them only on demand, by :attr:`unitary`.
     """
 
     dim_sys: int
     dim_env: int
     env_vectors: np.ndarray  # shape (dim_sys, dim_env)
-    unitary: np.ndarray  # shape (dim_sys*dim_env,)^2
-    env_initial_index: int = 0
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The (dim_sys*dim_env)^2 joint unitary, see :func:`unitary_from_env_vectors`."""
+        return unitary_from_env_vectors(self.env_vectors)
 
 
 def kolmogorov_vectors(xi: CorrelationMatrix, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -61,18 +63,17 @@ def unitary_from_env_vectors(env_vectors: np.ndarray) -> np.ndarray:
     """Joint unitary with U |k>(x)|0>_e = |k>(x)|e_k>, completed deterministically.
 
     The specified columns sit at slots k*dim_env; the remaining columns come
-    from Gram-Schmidt of the standard basis in index order.
+    from Gram-Schmidt of the standard basis in index order. Column k*dim_env
+    lives on block k alone, so the completion is block diagonal: block k is
+    |e_k> completed on its own dim_env x dim_env space.
     """
     d, de = env_vectors.shape
-    n = d * de
-    u = np.zeros((n, n), dtype=complex)
-    filled = []
+    u = np.zeros((d * de, d * de), dtype=complex)
     for k in range(d):
-        col = np.zeros(n, dtype=complex)
-        col[k * de : (k + 1) * de] = env_vectors[k]
-        u[:, k * de] = col
-        filled.append(k * de)
-    return _fill_remaining_columns(u, filled)
+        block = np.zeros((de, de), dtype=complex)
+        block[:, 0] = env_vectors[k]
+        u[k * de : (k + 1) * de, k * de : (k + 1) * de] = _fill_remaining_columns(block, [0])
+    return u
 
 
 def build_dilation(ch: SchurChannel, tol: ToleranceProfile = DEFAULT_TOL) -> Dilation:
@@ -87,18 +88,17 @@ def build_dilation(ch: SchurChannel, tol: ToleranceProfile = DEFAULT_TOL) -> Dil
     de = max(r, 2)
     env = np.zeros((d, de), dtype=complex)
     env[:, :r] = vecs
-    u = unitary_from_env_vectors(env)
-    return Dilation(dim_sys=d, dim_env=de, env_vectors=env, unitary=u)
+    return Dilation(dim_sys=d, dim_env=de, env_vectors=env)
 
 
 def evolve_joint(dil: Dilation, rho: DensityMatrix) -> np.ndarray:
     """U (rho (x) |0><0|_e) U* on the joint space."""
     if rho.dim != dil.dim_sys:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dil.dim_sys}")
-    e0 = np.zeros(dil.dim_env, dtype=complex)
-    e0[dil.env_initial_index] = 1.0
-    joint0 = np.kron(rho.matrix, np.outer(e0, e0))
-    return dil.unitary @ joint0 @ dil.unitary.conj().T
+    e0 = np.zeros((dil.dim_env, dil.dim_env), dtype=complex)
+    e0[0, 0] = 1.0
+    u = dil.unitary
+    return u @ np.kron(rho.matrix, e0) @ u.conj().T
 
 
 def environment_state(
@@ -106,15 +106,10 @@ def environment_state(
 ) -> DensityMatrix:
     """Reduced environment state after the interaction: sum_k rho_kk |e_k><e_k|.
 
-    Computed both in closed form and as a partial trace of the evolved joint
-    state; the two must agree to 1e-10. Returns the closed-form value.
+    Closed form from the environment kets; the joint unitary is not built.
     """
     if rho.dim != dil.dim_sys:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dil.dim_sys}")
     weights = np.diag(rho.matrix).real
-    sigma = np.einsum("k,ka,kb->ab", weights, dil.env_vectors, dil.env_vectors.conj())
-    traced = partial_trace_sys(evolve_joint(dil, rho), dil.dim_sys, dil.dim_env)
-    dev = np.max(np.abs(sigma - traced))
-    if dev > 1e-10:
-        raise RuntimeError(f"environment-state cross-check failed: deviation {dev:.3e}")
-    return DensityMatrix.from_matrix(sigma, tol)
+    env = dil.env_vectors
+    return DensityMatrix.from_matrix((env.T * weights) @ env.conj(), tol)

@@ -58,6 +58,10 @@ class BadDimension(SchurMapsError):
     pass
 
 
+class BadCount(SchurMapsError, ValueError):
+    """A count argument (such as an iteration count) is out of range."""
+
+
 class NotDistribution(SchurMapsError):
     pass
 

@@ -15,7 +15,13 @@ from .decomposition import (
     verify_decomposition,
 )
 from .errors import DimensionMismatch, NotDistribution, VerificationFailure
-from .numerics import DEFAULT_TOL, ToleranceProfile, von_neumann_entropy
+from .numerics import (
+    DEFAULT_TOL,
+    RANK_THRESHOLD,
+    ToleranceProfile,
+    hermitian_eig,
+    von_neumann_entropy,
+)
 
 __all__ = [
     "BoundsReport",
@@ -101,7 +107,6 @@ def shannon_entropy(p, tol: ToleranceProfile = DEFAULT_TOL) -> float:
 def bounds_report(
     ch: SchurChannel,
     dec: Optional[FlatDecomposition] = None,
-    rank_threshold: float = 1e-9,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> BoundsReport:
     """Information-flow bounds for a channel, optionally against a decomposition.
@@ -112,7 +117,7 @@ def bounds_report(
     """
     d = ch.dim
     s_low = von_neumann_entropy(ch.xi.matrix / d, tol)
-    rank = correlation_rank(ch.xi, rank_threshold)
+    rank = correlation_rank(ch.xi)
     two_log_rank = 2.0 * float(np.log2(rank)) if rank >= 1 else 0.0
     h_p = lower_ok = upper_ok = None
     if dec is not None:
@@ -129,7 +134,7 @@ def bounds_report(
         two_log_rank=two_log_rank,
         s_ex_maximal=s_low,
         rank=rank,
-        rank_threshold=rank_threshold,
+        rank_threshold=RANK_THRESHOLD,
         h_p=h_p,
         lower_bound_satisfied=lower_ok,
         upper_bound_satisfied=upper_ok,
@@ -155,8 +160,6 @@ def entropy_production_check(
 
 def majorization_check(rho: DensityMatrix, slack: float = 1e-10) -> bool:
     """True iff the diagonal of rho is majorized by its spectrum."""
-    from .numerics import hermitian_eig
-
     diag = np.sort(np.diag(rho.matrix).real)[::-1]
     spec = hermitian_eig(rho.matrix).eigenvalues
     partial_diag = np.cumsum(diag)

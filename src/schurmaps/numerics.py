@@ -50,6 +50,8 @@ class ToleranceProfile:
 
 DEFAULT_TOL = ToleranceProfile()
 
+RANK_THRESHOLD = 1e-9  # eigenvalues of xi at or below this count as zero in its rank
+
 
 @dataclass(frozen=True)
 class HermitianEigenResult:

@@ -124,7 +124,7 @@ def dilation_to_dict(dil: Dilation) -> dict:
     out = matrix_to_dict(dil.unitary, "unitary")
     out["env"] = {
         "dim_env": dil.dim_env,
-        "initial_index": dil.env_initial_index,
+        "initial_index": 0,
         "vectors": [[[z.real, z.imag] for z in v] for v in dil.env_vectors],
     }
     return out

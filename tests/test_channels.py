@@ -6,6 +6,7 @@ from schurmaps import (
     DensityMatrix,
     NotPSD,
     SchurChannel,
+    SchurMapsError,
     ShapeMismatch,
     apply_heisenberg,
     apply_schrodinger,
@@ -118,6 +119,11 @@ class TestIterate:
         rho = random_density(rng, 3)
         assert np.allclose(iterate(ch, rho, 0).matrix, rho.matrix)
 
+    def test_negative_count_rejected(self, rng):
+        ch = SchurChannel(random_correlation(rng, 2))
+        with pytest.raises(SchurMapsError):
+            iterate(ch, random_density(rng, 2), -1)
+
     def test_decay_by_hand(self):
         ch = channel([[1, 0.5], [0.5, 1]])
         rho = DensityMatrix.pure([1, 1])
@@ -218,6 +224,19 @@ class TestChoiJamiolkowski:
         for k in range(d):
             for l in range(d):
                 assert rj[l * d + k, k * d + l] == pytest.approx(rc[k * d + k, l * d + l])
+
+
+    def test_matches_entry_loops(self, rng):
+        for d in (1, 2, 3, 5):
+            ch = SchurChannel(random_correlation(rng, d))
+            rc = np.zeros((d * d, d * d), dtype=complex)
+            rj = np.zeros((d * d, d * d), dtype=complex)
+            for k in range(d):
+                for l in range(d):
+                    rc[k * d + k, l * d + l] = ch.xi.matrix[k, l]
+                    rj[l * d + k, k * d + l] = ch.xi.matrix[k, l]
+            assert np.array_equal(choi_operator(ch), rc)
+            assert np.array_equal(jamiolkowski_operator(ch), rj)
 
 
 class TestConvexity:

@@ -66,6 +66,13 @@ class TestEvolve:
         _, back = serialize.load_matrix("run_state.json")
         assert np.max(np.abs(back - np.diag(np.diag(rho)))) < 1e-12
 
+    def test_negative_steps_exit_2_without_files(self, workdir, capsys):
+        xp = write_matrix(workdir / "xi.json", np.eye(2), "correlation")
+        rp = write_matrix(workdir / "rho.json", np.eye(2) / 2, "state")
+        assert main(["--out", "ev", "evolve", xp, rp, "-1"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
+
     def test_decay_slope(self, workdir):
         xi = np.array([[1, 0.5], [0.5, 1]])
         rho = np.full((2, 2), 0.5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schurmaps import (
+    DEFAULT_TOL,
     BadDimension,
     DensityMatrix,
     RecoveryFailure,
@@ -24,12 +25,61 @@ from schurmaps import (
     which_way_readout,
 )
 from schurmaps import SearchConfig
-from schurmaps.dilation import evolve_joint
+from schurmaps.correction import EnvPovm, _measure_and_correct
+from schurmaps.dilation import build_dilation, evolve_joint
 from conftest import (
     random_correlation,
     random_density,
     random_flat_decomposition,
+    random_unitary,
 )
+
+
+def projected_joint_state(dil, rho, v):
+    """<v|_e U (rho (x) |0><0|) U* |v>_e from the joint unitary (unnormalized)."""
+    joint = evolve_joint(dil, rho).reshape(dil.dim_sys, dil.dim_env, dil.dim_sys, dil.dim_env)
+    return np.einsum("kalb,a,b->kl", joint, v.conj(), v)
+
+
+class TestMeasureAndCorrectClosedForm:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("povm_kind", ["fourier", "random"])
+    def test_matches_joint_unitary(self, d, povm_kind, rng):
+        for trial in range(6):
+            if trial % 2 == 0:
+                dil = build_dilation(SchurChannel(random_correlation(rng, d)))
+            else:
+                dec = random_flat_decomposition(rng, d, int(rng.integers(1, d + 3)))
+                dil = dilation_from_decomposition(dec)
+            de = dil.dim_env
+            if povm_kind == "fourier":
+                k = np.arange(de)
+                effects = np.exp(2j * np.pi * np.outer(k, k) / de) / np.sqrt(de)
+            else:
+                effects = random_unitary(rng, de).T
+            povm = EnvPovm(dim_env=de, effects=effects)
+            povm.check_complete()
+            heralded = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(de, d)))
+            rho = random_density(rng, d)
+            records, recovered = _measure_and_correct(
+                dil.env_vectors, povm, heralded, rho, DEFAULT_TOL
+            )
+            expected_recovered = np.zeros((d, d), dtype=complex)
+            expected_records = []
+            for i, v in enumerate(effects):
+                sigma = projected_joint_state(dil, rho, v)
+                w = heralded[i]
+                corrected = w.conj()[:, None] * sigma * w[None, :]
+                expected_recovered += corrected
+                prob = np.trace(sigma).real
+                if prob >= 1e-12:
+                    expected_records.append((i, prob, sigma / prob, corrected / prob))
+            assert [r.outcome_index for r in records] == [e[0] for e in expected_records]
+            for r, (_, prob, cond, corr) in zip(records, expected_records):
+                assert abs(r.probability - prob) < 1e-12
+                assert np.max(np.abs(r.conditional_state.matrix - cond)) < 1e-12
+                assert np.max(np.abs(r.corrected_state.matrix - corr)) < 1e-12
+            assert np.max(np.abs(recovered - expected_recovered)) < 1e-12
 
 
 class TestDilationFromDecomposition:

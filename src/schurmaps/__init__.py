@@ -37,6 +37,7 @@ from .decomposition import (
     FlatDecomposition,
     SearchConfig,
     VerificationReport,
+    decompose,
     decompose_identity_xi,
     decompose_qubit,
     extremality_test,
@@ -49,6 +50,7 @@ from .errors import (
     BadCount,
     BadDiagonal,
     BadDimension,
+    BadTolerance,
     DimensionMismatch,
     NoDecompositionFound,
     NotDistribution,

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCount, BadDiagonal, NotPSD, NotState, ShapeMismatch
+from .errors import BadCount, BadDiagonal, NotState, ShapeMismatch
 from .numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
     _as_matrix,
-    _require_hermitian,
-    _require_square,
+    _hermitian_copy,
+    _psd_eigenvalues,
+    _state_eigenvalues,
     schur_product,
 )
 
@@ -44,20 +45,19 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
-        mm = _require_square(_as_matrix(m))
-        _require_hermitian(mm, tol.herm)
-        tr = np.trace(mm).real
-        if abs(tr - 1.0) > tol.tr:
-            raise NotState(f"trace {tr} differs from 1 beyond tolerance")
-        vals = np.linalg.eigvalsh((mm + mm.conj().T) / 2)
-        if vals[0] < -tol.psd:
-            raise NotState(f"negative eigenvalue {vals[0]:.3e} beyond tolerance")
+        """Validate ``m`` as a state; the state holds a read-only copy of it."""
+        mm, _ = _state_eigenvalues(m, tol)
+        mm.flags.writeable = False
         return cls(dim=mm.shape[0], matrix=mm)
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
+        """|v><v| / <v|v> for a nonzero vector with finite entries."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not 0 < norm < np.inf:
+            raise NotState(f"a pure state needs a nonzero finite vector, got norm {norm}")
+        v = v / norm
         return cls(dim=v.shape[0], matrix=np.outer(v, v.conj()))
 
 
@@ -94,16 +94,12 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
     Diagonal entries within ``tol.tr`` of 1 are snapped to exactly 1 so the
     unit-diagonal invariant holds exactly downstream.
     """
-    mm = _require_square(_as_matrix(m)).copy()
-    _require_hermitian(mm, tol.herm)
-    diag = np.diag(mm)
-    for k, v in enumerate(diag):
-        if abs(v - 1.0) > tol.tr:
+    mm = _hermitian_copy(m, tol)
+    for k, v in enumerate(np.diag(mm)):
+        if not abs(v - 1.0) <= tol.tr:
             raise BadDiagonal(k, v)
     np.fill_diagonal(mm, 1.0)
-    vals = np.linalg.eigvalsh((mm + mm.conj().T) / 2)
-    if vals[0] < -tol.psd:
-        raise NotPSD(float(vals[0]))
+    _psd_eigenvalues(mm, tol)
     return CorrelationMatrix(dim=mm.shape[0], matrix=mm)
 
 

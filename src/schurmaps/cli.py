@@ -17,18 +17,12 @@ from . import serialize
 from .channels import (
     DensityMatrix,
     SchurChannel,
+    asymptotic_state,
     iterate,
     validate_correlation,
 )
 from .correction import eraser_scenario, run_correction, run_eraser, screen_pattern
-from .decomposition import (
-    SearchConfig,
-    decompose_identity_xi,
-    decompose_qubit,
-    extremality_test,
-    flat_search,
-    verify_decomposition,
-)
+from .decomposition import decompose, extremality_test, verify_decomposition
 from .errors import (
     NoDecompositionFound,
     RecoveryFailure,
@@ -48,9 +42,8 @@ EXIT_IO = 4
 def _load_tol(path) -> ToleranceProfile:
     if path is None:
         return DEFAULT_TOL
-    obj = serialize.load_json(path)
     try:
-        return ToleranceProfile(**obj)
+        return ToleranceProfile(**serialize.load_json(path))
     except TypeError as exc:
         raise SerializationError(f"bad tolerance profile: {exc}") from exc
 
@@ -63,10 +56,8 @@ def _emit(args, obj, table_lines):
             print(line)
 
 
-def cmd_validate(args) -> int:
-    tol = _load_tol(args.tol)
-    _, m = serialize.load_matrix(args.xi)
-    xi = validate_correlation(m, tol)
+def cmd_validate(args, tol: ToleranceProfile) -> int:
+    xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
     ch = SchurChannel(xi)
     ext = extremality_test(xi)
     obj = {
@@ -88,8 +79,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
-    tol = _load_tol(args.tol)
+def cmd_evolve(args, tol: ToleranceProfile) -> int:
     xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
     rho = DensityMatrix.from_matrix(serialize.load_matrix(args.rho)[1], tol)
     ch = SchurChannel(xi)
@@ -111,30 +101,13 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _decompose(xi, seed, tol):
-    """Closed forms where available, seeded numerical search otherwise."""
-    if np.max(np.abs(xi.matrix - np.eye(xi.dim))) < 1e-12 and xi.dim >= 2:
-        return decompose_identity_xi(xi.dim)
-    if xi.dim == 2:
-        return decompose_qubit(xi, tol)
-    return flat_search(xi, SearchConfig(seed=seed))
-
-
-def cmd_decompose(args) -> int:
-    tol = _load_tol(args.tol)
+def cmd_decompose(args, tol: ToleranceProfile) -> int:
     xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
-    dec = _decompose(xi, args.seed, tol)
-    report = verify_decomposition(xi, dec)
+    dec = decompose(xi, args.seed, tol)
+    report = verify_decomposition(xi, dec, tol)
     obj = {
         "decomposition": serialize.decomposition_to_dict(dec),
-        "verification": {
-            "residual": report.residual,
-            "flatness_deviation": report.flatness_deviation,
-            "weight_sum_deviation": report.weight_sum_deviation,
-            "shannon_entropy_bits": report.shannon_entropy_bits,
-            "orthogonal_family": report.orthogonal_family,
-            "accepted": report.accepted,
-        },
+        "verification": {k: v for k, v in vars(report).items() if k != "orthogonality_matrix"},
     }
     if args.out:
         serialize.save_json(args.out + "_decomposition.json", obj["decomposition"])
@@ -152,15 +125,14 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if report.accepted else EXIT_UNVERIFIED
 
 
-def cmd_correct(args) -> int:
-    tol = _load_tol(args.tol)
+def cmd_correct(args, tol: ToleranceProfile) -> int:
     xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
     rho = DensityMatrix.from_matrix(serialize.load_matrix(args.rho)[1], tol)
     ch = SchurChannel(xi)
     if args.dec:
         dec = serialize.decomposition_from_dict(serialize.load_json(args.dec))
     else:
-        dec = _decompose(xi, args.seed, tol)
+        dec = decompose(xi, args.seed, tol)
     records, recovered = run_correction(ch, dec, rho, tol)
     residual = float(np.linalg.norm(recovered.matrix - rho.matrix))
     obj = {
@@ -187,15 +159,14 @@ def cmd_correct(args) -> int:
     return EXIT_OK
 
 
-def cmd_eraser(args) -> int:
-    tol = _load_tol(args.tol)
+def cmd_eraser(args, tol: ToleranceProfile) -> int:
     scenario = eraser_scenario(args.d, tol)
     if args.state:
         rho = DensityMatrix.from_matrix(serialize.load_matrix(args.state)[1], tol)
     else:
         rho = DensityMatrix.pure(np.ones(args.d))
     records, recovered = run_eraser(scenario, rho, tol)
-    decohered = DensityMatrix(rho.dim, np.diag(np.diag(rho.matrix)))
+    decohered = asymptotic_state(rho)
     prefix = args.out or "eraser"
     p_in = screen_pattern(rho, args.samples)
     p_dec = screen_pattern(decohered, args.samples)
@@ -210,7 +181,7 @@ def cmd_eraser(args) -> int:
         "info_stored_bits": scenario.info_stored_bits,
         "info_extracted_bits": scenario.info_extracted_bits,
         "outcome_probabilities": probs,
-        "outcome_entropy_bits": shannon_entropy(probs),
+        "outcome_entropy_bits": shannon_entropy(probs, tol),
         "visibility_input": p_in.visibility,
         "visibility_decohered": p_dec.visibility,
         "visibility_corrected": p_cor.visibility,
@@ -223,8 +194,7 @@ def cmd_eraser(args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    tol = _load_tol(args.tol)
+def cmd_bounds(args, tol: ToleranceProfile) -> int:
     xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
     ch = SchurChannel(xi)
     dec = None
@@ -234,7 +204,6 @@ def cmd_bounds(args) -> int:
     obj = {
         "entropy_base": 2,
         "s_xi_over_d_bits": report.s_xi_over_d,
-        "s_ex_maximal_bits": report.s_ex_maximal,
         "two_log_rank_bits": report.two_log_rank,
         "rank": report.rank,
         "rank_threshold": report.rank_threshold,
@@ -245,7 +214,6 @@ def cmd_bounds(args) -> int:
     lines = [
         "all entropies in bits (base 2)",
         f"S(xi/d)         = {report.s_xi_over_d:.6f}",
-        f"S_ex(I/d)       = {report.s_ex_maximal:.6f}",
         f"2 log2 rank(xi) = {report.two_log_rank:.6f}  (rank {report.rank})",
     ]
     if report.h_p is not None:
@@ -303,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_tol(args.tol))
     except (SerializationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

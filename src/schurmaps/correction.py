@@ -19,13 +19,13 @@ from .channels import (
 )
 from .decomposition import (
     FlatDecomposition,
+    _require_accepted,
     decompose_identity_xi,
     reconstruct_xi,
-    verify_decomposition,
 )
 from .dilation import Dilation
 from .errors import BadDimension, DimensionMismatch, RecoveryFailure, VerificationFailure
-from .numerics import DEFAULT_TOL, ToleranceProfile
+from .numerics import DEFAULT_TOL, NEGLIGIBLE, RESIDUAL_TOL, ToleranceProfile
 
 __all__ = [
     "EnvPovm",
@@ -40,9 +40,6 @@ __all__ = [
     "screen_pattern",
 ]
 
-ZERO_PROB = 1e-12
-
-
 @dataclass(frozen=True)
 class EnvPovm:
     """Rank-one POVM on the environment: effects |v_i><v_i| summing to I."""
@@ -50,9 +47,10 @@ class EnvPovm:
     dim_env: int
     effects: np.ndarray  # shape (outcomes, dim_env), row i = |v_i>
 
-    def check_complete(self, tol: float = 1e-9) -> None:
+    def check_complete(self) -> None:
+        """Raise :class:`VerificationFailure` unless the effects sum to I within DEFAULT_TOL.eig."""
         s = np.einsum("ia,ib->ab", self.effects, self.effects.conj())
-        if np.max(np.abs(s - np.eye(self.dim_env))) > tol:
+        if not np.max(np.abs(s - np.eye(self.dim_env))) <= DEFAULT_TOL.eig:
             raise VerificationFailure("POVM effects do not sum to the identity")
 
 
@@ -105,14 +103,12 @@ def dilation_from_decomposition(
     Environment kets e_k = sum_i sqrt(p_i) conj(u_k^(i)) |i>, so the Gram
     matrix <e_k|e_l> reproduces xi and measuring the environment in the
     computational basis heralds the Kraus operator
-    sqrt(p_i) diag(u^(i))^dagger of the Schrodinger action.
+    sqrt(p_i) diag(u^(i))^dagger of the Schrodinger action. The
+    decomposition is verified against its own reconstruction of xi.
     """
-    xi = validate_correlation(reconstruct_xi(dec), tol)
-    report = verify_decomposition(xi, dec)
-    if not report.accepted:
-        raise VerificationFailure(
-            f"decomposition is internally inconsistent (residual {report.residual:.3e})"
-        )
+    xi = reconstruct_xi(dec)
+    _require_accepted(CorrelationMatrix(dec.dim, xi), dec, tol)
+    validate_correlation(xi, tol)  # unit kets: verification lets |u| be RESIDUAL_TOL off 1
     env = _decomposition_env(dec)
     return Dilation(dim_sys=dec.dim, dim_env=env.shape[1], env_vectors=env)
 
@@ -162,15 +158,15 @@ def _measure_and_correct(
             ),
         )
         for i, p in enumerate(probs)
-        if p >= ZERO_PROB
+        if p >= NEGLIGIBLE
     ]
     return records, rho_m * (g @ g.conj().T)
 
 
-def _check_recovery(recovered, rho, recovery_tol, tol) -> DensityMatrix:
-    """The recovered state, or :class:`RecoveryFailure` if it misses rho."""
+def _check_recovery(recovered, rho, tol) -> DensityMatrix:
+    """The recovered state, or :class:`RecoveryFailure` if it misses rho by > RESIDUAL_TOL."""
     residual = float(np.linalg.norm(recovered - rho.matrix))
-    if residual > recovery_tol:
+    if not residual <= RESIDUAL_TOL:
         raise RecoveryFailure(residual)
     return DensityMatrix.from_matrix(recovered, tol)
 
@@ -180,21 +176,17 @@ def run_correction(
     dec: FlatDecomposition,
     rho: DensityMatrix,
     tol: ToleranceProfile = DEFAULT_TOL,
-    recovery_tol: float = 1e-8,
 ):
     """Full correction loop in the decomposition frame.
 
     Outcome i occurs with probability p_i regardless of the input (flat
     unitaries), heralds the Kraus sqrt(p_i) diag(u^(i))^dagger, and is
-    undone by conjugation with the inverse unitary. The weighted sum of corrected
-    states must reproduce rho; a larger residual raises
-    :class:`RecoveryFailure`, signalling an invalid decomposition.
+    undone by conjugation with the inverse unitary. A decomposition that
+    :func:`verify_decomposition` rejects raises :class:`VerificationFailure`.
+    The weighted sum of corrected states must reproduce rho within
+    ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`.
     """
-    report = verify_decomposition(ch.xi, dec)
-    if not report.accepted:
-        raise VerificationFailure(
-            f"decomposition does not reconstruct the channel (residual {report.residual:.3e})"
-        )
+    _require_accepted(ch.xi, dec, tol)
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
     povm = correcting_povm(dec)
@@ -202,7 +194,7 @@ def run_correction(
     heralded = np.ones((povm.effects.shape[0], ch.dim), dtype=complex)
     heralded[: dec.terms] = dec.phase_vectors.conj()
     records, recovered = _measure_and_correct(_decomposition_env(dec), povm, heralded, rho, tol)
-    return records, _check_recovery(recovered, rho, recovery_tol, tol)
+    return records, _check_recovery(recovered, rho, tol)
 
 
 def eraser_scenario(d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EraserScenario:
@@ -239,7 +231,6 @@ def run_eraser(
     scenario: EraserScenario,
     rho: DensityMatrix,
     tol: ToleranceProfile = DEFAULT_TOL,
-    recovery_tol: float = 1e-8,
 ):
     """Run the eraser on a state: Fourier measurement, then Z_j correction."""
     # outcome j heralds Z_j^dagger, whose diagonal is the conjugate clock row
@@ -247,7 +238,7 @@ def run_eraser(
     records, recovered = _measure_and_correct(
         scenario.dilation.env_vectors, scenario.povm, heralded, rho, tol
     )
-    return records, _check_recovery(recovered, rho, recovery_tol, tol)
+    return records, _check_recovery(recovered, rho, tol)
 
 
 def which_way_readout(scenario: EraserScenario, rho: DensityMatrix, tol=DEFAULT_TOL):

@@ -10,19 +10,27 @@ for d >= 4.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .channels import CorrelationMatrix
 from .errors import (
+    BadCount,
     BadDimension,
     DimensionMismatch,
     NoDecompositionFound,
+    VerificationFailure,
     WrongDimension,
 )
-from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, hermitian_eig
+from .numerics import (
+    DEFAULT_TOL,
+    NEGLIGIBLE,
+    RANK_THRESHOLD,
+    RESIDUAL_TOL,
+    ToleranceProfile,
+    hermitian_eig,
+)
 
 __all__ = [
     "FlatDecomposition",
@@ -32,6 +40,7 @@ __all__ = [
     "ExtremalityResult",
     "decompose_qubit",
     "decompose_identity_xi",
+    "decompose",
     "flat_search",
     "verify_decomposition",
     "extremality_test",
@@ -62,13 +71,15 @@ class FlatDecomposition:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the numerical flat-vector search."""
+    """Knobs for the numerical flat-vector search; both counts must be >= 1."""
 
-    terms: Optional[int] = None  # default d^2 - d + 1 (Caratheodory bound)
     restarts: int = 32
     max_iters: int = 5000
-    tol: float = 1e-8
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.max_iters < 1:
+            raise BadCount(f"need restarts, max_iters >= 1, got {self.restarts}, {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -110,21 +121,16 @@ def decompose_qubit(xi: CorrelationMatrix, tol: ToleranceProfile = DEFAULT_TOL) 
     Eigenvectors of a 2x2 correlation matrix are flat after scaling by
     sqrt(2), so xi = sum lam v v* repackages as weights lam/2 and flat
     vectors sqrt(2) v; the weight entropy then equals S(xi/2), the minimum.
-    A vanishing eigenvalue (below 1e-12) drops its term.
+    A vanishing eigenvalue (below ``NEGLIGIBLE``) drops its term.
     """
     if xi.dim != 2:
         raise WrongDimension(f"decompose_qubit needs d=2, got d={xi.dim}")
-    if abs(xi.matrix[0, 1]) < 1e-12:
+    if abs(xi.matrix[0, 1]) < NEGLIGIBLE:
         return decompose_identity_xi(2)
     res = hermitian_eig(xi.matrix, tol)
-    weights, vectors = [], []
-    for lam, v in zip(res.eigenvalues, res.eigenvectors.T):
-        if lam < 1e-12:
-            continue
-        weights.append(lam / 2.0)
-        vectors.append(np.sqrt(2.0) * v)
-    u = _normalize_first_entry(np.array(vectors))
-    return FlatDecomposition(dim=2, weights=np.array(weights), phase_vectors=u)
+    keep = res.eigenvalues >= NEGLIGIBLE
+    u = _normalize_first_entry(np.sqrt(2.0) * res.eigenvectors.T[keep])
+    return FlatDecomposition(dim=2, weights=res.eigenvalues[keep] / 2.0, phase_vectors=u)
 
 
 def decompose_identity_xi(d: int) -> FlatDecomposition:
@@ -142,8 +148,8 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
     )
 
 
-def _objective(x: np.ndarray, xi: np.ndarray, m: int, d: int):
-    """Squared Frobenius residual and its analytic gradient.
+def _unpack(x, m, d):
+    """Flat vectors (rows) and weights from the search parameters.
 
     Parameters: free phase angles theta[i, 1:] (first entry of each flat
     vector pinned at angle 0) followed by m real weight scores fed through a
@@ -152,11 +158,15 @@ def _objective(x: np.ndarray, xi: np.ndarray, m: int, d: int):
     n_theta = m * (d - 1)
     theta = np.zeros((m, d))
     theta[:, 1:] = x[:n_theta].reshape(m, d - 1)
-    s = x[n_theta:]
-    s = s - np.max(s)
+    s = x[n_theta:] - np.max(x[n_theta:])
     es = np.exp(s)
-    p = es / es.sum()
-    u = np.exp(1j * theta)
+    return np.exp(1j * theta), es / es.sum()
+
+
+def _objective(x: np.ndarray, xi: np.ndarray, m: int, d: int):
+    """Squared Frobenius residual and its analytic gradient in the parameters
+    of :func:`_unpack`."""
+    u, p = _unpack(x, m, d)
     recon = np.einsum("i,ik,il->kl", p, u, u.conj())
     r = xi - recon
     f = float(np.sum(np.abs(r) ** 2))
@@ -181,21 +191,13 @@ def _polish(x0, xi, m, d, max_iters):
     return res.x, float(res.fun)
 
 
-def _unpack(x, m, d):
-    n_theta = m * (d - 1)
-    theta = np.zeros((m, d))
-    theta[:, 1:] = x[:n_theta].reshape(m, d - 1)
-    s = x[n_theta:] - np.max(x[n_theta:])
-    es = np.exp(s)
-    return np.exp(1j * theta), es / es.sum()
-
-
 def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) -> FlatDecomposition:
     """Seeded numerical search for a flat decomposition of a correlation matrix.
 
     Minimizes the squared Frobenius residual over phase angles and softmax
     weights with analytic gradients, restarting from fresh random points
-    until the residual meets ``config.tol``. Terms with weight below 1e-6
+    until the residual meets ``RESIDUAL_TOL``, with d^2 - d + 1 terms (the
+    Caratheodory bound). Terms with weight below 1e-6
     are pruned and the survivors re-polished. Deterministic under a fixed
     seed. Raises :class:`NoDecompositionFound` (carrying the best residual)
     when every restart fails -- an expected outcome for some d >= 4 inputs.
@@ -203,7 +205,7 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     d = xi.dim
     if d < 2:
         raise WrongDimension(f"need d >= 2, got {d}")
-    m = config.terms if config.terms is not None else d * d - d + 1
+    m = d * d - d + 1
     target = xi.matrix
     best_residual = np.inf
     for restart in range(config.restarts):
@@ -227,14 +229,23 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
         residual = np.sqrt(max(f, 0.0))
         if residual < best_residual:
             best_residual = residual
-        if residual <= config.tol:
+        if residual <= RESIDUAL_TOL:
             order = np.argsort(-p, kind="stable")
             return FlatDecomposition(dim=d, weights=p[order], phase_vectors=u[order])
     raise NoDecompositionFound(best_residual, config.restarts)
 
 
+def decompose(xi: CorrelationMatrix, seed=0, tol=DEFAULT_TOL) -> FlatDecomposition:
+    """Clock family for xi = I (within ``NEGLIGIBLE``), closed form for d = 2, else flat_search."""
+    if np.max(np.abs(xi.matrix - np.eye(xi.dim))) < NEGLIGIBLE:
+        return decompose_identity_xi(xi.dim)
+    if xi.dim == 2:
+        return decompose_qubit(xi, tol)
+    return flat_search(xi, SearchConfig(seed=seed))
+
+
 def verify_decomposition(
-    xi: CorrelationMatrix, dec: FlatDecomposition, tol: float = 1e-8
+    xi: CorrelationMatrix, dec: FlatDecomposition, tol: ToleranceProfile = DEFAULT_TOL
 ) -> VerificationReport:
     """Check a decomposition against a correlation matrix.
 
@@ -242,7 +253,8 @@ def verify_decomposition(
     the weight Shannon entropy in bits, and the trace-form Gram matrix
     O_ij = Tr[U_i U_j*]/d whose identity shape characterizes mutually
     orthogonal unitary families (the equality case of the information lower
-    bound).
+    bound). Accepted: residual and flatness within ``RESIDUAL_TOL``, weights
+    nonnegative and summing to 1 within ``tol.tr`` (as a recovered trace must); NaN fails.
     """
     if dec.dim != xi.dim:
         raise DimensionMismatch(f"decomposition dim {dec.dim} != xi dim {xi.dim}")
@@ -252,8 +264,9 @@ def verify_decomposition(
     p = dec.weights[dec.weights > 0]
     entropy = float(-(p * np.log2(p)).sum())
     ortho = dec.phase_vectors @ dec.phase_vectors.conj().T / dec.dim
-    orthogonal = bool(np.max(np.abs(ortho - np.eye(dec.terms))) <= tol)
-    accepted = residual <= tol and flatness <= tol and weight_dev <= tol
+    orthogonal = bool(np.max(np.abs(ortho - np.eye(dec.terms))) <= RESIDUAL_TOL)
+    weights_ok = weight_dev <= tol.tr and bool(np.all(dec.weights >= 0))
+    accepted = residual <= RESIDUAL_TOL and flatness <= RESIDUAL_TOL and weights_ok
     return VerificationReport(
         residual=residual,
         flatness_deviation=flatness,
@@ -263,6 +276,14 @@ def verify_decomposition(
         orthogonal_family=orthogonal,
         accepted=accepted,
     )
+
+
+def _require_accepted(xi, dec, tol) -> VerificationReport:
+    """The report of an accepted decomposition, or :class:`VerificationFailure`."""
+    report = verify_decomposition(xi, dec, tol)
+    if not report.accepted:
+        raise VerificationFailure(f"decomposition rejected: {report}")
+    return report
 
 
 def correlation_rank(xi: CorrelationMatrix) -> int:

@@ -33,8 +33,8 @@ class NotState(SchurMapsError):
     """Matrix fails the density-matrix requirements (Hermitian, PSD, trace one)."""
 
 
-class NotPSD(SchurMapsError):
-    """Carries the most negative eigenvalue found."""
+class NotPSD(NotState):
+    """Carries the most negative eigenvalue found; a state must be PSD, hence NotState."""
 
     def __init__(self, min_eigenvalue):
         super().__init__(f"matrix is not PSD: most negative eigenvalue {min_eigenvalue:.3e}")
@@ -60,6 +60,10 @@ class BadDimension(SchurMapsError):
 
 class BadCount(SchurMapsError, ValueError):
     """A count argument (such as an iteration count) is out of range."""
+
+
+class BadTolerance(SchurMapsError, ValueError):
+    """A tolerance is negative or not finite."""
 
 
 class NotDistribution(SchurMapsError):

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadTolerance,
     NotHermitian,
     NotOrthonormal,
+    NotPSD,
     NotSquare,
     NotState,
     ShapeMismatch,
@@ -39,7 +41,10 @@ class ToleranceProfile:
     herm  - max allowed |a_kl - conj(a_lk)| for a matrix to count as Hermitian
     eig   - relative reconstruction / orthonormality tolerance for eigensolves
     psd   - eigenvalues >= -psd are accepted as nonnegative (and clamped to 0)
-    tr    - allowed deviation of a trace or probability sum from 1
+    tr    - allowed deviation of a trace or a probability or weight sum from 1
+
+    The only tolerances a caller sets, each finite and >= 0; every other
+    acceptance bound is one of the fixed constants below.
     """
 
     herm: float = 1e-9
@@ -47,10 +52,19 @@ class ToleranceProfile:
     psd: float = 1e-9
     tr: float = 1e-9
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 <= value < np.inf:
+                raise BadTolerance(f"tolerance {name} must be finite and >= 0, got {value!r}")
+
 
 DEFAULT_TOL = ToleranceProfile()
 
 RANK_THRESHOLD = 1e-9  # eigenvalues of xi at or below this count as zero in its rank
+NEGLIGIBLE = 1e-12  # probabilities, eigenvalues and entry deviations below this count as zero
+RESIDUAL_TOL = 1e-8  # Frobenius residual of a decomposition or a recovered state; flatness
+ENTROPY_SLACK = 1e-9  # slack of the entropy inequalities (bounds sandwich, entropy production)
+MAJORIZATION_SLACK = 1e-10  # slack of the partial-sum comparisons in majorization_check
 
 
 @dataclass(frozen=True)
@@ -69,16 +83,35 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+def _hermitian_copy(a, tol: ToleranceProfile) -> np.ndarray:
+    """A fresh nonempty square complex copy of ``a`` that passed the Hermitian check.
+
+    A NaN or inf entry makes the deviation NaN or inf and fails it: no finiteness pass."""
+    m = _as_matrix(a).copy()
+    if m.shape[0] != m.shape[1] or not m.size:
+        raise NotSquare(f"expected a nonempty square matrix, got shape {m.shape}")
+    with np.errstate(invalid="ignore"):
+        dev = abs(m - m.conj().T).max()
+    if not dev <= tol.herm:
+        raise NotHermitian(f"max |a_kl - conj(a_lk)| = {dev:.3e} exceeds {tol.herm:.1e}")
     return m
 
 
-def _require_hermitian(m: np.ndarray, tol: float) -> None:
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"max |a_kl - conj(a_lk)| = {dev:.3e} exceeds {tol:.1e}")
+def _psd_eigenvalues(m: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian-checked matrix, or :class:`NotPSD`."""
+    vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    if not vals[0] >= -tol.psd:
+        raise NotPSD(float(vals[0]))
+    return vals
+
+
+def _state_eigenvalues(a, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """A validated copy of a state (Hermitian, unit trace, PSD) and its ascending eigenvalues."""
+    m = _hermitian_copy(a, tol)
+    tr = m.trace().real
+    if not abs(tr - 1.0) <= tol.tr:
+        raise NotState(f"trace {tr} differs from 1 beyond tolerance")
+    return m, _psd_eigenvalues(m, tol)
 
 
 def hermitian_eig(a, tol: ToleranceProfile = DEFAULT_TOL) -> HermitianEigenResult:
@@ -89,8 +122,7 @@ def hermitian_eig(a, tol: ToleranceProfile = DEFAULT_TOL) -> HermitianEigenResul
     largest-modulus entry is real and positive, which makes downstream
     constructions (Kolmogorov vectors, dilations) deterministic.
     """
-    m = _require_square(_as_matrix(a))
-    _require_hermitian(m, tol.herm)
+    m = _hermitian_copy(a, tol)
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -108,22 +140,23 @@ def schur_product(a, b) -> np.ndarray:
     return ma * mb
 
 
-def partial_trace_env(m, dim_sys: int, dim_env: int) -> np.ndarray:
-    """Trace out the environment (fast index) of a system (x) environment matrix."""
+def _joint_blocks(m, dim_sys: int, dim_env: int) -> np.ndarray:
+    """A system (x) environment matrix as the 4-index array [k, a, l, b]."""
     mm = _as_matrix(m)
     n = dim_sys * dim_env
     if mm.shape != (n, n):
         raise ShapeMismatch(f"expected shape ({n}, {n}), got {mm.shape}")
-    return np.trace(mm.reshape(dim_sys, dim_env, dim_sys, dim_env), axis1=1, axis2=3)
+    return mm.reshape(dim_sys, dim_env, dim_sys, dim_env)
+
+
+def partial_trace_env(m, dim_sys: int, dim_env: int) -> np.ndarray:
+    """Trace out the environment (fast index) of a system (x) environment matrix."""
+    return np.trace(_joint_blocks(m, dim_sys, dim_env), axis1=1, axis2=3)
 
 
 def partial_trace_sys(m, dim_sys: int, dim_env: int) -> np.ndarray:
     """Trace out the system (slow index), leaving the environment."""
-    mm = _as_matrix(m)
-    n = dim_sys * dim_env
-    if mm.shape != (n, n):
-        raise ShapeMismatch(f"expected shape ({n}, {n}), got {mm.shape}")
-    return np.trace(mm.reshape(dim_sys, dim_env, dim_sys, dim_env), axis1=0, axis2=2)
+    return np.trace(_joint_blocks(m, dim_sys, dim_env), axis1=0, axis2=2)
 
 
 def _fill_remaining_columns(u: np.ndarray, filled: list[int], tol_skip: float = 1e-8):
@@ -171,7 +204,7 @@ def unitary_completion(columns, total_dim: int, tol: ToleranceProfile = DEFAULT_
             raise ShapeMismatch(f"column length {c.shape[0]} != total_dim {total_dim}")
     if cols:
         g = np.array([[ci.conj() @ cj for cj in cols] for ci in cols])
-        if np.max(np.abs(g - np.eye(len(cols)))) > tol.eig:
+        if not np.max(np.abs(g - np.eye(len(cols)))) <= tol.eig:
             raise NotOrthonormal("input columns are not orthonormal")
     u = np.zeros((total_dim, total_dim), dtype=complex)
     for j, c in enumerate(cols):
@@ -185,14 +218,6 @@ def von_neumann_entropy(rho, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     The input must be a valid state: Hermitian, PSD, and unit trace within
     the profile's tolerances.
     """
-    m = _require_square(_as_matrix(rho))
-    _require_hermitian(m, tol.herm)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > tol.tr:
-        raise NotState(f"trace {tr} differs from 1 beyond tolerance")
-    vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if vals[0] < -tol.psd:
-        raise NotState(f"negative eigenvalue {vals[0]:.3e} beyond tolerance")
-    vals = np.clip(vals, 0.0, None)
+    _, vals = _state_eigenvalues(rho, tol)
     nz = vals[vals > 0]
     return float(-(nz * np.log2(nz)).sum())

@@ -97,7 +97,7 @@ def test_criterion_02_eraser_all_dims():
         scenario = eraser_scenario(d)
         for _ in range(100):
             rho = random_density(rng, d)
-            records, recovered = run_eraser(scenario, rho, recovery_tol=1e-9)
+            records, recovered = run_eraser(scenario, rho)
             assert np.linalg.norm(recovered.matrix - rho.matrix) <= 1e-9
         probs = [r.probability for r in records]
         assert shannon_entropy(probs) == pytest.approx(np.log2(d), abs=1e-10)
@@ -130,7 +130,7 @@ def test_criterion_04_qutrit_invertibility(qutrit_cases):
         ch = SchurChannel(xi)
         for _ in range(5):
             rho = random_density(rng, 3)
-            _, recovered = run_correction(ch, dec, rho, recovery_tol=1e-7)
+            _, recovered = run_correction(ch, dec, rho)
             assert np.linalg.norm(recovered.matrix - rho.matrix) <= 1e-7
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -269,7 +269,7 @@ def test_criterion_10_majorization_sweep():
     violations = 0
     for _ in range(1000):
         d = int(rng.integers(2, 7))
-        if not majorization_check(random_density(rng, d), slack=1e-10):
+        if not majorization_check(random_density(rng, d)):
             violations += 1
     assert violations == 0
     elapsed = time.perf_counter() - t0

@@ -200,3 +200,47 @@ class TestBounds:
         obj = json.loads(capsys.readouterr().out)
         assert obj["s_xi_over_d_bits"] == pytest.approx(0.0, abs=1e-10)
         assert obj["rank"] == 1
+
+
+class TestBadInput:
+    NAN_XI = [[1.0, float("nan")], [0.0, 1.0]]
+    NAN_RHO = [[0.5, 0.0], [0.0, float("nan")]]
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("validate", "xi"),
+            ("evolve", "xi"),
+            ("evolve", "rho"),
+            ("correct", "xi"),
+            ("correct", "rho"),
+            ("bounds", "xi"),
+        ],
+    )
+    def test_nan_file_exits_2_without_output(self, workdir, capsys, command, bad):
+        xi = self.NAN_XI if bad == "xi" else np.eye(2)
+        rho = self.NAN_RHO if bad == "rho" else np.eye(2) / 2
+        xp = write_matrix(workdir / "xi.json", xi, "correlation")
+        rp = write_matrix(workdir / "rho.json", rho, "state")
+        files = {"validate": [xp], "evolve": [xp, rp, "2"], "correct": [xp, rp], "bounds": [xp]}
+        assert main(["--out", "run", command] + files[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
+
+    @pytest.mark.parametrize("profile", [{"tr": float("nan")}, {"psd": -1.0}])
+    def test_bad_tolerance_profile_exits_2(self, workdir, profile):
+        serialize.save_json("tol.json", profile)
+        xp = write_matrix(workdir / "xi.json", np.eye(2), "correlation")
+        assert main(["--tol", "tol.json", "validate", xp]) == 2
+
+    def test_dec_weights_off_by_3e_9_exits_3(self, workdir):
+        from schurmaps import decompose_identity_xi
+
+        dec = decompose_identity_xi(3)
+        obj = serialize.decomposition_to_dict(dec)
+        obj["weights"] = [w * (1 + 3e-9) for w in obj["weights"]]
+        serialize.save_json("dec.json", obj)
+        xp = write_matrix(workdir / "xi.json", np.eye(3), "correlation")
+        rp = write_matrix(workdir / "rho.json", np.eye(3) / 3, "state")
+        assert main(["correct", xp, rp, "--dec", "dec.json"]) == 3

@@ -10,6 +10,7 @@ from schurmaps import (
     SearchConfig,
     WrongDimension,
     apply_schrodinger,
+    decompose,
     decompose_identity_xi,
     decompose_qubit,
     extremality_test,
@@ -164,6 +165,28 @@ class TestFlatSearch:
             h = shannon_entropy(dec.weights)
             assert h >= von_neumann_entropy(xi.matrix / 3) - 1e-6
             assert h <= np.log2(3 * 3 - 3 + 1) + 1e-9
+
+
+class TestDecompose:
+    def test_identity_takes_the_clock_family(self):
+        for d in (2, 3, 5):
+            dec = decompose(validate_correlation(np.eye(d)), seed=4)
+            ref = decompose_identity_xi(d)
+            assert np.array_equal(dec.weights, ref.weights)
+            assert np.array_equal(dec.phase_vectors, ref.phase_vectors)
+
+    def test_qubit_takes_the_closed_form(self, rng):
+        xi = random_correlation(rng, 2)
+        dec, ref = decompose(xi), decompose_qubit(xi)
+        assert np.array_equal(dec.weights, ref.weights)
+        assert np.array_equal(dec.phase_vectors, ref.phase_vectors)
+
+    def test_other_inputs_take_the_seeded_search(self, rng):
+        xi = random_correlation(rng, 3)
+        for seed in (0, 5):
+            dec, ref = decompose(xi, seed=seed), flat_search(xi, SearchConfig(seed=seed))
+            assert np.array_equal(dec.weights, ref.weights)
+            assert np.array_equal(dec.phase_vectors, ref.phase_vectors)
 
 
 class TestVerifyDecomposition:

@@ -142,7 +142,7 @@ class TestBoundsReport:
             ch = SchurChannel(random_correlation(rng, d))
             rep = bounds_report(ch)
             rho = DensityMatrix.from_matrix(np.eye(d) / d)
-            assert abs(rep.s_ex_maximal - entropy_exchange(ch, rho)) < 1e-10
+            assert abs(rep.s_xi_over_d - entropy_exchange(ch, rho)) < 1e-10
 
     def test_rejects_mismatched_decomposition(self, rng):
         ch = SchurChannel(random_correlation(rng, 3))

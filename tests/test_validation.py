@@ -1,0 +1,149 @@
+"""Validation at the library's boundaries: non-finite input, aliasing,
+settings, and the single acceptance predicate for decompositions."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schurmaps import (
+    BadCount,
+    BadTolerance,
+    DensityMatrix,
+    FlatDecomposition,
+    NotState,
+    SchurChannel,
+    SchurMapsError,
+    SearchConfig,
+    ToleranceProfile,
+    VerificationFailure,
+    decompose_identity_xi,
+    dilation_from_decomposition,
+    hermitian_eig,
+    run_correction,
+    shannon_entropy,
+    validate_correlation,
+    verify_decomposition,
+    von_neumann_entropy,
+)
+from conftest import random_correlation, random_density
+
+NON_FINITE = [
+    np.nan,
+    np.inf,
+    -np.inf,
+    complex(np.inf, np.inf),
+    complex(0.0, np.nan),
+    complex(1.0, -np.inf),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 3),
+    l=st.integers(0, 3),
+    bad=st.sampled_from(NON_FINITE),
+    bad_real=st.sampled_from([np.nan, np.inf, -np.inf]),
+    mirror=st.booleans(),
+)
+def test_one_non_finite_entry_is_always_rejected(d, seed, k, l, bad, bad_real, mirror):
+    rng = np.random.default_rng(seed)
+    k, l = k % d, l % d
+    state = random_density(rng, d).matrix.copy()
+    corr = random_correlation(rng, d).matrix.copy()
+    for m in (state, corr):
+        m[k, l] = bad
+        if mirror:
+            m[l, k] = np.conj(bad)
+    probs = np.full(d, 1.0 / d)
+    probs[k] = bad_real
+    calls = [
+        (hermitian_eig, state),
+        (hermitian_eig, corr),
+        (DensityMatrix.from_matrix, state),
+        (von_neumann_entropy, state),
+        (validate_correlation, corr),
+        (shannon_entropy, probs),
+    ]
+    for call, arg in calls:
+        # a LinAlgError or a returned value fails the test
+        with pytest.raises(SchurMapsError):
+            call(arg)
+
+
+class TestStates:
+    def test_from_matrix_copies_the_callers_array(self):
+        m = np.full((2, 2), 0.5, dtype=complex)
+        rho = DensityMatrix.from_matrix(m)
+        m[0, 1] = m[1, 0] = 7.0
+        assert np.array_equal(rho.matrix, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("vector", [[0, 0], [np.nan, 1], [np.inf, 0], []])
+    def test_pure_rejects_zero_and_non_finite_vectors(self, vector):
+        with pytest.raises(NotState):
+            DensityMatrix.pure(vector)
+
+    def test_negative_eigenvalue_is_not_a_state(self):
+        with pytest.raises(NotState):
+            DensityMatrix.from_matrix(np.diag([1.5, -0.5]))
+
+
+class TestSettings:
+    @pytest.mark.parametrize("field", ["herm", "eig", "psd", "tr"])
+    @pytest.mark.parametrize("value", [-1e-9, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(BadTolerance):
+            ToleranceProfile(**{field: value})
+
+    def test_zero_tolerance_is_allowed(self):
+        assert ToleranceProfile(tr=0.0).tr == 0.0
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iters": 0}, {"restarts": -3}])
+    def test_search_counts_must_be_positive(self, kwargs):
+        with pytest.raises(BadCount):
+            SearchConfig(**kwargs)
+
+
+def scaled_clock(d, factor):
+    dec = decompose_identity_xi(d)
+    return FlatDecomposition(dim=d, weights=dec.weights * factor, phase_vectors=dec.phase_vectors)
+
+
+class TestOneAcceptancePredicate:
+    def test_weight_sum_judged_against_trace_tolerance(self):
+        xi = validate_correlation(np.eye(3))
+        assert verify_decomposition(xi, scaled_clock(3, 1 + 5e-10)).accepted
+        assert not verify_decomposition(xi, scaled_clock(3, 1 + 3e-9)).accepted
+        loose = ToleranceProfile(tr=1e-8)
+        assert verify_decomposition(xi, scaled_clock(3, 1 + 3e-9), loose).accepted
+
+    @pytest.mark.parametrize("factor, accepted", [(1 + 5e-10, True), (1 + 3e-9, False)])
+    def test_callers_agree_with_verification(self, factor, accepted):
+        dec = scaled_clock(3, factor)
+        ch = SchurChannel(validate_correlation(np.eye(3)))
+        rho = DensityMatrix.pure(np.ones(3))
+        assert verify_decomposition(ch.xi, dec).accepted == accepted
+        if accepted:
+            run_correction(ch, dec, rho)
+            dilation_from_decomposition(dec)
+            return
+        with pytest.raises(VerificationFailure):
+            run_correction(ch, dec, rho)
+        with pytest.raises(VerificationFailure):
+            dilation_from_decomposition(dec)
+
+    def test_negative_weight_rejected(self):
+        # reconstructs the all-ones matrix exactly, but sqrt(-0.2) has no meaning
+        weights = np.array([0.6, 0.6, -0.2])
+        ones = np.ones((3, 2), dtype=complex)
+        dec = FlatDecomposition(dim=2, weights=weights, phase_vectors=ones)
+        ch = SchurChannel(validate_correlation(np.ones((2, 2))))
+        assert not verify_decomposition(ch.xi, dec).accepted
+        with pytest.raises(VerificationFailure):
+            run_correction(ch, dec, DensityMatrix.pure([1, 1j]))
+        with pytest.raises(VerificationFailure):
+            dilation_from_decomposition(dec)

@@ -1,14 +1,18 @@
 """Random-unitary decompositions of correlation matrices.
 
-Qubit channels decompose in closed form from the spectral decomposition of
-xi; larger dimensions use a seeded numerical search over flat phase vectors.
-Every decomposition found is verified (reconstruction residual, flatness,
-orthogonality of the unitary family) and then used to undo the channel.
+Qubit channels decompose in closed form: the off-diagonal entry of xi fixes
+the two flat vectors and their weights. Larger dimensions use a seeded
+numerical search over flat phase vectors. Every decomposition found is
+verified (reconstruction residual, flatness, orthogonality of the unitary
+family) and then used to undo the channel. From d = 4 on, some channels have
+no decomposition at all: an extreme correlation matrix of rank 2 is
+certified by the Li-Tam test, and the search refuses it without running.
 """
 
 import numpy as np
 
 from schurmaps import (
+    NoDecompositionFound,
     SchurChannel,
     SearchConfig,
     decompose_qubit,
@@ -60,3 +64,14 @@ records, recovered = run_correction(ch, dec, rho)
 for r in records:
     print(f"  outcome {r.outcome_index}: p = {r.probability:.4f}")
 print(f"recovery residual = {np.linalg.norm(recovered.matrix - rho.matrix):.2e}")
+
+print("\n--- d = 4: an extreme rank-2 channel has no decomposition ---")
+v = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+v /= np.linalg.norm(v, axis=1, keepdims=True)
+xi = validate_correlation(v.conj() @ v.T)  # Gram matrix of four rays in C^2
+ext = extremality_test(xi)
+print(f"extremality verdict: {ext.verdict.value} (rank {ext.rank})")
+try:
+    flat_search(xi, SearchConfig(seed=0))
+except NoDecompositionFound as exc:
+    print(f"flat_search: {exc} ({exc.restarts} restarts)")

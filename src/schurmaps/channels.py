@@ -36,6 +36,12 @@ __all__ = [
 ]
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """``m``, flagged read-only so no caller can change a validated matrix in place."""
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated quantum state: Hermitian, PSD, unit trace."""
@@ -47,18 +53,17 @@ class DensityMatrix:
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
         """Validate ``m`` as a state; the state holds a read-only copy of it."""
         mm, _ = _state_eigenvalues(m, tol)
-        mm.flags.writeable = False
-        return cls(dim=mm.shape[0], matrix=mm)
+        return cls(dim=mm.shape[0], matrix=_read_only(mm))
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
-        """|v><v| / <v|v> for a nonzero vector with finite entries."""
+        """|v><v| / <v|v> (read-only) for a nonzero vector with finite entries."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:
             raise NotState(f"a pure state needs a nonzero finite vector, got norm {norm}")
         v = v / norm
-        return cls(dim=v.shape[0], matrix=np.outer(v, v.conj()))
+        return cls(dim=v.shape[0], matrix=_read_only(np.outer(v, v.conj())))
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,8 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
     """Validate a matrix as a correlation matrix.
 
     Diagonal entries within ``tol.tr`` of 1 are snapped to exactly 1 so the
-    unit-diagonal invariant holds exactly downstream.
+    unit-diagonal invariant holds exactly downstream. The result holds a
+    read-only copy.
     """
     mm = _hermitian_copy(m, tol)
     for k, v in enumerate(np.diag(mm)):
@@ -100,7 +106,7 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
             raise BadDiagonal(k, v)
     np.fill_diagonal(mm, 1.0)
     _psd_eigenvalues(mm, tol)
-    return CorrelationMatrix(dim=mm.shape[0], matrix=mm)
+    return CorrelationMatrix(dim=mm.shape[0], matrix=_read_only(mm))
 
 
 def _check_dim(ch: SchurChannel, m: np.ndarray) -> None:
@@ -142,8 +148,9 @@ def iterate(
 
 
 def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:
-    """Diagonal truncation of the state, the fixed point of complete decoherence."""
-    return DensityMatrix(dim=rho.dim, matrix=np.diag(np.diag(rho.matrix)).astype(complex))
+    """Diagonal truncation of the state, the fixed point of complete decoherence (read-only)."""
+    diagonal = np.diag(np.diag(rho.matrix)).astype(complex)
+    return DensityMatrix(dim=rho.dim, matrix=_read_only(diagonal))
 
 
 def choi_operator(ch: SchurChannel) -> np.ndarray:

@@ -103,7 +103,7 @@ def cmd_evolve(args, tol: ToleranceProfile) -> int:
 
 def cmd_decompose(args, tol: ToleranceProfile) -> int:
     xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
-    dec = decompose(xi, args.seed, tol)
+    dec = decompose(xi, args.seed)
     report = verify_decomposition(xi, dec, tol)
     obj = {
         "decomposition": serialize.decomposition_to_dict(dec),
@@ -132,7 +132,7 @@ def cmd_correct(args, tol: ToleranceProfile) -> int:
     if args.dec:
         dec = serialize.decomposition_from_dict(serialize.load_json(args.dec))
     else:
-        dec = decompose(xi, args.seed, tol)
+        dec = decompose(xi, args.seed)
     records, recovered = run_correction(ch, dec, rho, tol)
     residual = float(np.linalg.norm(recovered.matrix - rho.matrix))
     obj = {

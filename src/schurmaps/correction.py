@@ -142,6 +142,8 @@ def _measure_and_correct(
     Returns (records, recovered) with the recovered state
     sum_i rho o (g_i g_i*) = rho o (G G*), unnormalized-summed over outcomes.
     """
+    if rho.dim != env.shape[0]:
+        raise DimensionMismatch(f"state dim {rho.dim} != system dim {env.shape[0]}")
     rho_m = rho.matrix
     c = env @ povm.effects.conj().T  # column i = c_i
     g = heralded_phases.conj().T * c  # column i = g_i
@@ -187,8 +189,6 @@ def run_correction(
     ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`.
     """
     _require_accepted(ch.xi, dec, tol)
-    if rho.dim != ch.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
     povm = correcting_povm(dec)
     # outcome i heralds the Kraus sqrt(p_i) U_i^dagger of the Schrodinger action
     heralded = np.ones((povm.effects.shape[0], ch.dim), dtype=complex)

@@ -4,8 +4,9 @@ A Schur channel is random-unitary iff its correlation matrix is a convex
 mixture of rank-one correlation matrices u u* with flat (all entries
 unimodular) vectors u; each flat vector encodes the diagonal unitary
 diag(u). Closed forms exist for d = 2 and for xi = I in any d; the general
-case is handled by a seeded numerical search, which may legitimately fail
-for d >= 4.
+case is handled by a seeded numerical search. An extreme correlation matrix
+of rank >= 2 (possible only for d >= 4) has no flat decomposition; the Li-Tam
+test of :func:`extremality_test` certifies it, and the search refuses it.
 """
 
 import enum
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import CorrelationMatrix
+from .dilation import kolmogorov_vectors
 from .errors import (
     BadCount,
     BadDimension,
@@ -29,7 +31,6 @@ from .numerics import (
     RANK_THRESHOLD,
     RESIDUAL_TOL,
     ToleranceProfile,
-    hermitian_eig,
 )
 
 __all__ = [
@@ -96,8 +97,6 @@ class VerificationReport:
 class ExtremalityVerdict(enum.Enum):
     EXTREMAL = "extremal"
     NOT_EXTREMAL = "not_extremal"
-    RANK_ONE_EXTREMAL = "rank_one_extremal"
-    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -111,26 +110,22 @@ def reconstruct_xi(dec: FlatDecomposition) -> np.ndarray:
     return np.einsum("i,ik,il->kl", dec.weights, dec.phase_vectors, dec.phase_vectors.conj())
 
 
-def _normalize_first_entry(u: np.ndarray) -> np.ndarray:
-    return u / (u[:, :1] / np.abs(u[:, :1]))
+def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
+    """Optimal decomposition for d = 2 in closed form.
 
-
-def decompose_qubit(xi: CorrelationMatrix, tol: ToleranceProfile = DEFAULT_TOL) -> FlatDecomposition:
-    """Optimal decomposition for d = 2 from the spectrum of xi.
-
-    Eigenvectors of a 2x2 correlation matrix are flat after scaling by
-    sqrt(2), so xi = sum lam v v* repackages as weights lam/2 and flat
-    vectors sqrt(2) v; the weight entropy then equals S(xi/2), the minimum.
-    A vanishing eigenvalue (below ``NEGLIGIBLE``) drops its term.
+    With xi_01 = c e^{i phi}, the flat vectors (1, +-e^{-i phi}) carry weights
+    (1 +- c)/2, the eigenvalues of xi over 2, so the weight entropy equals
+    S(xi/2), the minimum. At c = 0 this is the d = 2 clock pair; at c = 1 the
+    second weight vanishes (below ``NEGLIGIBLE``) and its term is dropped.
     """
     if xi.dim != 2:
         raise WrongDimension(f"decompose_qubit needs d=2, got d={xi.dim}")
-    if abs(xi.matrix[0, 1]) < NEGLIGIBLE:
-        return decompose_identity_xi(2)
-    res = hermitian_eig(xi.matrix, tol)
-    keep = res.eigenvalues >= NEGLIGIBLE
-    u = _normalize_first_entry(np.sqrt(2.0) * res.eigenvectors.T[keep])
-    return FlatDecomposition(dim=2, weights=res.eigenvalues[keep] / 2.0, phase_vectors=u)
+    c = xi.matrix[0, 1]
+    weights = np.array([1.0 + abs(c), 1.0 - abs(c)]) / 2.0
+    phase = np.exp(-1j * np.angle(c))
+    u = np.array([[1.0, phase], [1.0, -phase]])
+    keep = weights >= NEGLIGIBLE
+    return FlatDecomposition(dim=2, weights=weights[keep], phase_vectors=u[keep])
 
 
 def decompose_identity_xi(d: int) -> FlatDecomposition:
@@ -200,11 +195,17 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     Caratheodory bound). Terms with weight below 1e-6
     are pruned and the survivors re-polished. Deterministic under a fixed
     seed. Raises :class:`NoDecompositionFound` (carrying the best residual)
-    when every restart fails -- an expected outcome for some d >= 4 inputs.
+    when every restart fails -- an expected outcome for some d >= 4 inputs --
+    and at once, before any restart, when :func:`extremality_test` certifies
+    xi extreme with rank >= 2: such an xi is its own only decomposition into
+    correlation matrices, so no mixture of flat rank-one matrices equals it.
     """
     d = xi.dim
     if d < 2:
         raise WrongDimension(f"need d >= 2, got {d}")
+    ext = extremality_test(xi)
+    if ext.verdict is ExtremalityVerdict.EXTREMAL and ext.rank >= 2:
+        raise NoDecompositionFound(np.inf, 0, extreme_rank=ext.rank)
     m = d * d - d + 1
     target = xi.matrix
     best_residual = np.inf
@@ -235,12 +236,12 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     raise NoDecompositionFound(best_residual, config.restarts)
 
 
-def decompose(xi: CorrelationMatrix, seed=0, tol=DEFAULT_TOL) -> FlatDecomposition:
+def decompose(xi: CorrelationMatrix, seed=0) -> FlatDecomposition:
     """Clock family for xi = I (within ``NEGLIGIBLE``), closed form for d = 2, else flat_search."""
     if np.max(np.abs(xi.matrix - np.eye(xi.dim))) < NEGLIGIBLE:
         return decompose_identity_xi(xi.dim)
     if xi.dim == 2:
-        return decompose_qubit(xi, tol)
+        return decompose_qubit(xi)
     return flat_search(xi, SearchConfig(seed=seed))
 
 
@@ -286,23 +287,23 @@ def _require_accepted(xi, dec, tol) -> VerificationReport:
     return report
 
 
-def correlation_rank(xi: CorrelationMatrix) -> int:
-    vals = hermitian_eig(xi.matrix).eigenvalues
-    return int(np.sum(vals > RANK_THRESHOLD))
-
-
 def extremality_test(xi: CorrelationMatrix) -> ExtremalityResult:
-    """Extreme-point test for the convex set of correlation matrices.
+    """Extreme-point test for the convex set of correlation matrices (Li-Tam).
 
-    For d <= 3 rank one is necessary and sufficient for extremality; for
-    d >= 4 rank one is still sufficient but higher ranks are undecidable by
-    the rank criterion alone.
+    xi is the Gram matrix of its Kolmogorov vectors e_k in C^r, r = rank(xi).
+    It is extreme exactly when the d outer products e_k e_k* span all r x r
+    Hermitian matrices, i.e. their real span has dimension r^2. That needs
+    r^2 <= d, so a larger rank is settled without an SVD; otherwise the real
+    and imaginary parts of the outer products are stacked and singular values
+    above ``RANK_THRESHOLD`` times the largest are counted. For d <= 3 this
+    is the rank-one rule.
     """
-    rank = correlation_rank(xi)
-    if xi.dim <= 3:
-        verdict = ExtremalityVerdict.EXTREMAL if rank == 1 else ExtremalityVerdict.NOT_EXTREMAL
-    else:
-        verdict = (
-            ExtremalityVerdict.RANK_ONE_EXTREMAL if rank == 1 else ExtremalityVerdict.UNDECIDED
-        )
-    return ExtremalityResult(verdict=verdict, rank=rank)
+    vecs = kolmogorov_vectors(xi)
+    d, r = vecs.shape
+    extreme = False
+    if r * r <= d:
+        outer = np.einsum("ka,kb->kab", vecs, vecs.conj()).reshape(d, r * r)
+        sv = np.linalg.svd(np.hstack([outer.real, outer.imag]), compute_uv=False)
+        extreme = int(np.sum(sv > RANK_THRESHOLD * sv[0])) == r * r
+    verdict = ExtremalityVerdict.EXTREMAL if extreme else ExtremalityVerdict.NOT_EXTREMAL
+    return ExtremalityResult(verdict=verdict, rank=r)

@@ -71,18 +71,24 @@ class NotDistribution(SchurMapsError):
 
 
 class NoDecompositionFound(SchurMapsError):
-    """Search exhausted its restarts. A legitimate outcome for d >= 4, not a fault.
+    """No flat decomposition. A legitimate outcome for d >= 4, not a fault.
 
-    Carries the best residual seen and the number of restarts used.
+    Either the search exhausted its restarts, and the exception carries the
+    best residual seen and the number of restarts used, or xi is extreme with
+    rank ``extreme_rank`` >= 2, which certifies that none exists: then nothing
+    was searched (restarts 0, best residual inf).
     """
 
-    def __init__(self, best_residual, restarts):
+    def __init__(self, best_residual, restarts, extreme_rank=None):
         super().__init__(
             f"no flat decomposition found after {restarts} restarts "
             f"(best residual {best_residual:.3e})"
+            if extreme_rank is None
+            else f"no flat decomposition exists: xi is extreme with rank {extreme_rank}"
         )
         self.best_residual = best_residual
         self.restarts = restarts
+        self.extreme_rank = extreme_rank
 
 
 class VerificationFailure(SchurMapsError):

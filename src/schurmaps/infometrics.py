@@ -9,7 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .channels import DensityMatrix, SchurChannel, apply_schrodinger
-from .decomposition import FlatDecomposition, _require_accepted, correlation_rank
+from .decomposition import FlatDecomposition, _require_accepted
+from .dilation import kolmogorov_vectors
 from .errors import DimensionMismatch, NotDistribution
 from .numerics import (
     DEFAULT_TOL,
@@ -114,8 +115,8 @@ def bounds_report(
     """
     d = ch.dim
     s_low = von_neumann_entropy(ch.xi.matrix / d, tol)
-    rank = correlation_rank(ch.xi)
-    two_log_rank = 2.0 * float(np.log2(rank)) if rank >= 1 else 0.0
+    rank = kolmogorov_vectors(ch.xi, tol).shape[1]
+    two_log_rank = 2.0 * float(np.log2(rank))
     h_p = lower_ok = upper_ok = None
     if dec is not None:
         h_p = _require_accepted(ch.xi, dec, tol).shannon_entropy_bits

@@ -6,6 +6,7 @@ environment index fastest-varying; every module in the package follows this
 convention.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,13 @@ class ToleranceProfile:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not 0 <= value < np.inf:
+            if not 0 <= value <= sys.float_info.max:  # also rejects an int no double holds
                 raise BadTolerance(f"tolerance {name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceProfile()
 
-RANK_THRESHOLD = 1e-9  # eigenvalues of xi at or below this count as zero in its rank
+RANK_THRESHOLD = 1e-9  # eigenvalues of xi and relative singular values at or below this are zero
 NEGLIGIBLE = 1e-12  # probabilities, eigenvalues and entry deviations below this count as zero
 RESIDUAL_TOL = 1e-8  # Frobenius residual of a decomposition or a recovered state; flatness
 ENTROPY_SLACK = 1e-9  # slack of the entropy inequalities (bounds sandwich, entropy production)

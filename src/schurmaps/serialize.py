@@ -53,8 +53,8 @@ def matrix_from_dict(obj) -> tuple[str, np.ndarray]:
     try:
         kind = obj["kind"]
         dim = int(obj["dim"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+        entries = list(obj["entries"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed matrix envelope: {exc}") from exc
     if kind not in MATRIX_KINDS:
         raise SerializationError(f"unknown matrix kind {kind!r}")
@@ -64,7 +64,7 @@ def matrix_from_dict(obj) -> tuple[str, np.ndarray]:
         )
     try:
         flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"bad matrix entry: {exc}") from exc
     return kind, flat.reshape(dim, dim)
 
@@ -110,12 +110,12 @@ def decomposition_from_dict(obj) -> FlatDecomposition:
         dim = int(obj["dim"])
         weights = np.asarray(obj["weights"], dtype=float)
         phases = np.asarray(obj["phases"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed decomposition: {exc}") from exc
-    if phases.ndim != 2 or phases.shape != (weights.shape[0], dim):
+    if weights.ndim != 1 or phases.shape != (weights.size, dim):
         raise SerializationError(
             f"phase array shape {phases.shape} does not match "
-            f"{weights.shape[0]} terms of dim {dim}"
+            f"weights of shape {weights.shape} and dim {dim}"
         )
     return FlatDecomposition(dim=dim, weights=weights, phase_vectors=np.exp(1j * phases))
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from schurmaps import serialize
+from schurmaps import decompose_identity_xi, serialize
 from schurmaps.cli import main
 from conftest import random_correlation, random_density
 
@@ -128,6 +128,16 @@ class TestDecompose:
         assert serialize.decomposition_to_dict(back) == obj
 
 
+    def test_certified_extreme_input_exits_3(self, workdir, rng, capsys):
+        v = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        p = write_matrix(workdir / "xi.json", v.conj() @ v.T, "correlation")
+        assert main(["decompose", p]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "extreme with rank 2" in err
+        assert "Traceback" not in err
+
+
 class TestCorrect:
     def test_eraser_recovers_plus(self, workdir, capsys):
         xp = write_matrix(workdir / "xi.json", np.eye(2), "correlation")
@@ -151,8 +161,6 @@ class TestCorrect:
         rho = random_density(rng, 3).matrix
         xp = write_matrix(workdir / "xi.json", xi, "correlation")
         rp = write_matrix(workdir / "rho.json", rho, "state")
-        from schurmaps import decompose_identity_xi
-
         serialize.save_json(
             "bad_dec.json", serialize.decomposition_to_dict(decompose_identity_xi(3))
         )
@@ -182,8 +190,6 @@ class TestEraser:
 
 class TestBounds:
     def test_identity_with_clock_dec(self, workdir, capsys):
-        from schurmaps import decompose_identity_xi
-
         xp = write_matrix(workdir / "xi.json", np.eye(3), "correlation")
         serialize.save_json(
             "dec.json", serialize.decomposition_to_dict(decompose_identity_xi(3))
@@ -228,6 +234,21 @@ class TestBadInput:
         assert err.startswith("error:") and "Traceback" not in err
         assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
 
+    @pytest.mark.parametrize(
+        "field, dim",
+        [("xi", "3.5"), ("xi", 1e400), ("dec", float("inf"))],
+    )
+    def test_bad_dim_exits_4(self, workdir, capsys, field, dim):
+        xi = serialize.matrix_to_dict(np.eye(2), "correlation")
+        dec = serialize.decomposition_to_dict(decompose_identity_xi(2))
+        {"xi": xi, "dec": dec}[field]["dim"] = dim
+        serialize.save_json("xi.json", xi)
+        serialize.save_json("dec.json", dec)
+        rp = write_matrix(workdir / "rho.json", np.eye(2) / 2, "state")
+        assert main(["correct", "xi.json", rp, "--dec", "dec.json"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("profile", [{"tr": float("nan")}, {"psd": -1.0}])
     def test_bad_tolerance_profile_exits_2(self, workdir, profile):
         serialize.save_json("tol.json", profile)
@@ -235,8 +256,6 @@ class TestBadInput:
         assert main(["--tol", "tol.json", "validate", xp]) == 2
 
     def test_dec_weights_off_by_3e_9_exits_3(self, workdir):
-        from schurmaps import decompose_identity_xi
-
         dec = decompose_identity_xi(3)
         obj = serialize.decomposition_to_dict(dec)
         obj["weights"] = [w * (1 + 3e-9) for w in obj["weights"]]

@@ -16,10 +16,12 @@ from schurmaps import (
     extremality_test,
     flat_search,
     reconstruct_xi,
+    run_correction,
     validate_correlation,
     verify_decomposition,
     von_neumann_entropy,
 )
+from schurmaps import decomposition
 from schurmaps.decomposition import _objective
 from schurmaps.infometrics import shannon_entropy
 from conftest import random_correlation, random_density, random_flat_decomposition
@@ -32,6 +34,40 @@ def apply_mixture(dec: FlatDecomposition, rho: np.ndarray) -> np.ndarray:
         w = np.diag(u)
         out += p * (w.conj().T @ rho @ w)
     return out
+
+
+def gram(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, f): the rows of ``vectors`` scaled to unit length as f, and xi_kl = <f_k|f_l>."""
+    f = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    return f.conj() @ f.T, f
+
+
+def random_vectors(rng, d, r) -> np.ndarray:
+    return rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+
+
+def witness(f):
+    """A nonzero Hermitian H with f_k* H f_k = 0 for every row f_k, or None.
+
+    Independent of the library: solves the d real equations for the r^2 real
+    coordinates of H in the basis E_aa, E_ab + E_ba, i(E_ab - E_ba).
+    """
+    r = f.shape[1]
+    basis = []
+    for a in range(r):
+        for b in range(a, r):
+            e = np.zeros((r, r), dtype=complex)
+            e[a, b] = e[b, a] = 1.0
+            basis.append(e)
+            if a != b:
+                e = np.zeros((r, r), dtype=complex)
+                e[a, b], e[b, a] = 1j, -1j
+                basis.append(e)
+    m = np.array([[np.real(fk.conj() @ h @ fk) for h in basis] for fk in f])
+    _, sv, vt = np.linalg.svd(m)
+    sv = np.concatenate([sv, np.zeros(r * r - sv.size)])
+    null = vt[sv <= 1e-9 * sv[0]]
+    return None if not len(null) else np.tensordot(null[0], basis, axes=1)
 
 
 class TestDecomposeQubit:
@@ -60,6 +96,16 @@ class TestDecomposeQubit:
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
             decompose_qubit(validate_correlation(np.eye(3)))
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-9])
+    def test_tiny_coherence_any_phase(self, rng, c):
+        rho = DensityMatrix.pure([1, 1j])
+        for phi in rng.uniform(0, 2 * np.pi, size=50):
+            z = c * np.exp(1j * phi)
+            ch = SchurChannel(validate_correlation([[1, z], [np.conj(z), 1]]))
+            dec = decompose_qubit(ch.xi)
+            assert verify_decomposition(ch.xi, dec).accepted
+            run_correction(ch, dec, rho)
 
     def test_optimality_random(self, rng):
         # weight entropy meets the qubit equality H(p) = S(xi/2)
@@ -130,6 +176,19 @@ class TestFlatSearch:
             flat_search(xi, SearchConfig(restarts=1, max_iters=3, seed=0))
         assert exc.value.best_residual > 0
         assert exc.value.restarts == 1
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_certified_extreme_input_is_refused_without_search(self, rng, monkeypatch, d):
+        def no_polish(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(decomposition, "_polish", no_polish)
+        xi = validate_correlation(gram(random_vectors(rng, d, 2))[0])
+        assert extremality_test(xi).verdict == ExtremalityVerdict.EXTREMAL
+        with pytest.raises(NoDecompositionFound, match="extreme with rank 2") as exc:
+            flat_search(xi)
+        assert exc.value.restarts == 0
+        assert exc.value.extreme_rank == 2
 
     def test_analytic_gradient_matches_finite_differences(self, rng):
         # oracle for the search objective: central finite differences
@@ -219,17 +278,57 @@ class TestExtremality:
         for d in (2, 3, 4):
             res = extremality_test(validate_correlation(np.ones((d, d))))
             assert res.rank == 1
-            expected = (
-                ExtremalityVerdict.EXTREMAL if d <= 3 else ExtremalityVerdict.RANK_ONE_EXTREMAL
-            )
-            assert res.verdict == expected
+            assert res.verdict == ExtremalityVerdict.EXTREMAL
 
     def test_identity_d3_not_extremal(self):
         res = extremality_test(validate_correlation(np.eye(3)))
         assert res.verdict == ExtremalityVerdict.NOT_EXTREMAL
         assert res.rank == 3
 
-    def test_identity_d4_undecided(self):
+    def test_identity_d4_not_extremal(self):
         res = extremality_test(validate_correlation(np.eye(4)))
-        assert res.verdict == ExtremalityVerdict.UNDECIDED
+        assert res.verdict == ExtremalityVerdict.NOT_EXTREMAL
         assert res.rank == 4
+
+    def test_rank_rule_for_d_up_to_3(self, rng):
+        # for d <= 3 the extreme correlation matrices are exactly those of rank one
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            xi = random_correlation(rng, d) if rng.integers(2) else validate_correlation(
+                gram(random_vectors(rng, d, int(rng.integers(1, d + 1))))[0]
+            )
+            res = extremality_test(xi)
+            rank = np.linalg.matrix_rank(xi.matrix, tol=1e-9, hermitian=True)
+            assert res.rank == rank
+            assert (res.verdict == ExtremalityVerdict.EXTREMAL) == (rank == 1)
+
+    def test_generic_gram_extreme_iff_rank_squared_fits(self, rng):
+        for d in range(1, 11):
+            for r in range(1, min(d, 4) + 1):
+                res = extremality_test(validate_correlation(gram(random_vectors(rng, d, r))[0]))
+                assert res.rank == r
+                assert (res.verdict == ExtremalityVerdict.EXTREMAL) == (r * r <= d)
+
+    def test_verdict_agrees_with_null_space_witness(self, rng):
+        cases = [gram(random_vectors(rng, d, r)) for d in range(2, 9) for r in (2, 3) if r <= d]
+        # r^2 <= d, yet not extreme: real vectors, or only three distinct rays in C^2
+        cases += [gram(rng.normal(size=(d, 2)) + 0j) for d in (4, 6)]
+        three = random_vectors(rng, 3, 2)
+        cases += [gram(np.vstack([three, three[:2] * 1j]))]
+        cases += [gram(np.eye(d, dtype=complex)) for d in (2, 4)]
+        verdicts = set()
+        for m, f in cases:
+            xi = validate_correlation(m)
+            res = extremality_test(xi)
+            verdicts.add(res.verdict)
+            h = witness(f)
+            if res.verdict == ExtremalityVerdict.EXTREMAL:
+                assert h is None
+                continue
+            assert h is not None
+            eps = 0.5 / np.linalg.norm(h, 2)
+            shift = eps * f.conj() @ h @ f.T  # entry kl: eps <f_k|H|f_l>
+            for sign in (1, -1):
+                moved = validate_correlation(m + sign * shift)
+                assert np.max(np.abs(moved.matrix - m)) > 1e-6
+        assert verdicts == set(ExtremalityVerdict)

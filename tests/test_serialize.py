@@ -34,6 +34,16 @@ class TestMatrixEnvelope:
         with pytest.raises(SerializationError):
             serialize.matrix_from_dict({"dim": 2})
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"dim": "3.5"}, {"dim": float("inf")}, {"entries": None}, {"entries": 5},
+         {"entries": [[10**400, 0]]}],
+    )
+    def test_rejects_malformed_fields(self, fields):
+        obj = dict({"kind": "generic", "dim": 1, "entries": [[1, 0]]}, **fields)
+        with pytest.raises(SerializationError):
+            serialize.matrix_from_dict(obj)
+
 
 class TestDecompositionEnvelope:
     def test_round_trip(self, rng):
@@ -53,6 +63,14 @@ class TestDecompositionEnvelope:
             serialize.decomposition_from_dict(
                 {"dim": 2, "weights": [1.0], "phases": [[0.0, 0.0, 0.0]]}
             )
+
+    @pytest.mark.parametrize(
+        "fields", [{"dim": float("inf")}, {"weights": 1.0}, {"weights": [[1.0]]}]
+    )
+    def test_rejects_malformed_fields(self, fields):
+        obj = dict({"dim": 2, "weights": [1.0], "phases": [[0.0, 0.0]]}, **fields)
+        with pytest.raises(SerializationError):
+            serialize.decomposition_from_dict(obj)
 
 
 class TestDilationEnvelope:

@@ -17,6 +17,7 @@ from schurmaps import (
     SearchConfig,
     ToleranceProfile,
     VerificationFailure,
+    asymptotic_state,
     decompose_identity_xi,
     dilation_from_decomposition,
     hermitian_eig,
@@ -81,6 +82,16 @@ class TestStates:
         assert np.array_equal(rho.matrix, np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+    def test_validated_matrices_are_read_only(self):
+        m = np.eye(2, dtype=complex)
+        xi = validate_correlation(m)
+        m[0, 1] = m[1, 0] = 0.5
+        assert np.array_equal(xi.matrix, np.eye(2))
+        rho = DensityMatrix.pure([1, 1j])
+        for matrix in (xi.matrix, rho.matrix, asymptotic_state(rho).matrix):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
 
     @pytest.mark.parametrize("vector", [[0, 0], [np.nan, 1], [np.inf, 0], []])
     def test_pure_rejects_zero_and_non_finite_vectors(self, vector):

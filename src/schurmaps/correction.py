@@ -107,8 +107,7 @@ def dilation_from_decomposition(
     decomposition is verified against its own reconstruction of xi.
     """
     xi = reconstruct_xi(dec)
-    _require_accepted(CorrelationMatrix(dec.dim, xi), dec, tol)
-    validate_correlation(xi, tol)  # unit kets: verification lets |u| be RESIDUAL_TOL off 1
+    _require_accepted(CorrelationMatrix(dec.dim, xi), dec, tol)  # kets: unit within tol.tr
     env = _decomposition_env(dec)
     return Dilation(dim_sys=dec.dim, dim_env=env.shape[1], env_vectors=env)
 

@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import CorrelationMatrix
 from .dilation import kolmogorov_vectors
@@ -175,6 +174,10 @@ def _objective(x: np.ndarray, xi: np.ndarray, m: int, d: int):
 
 
 def _polish(x0, xi, m, d, max_iters):
+    # Imported here, not at module level: scipy.optimize costs more than the
+    # rest of ``import schurmaps`` and only the flat search needs it.
+    from scipy.optimize import minimize
+
     res = minimize(
         _objective,
         x0,
@@ -254,20 +257,28 @@ def verify_decomposition(
     the weight Shannon entropy in bits, and the trace-form Gram matrix
     O_ij = Tr[U_i U_j*]/d whose identity shape characterizes mutually
     orthogonal unitary families (the equality case of the information lower
-    bound). Accepted: residual and flatness within ``RESIDUAL_TOL``, weights
-    nonnegative and summing to 1 within ``tol.tr`` (as a recovered trace must); NaN fails.
+    bound). Flatness is max | |u_ik|^2 - 1 |. Accepted: residual within
+    ``RESIDUAL_TOL``, weights nonnegative, and the weight sum, the flatness
+    and the diagonal of the reconstruction within ``tol.tr`` of 1, 0 and 1.
+    The last two bound the traces of the states a correction builds (for a
+    unit-trace input): a corrected state of term i has trace between the
+    least and the largest |u_ik|^2, the recovered state one between the least
+    and the largest diagonal entry. NaN fails.
     """
     if dec.dim != xi.dim:
         raise DimensionMismatch(f"decomposition dim {dec.dim} != xi dim {xi.dim}")
-    residual = float(np.linalg.norm(xi.matrix - reconstruct_xi(dec)))
-    flatness = float(np.max(np.abs(np.abs(dec.phase_vectors) - 1.0)))
-    weight_dev = float(abs(dec.weights.sum() - 1.0))
-    p = dec.weights[dec.weights > 0]
-    entropy = float(-(p * np.log2(p)).sum())
-    ortho = dec.phase_vectors @ dec.phase_vectors.conj().T / dec.dim
+    with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf or NaN fails below
+        recon = reconstruct_xi(dec)
+        residual = float(np.linalg.norm(xi.matrix - recon))
+        flatness = float(abs(abs(dec.phase_vectors) ** 2 - 1.0).max())
+        diagonal_dev = float(abs(recon.diagonal().real - 1.0).max())
+        weight_dev = float(abs(dec.weights.sum() - 1.0))
+        p = dec.weights[dec.weights > 0]
+        entropy = float(-(p * np.log2(p)).sum())
+        ortho = dec.phase_vectors @ dec.phase_vectors.conj().T / dec.dim
     orthogonal = bool(np.max(np.abs(ortho - np.eye(dec.terms))) <= RESIDUAL_TOL)
-    weights_ok = weight_dev <= tol.tr and bool(np.all(dec.weights >= 0))
-    accepted = residual <= RESIDUAL_TOL and flatness <= RESIDUAL_TOL and weights_ok
+    traces_ok = weight_dev <= tol.tr and flatness <= tol.tr and diagonal_dev <= tol.tr
+    accepted = residual <= RESIDUAL_TOL and traces_ok and bool(np.all(dec.weights >= 0))
     return VerificationReport(
         residual=residual,
         flatness_deviation=flatness,

@@ -63,7 +63,7 @@ DEFAULT_TOL = ToleranceProfile()
 
 RANK_THRESHOLD = 1e-9  # eigenvalues of xi and relative singular values at or below this are zero
 NEGLIGIBLE = 1e-12  # probabilities, eigenvalues and entry deviations below this count as zero
-RESIDUAL_TOL = 1e-8  # Frobenius residual of a decomposition or a recovered state; flatness
+RESIDUAL_TOL = 1e-8  # Frobenius residual of a decomposition or a recovered state
 ENTROPY_SLACK = 1e-9  # slack of the entropy inequalities (bounds sandwich, entropy production)
 MAJORIZATION_SLACK = 1e-10  # slack of the partial-sum comparisons in majorization_check
 
@@ -87,11 +87,12 @@ def _as_matrix(a) -> np.ndarray:
 def _hermitian_copy(a, tol: ToleranceProfile) -> np.ndarray:
     """A fresh nonempty square complex copy of ``a`` that passed the Hermitian check.
 
-    A NaN or inf entry makes the deviation NaN or inf and fails it: no finiteness pass."""
+    A NaN or inf entry, or one so large that the difference overflows, makes the
+    deviation NaN or inf and fails it, silently: no finiteness pass."""
     m = _as_matrix(a).copy()
     if m.shape[0] != m.shape[1] or not m.size:
         raise NotSquare(f"expected a nonempty square matrix, got shape {m.shape}")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         dev = abs(m - m.conj().T).max()
     if not dev <= tol.herm:
         raise NotHermitian(f"max |a_kl - conj(a_lk)| = {dev:.3e} exceeds {tol.herm:.1e}")

@@ -7,6 +7,7 @@ reads back bit-exactly.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -49,12 +50,23 @@ def matrix_to_dict(m, kind: str = "generic") -> dict:
     return {"kind": kind, "dim": mm.shape[0], "entries": entries}
 
 
+def _dim(value) -> int:
+    """A ``dim`` field as an int: an integer, or a float with an integral value such as 2.0.
+
+    A fractional, non-finite, boolean or string dim is a :class:`SerializationError`."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SerializationError(f"dim must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_dict(obj) -> tuple[str, np.ndarray]:
     try:
         kind = obj["kind"]
-        dim = int(obj["dim"])
+        dim = _dim(obj["dim"])
         entries = list(obj["entries"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed matrix envelope: {exc}") from exc
     if kind not in MATRIX_KINDS:
         raise SerializationError(f"unknown matrix kind {kind!r}")
@@ -107,7 +119,7 @@ def decomposition_to_dict(dec: FlatDecomposition) -> dict:
 
 def decomposition_from_dict(obj) -> FlatDecomposition:
     try:
-        dim = int(obj["dim"])
+        dim = _dim(obj["dim"])
         weights = np.asarray(obj["weights"], dtype=float)
         phases = np.asarray(obj["phases"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -117,6 +129,8 @@ def decomposition_from_dict(obj) -> FlatDecomposition:
             f"phase array shape {phases.shape} does not match "
             f"weights of shape {weights.shape} and dim {dim}"
         )
+    if not np.all(np.isfinite(phases)):
+        raise SerializationError("phases must be finite angles")
     return FlatDecomposition(dim=dim, weights=weights, phase_vectors=np.exp(1j * phases))
 
 

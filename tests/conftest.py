@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,16 @@ from schurmaps import (
     FlatDecomposition,
     validate_correlation,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """The environment with ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def random_correlation(rng, d) -> CorrelationMatrix:

@@ -1,11 +1,13 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from schurmaps import decompose_identity_xi, serialize
+from schurmaps import FlatDecomposition, cli, decompose_identity_xi, serialize
 from schurmaps.cli import main
-from conftest import random_correlation, random_density
+from conftest import random_correlation, random_density, src_env
 
 
 @pytest.fixture
@@ -236,7 +238,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "field, dim",
-        [("xi", "3.5"), ("xi", 1e400), ("dec", float("inf"))],
+        [("xi", "3.5"), ("xi", 1e400), ("xi", 2.7), ("dec", float("inf")), ("dec", 2.7)],
     )
     def test_bad_dim_exits_4(self, workdir, capsys, field, dim):
         xi = serialize.matrix_to_dict(np.eye(2), "correlation")
@@ -248,6 +250,27 @@ class TestBadInput:
         assert main(["correct", "xi.json", rp, "--dec", "dec.json"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_overflowing_entry_prints_only_the_error_line(self, workdir):
+        serialize.save_json("xi.json", {"kind": "correlation", "dim": 1, "entries": [[0, 1e308]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurmaps.cli", "validate", "xi.json"],
+            env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+    def test_off_flat_decomposition_exits_3(self, workdir, monkeypatch, capsys):
+        # |u| = 1 + 2e-9 passes the residual check but would give a recovered trace 1 + 4e-9
+        clock = decompose_identity_xi(3)
+        off_flat = FlatDecomposition(3, clock.weights, clock.phase_vectors * (1 + 2e-9))
+        monkeypatch.setattr(cli, "decompose", lambda xi, seed: off_flat)
+        xp = write_matrix(workdir / "xi.json", np.eye(3), "correlation")
+        rp = write_matrix(workdir / "rho.json", np.eye(3) / 3, "state")
+        assert main(["decompose", xp]) == 3
+        assert main(["correct", xp, rp]) == 3
+        assert "decomposition rejected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("profile", [{"tr": float("nan")}, {"psd": -1.0}])
     def test_bad_tolerance_profile_exits_2(self, workdir, profile):

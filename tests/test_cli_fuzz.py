@@ -1,5 +1,6 @@
 """Property test of the command-line contract: whatever the input files and
-counts, every subcommand exits 0, 2, 3 or 4, prints no traceback, and
+counts, every subcommand exits 0, 2, 3 or 4, prints no traceback, emits no
+``RuntimeWarning`` (numpy's overflow and invalid-value warnings), and
 ``main`` returns instead of raising."""
 
 import contextlib
@@ -7,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -158,11 +160,18 @@ def _with(file, **fields):
 @example("validate", _with("xi", dim="3.5"), 2, 0)
 @example("validate", _with("xi", dim=float("inf")), 2, 0)
 @example("correct", _with("dec", dim=float("inf")), 2, 2)
+@example("validate", _with("xi", dim=1, entries=[[0, 1e308]]), 2, 0)
+@example("correct", _with("dec", phases=[[0, 0], [0, float("inf")]]), 2, 2)
+@example("bounds", _with("dec", weights=[1e308, 0.5]), 2, 2)
 def test_cli_exits_cleanly_on_any_input(command, files, count, flags):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = _argv(tmp, command, files, count, flags)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
     assert code in (0, 2, 3, 4), (argv, code)
     assert "Traceback" not in err.getvalue()
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv, runtime)

@@ -1,13 +1,12 @@
 """Each narrative demo runs to completion against the current API."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 
@@ -17,10 +16,8 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, str(demo)], cwd=tmp_path, env=src_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

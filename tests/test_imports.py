@@ -1,0 +1,64 @@
+"""The import boundary: scipy is loaded only by the flat search.
+
+One fresh interpreter imports the package, runs the five subcommands that
+need no search on d = 3 files, then ``decompose``, and reports which scipy
+modules were loaded at each point.
+"""
+
+import json
+import subprocess
+import sys
+
+from conftest import src_env
+
+SCRIPT = r"""
+import contextlib, io, json, os, sys
+
+import numpy as np
+
+import schurmaps, schurmaps.cli
+from schurmaps import FlatDecomposition, reconstruct_xi, serialize
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return schurmaps.cli.main(list(argv))
+
+
+report = {"after_import": scipy_modules()}
+os.chdir(sys.argv[1])
+phases = np.array([[0.0, 0.4, 1.9], [0.0, 2.5, -1.2], [0.0, -0.7, 0.3]])
+dec = FlatDecomposition(3, np.array([0.5, 0.3, 0.2]), np.exp(1j * phases))
+serialize.save_json("xi.json", serialize.matrix_to_dict(reconstruct_xi(dec), "correlation"))
+serialize.save_json("rho.json", serialize.matrix_to_dict(np.full((3, 3), 1 / 3), "state"))
+serialize.save_json("dec.json", serialize.decomposition_to_dict(dec))
+report["codes"] = [
+    run("validate", "xi.json"),
+    run("evolve", "xi.json", "rho.json", "3"),
+    run("correct", "xi.json", "rho.json", "--dec", "dec.json"),
+    run("bounds", "xi.json", "dec.json"),
+    run("eraser", "--d", "4"),
+]
+report["after_commands"] = scipy_modules()
+report["decompose_code"] = run("decompose", "xi.json")
+report["optimize_loaded"] = "scipy.optimize" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loaded_only_by_the_search(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["codes"] == [0, 0, 0, 0, 0]
+    assert report["after_commands"] == []
+    assert report["decompose_code"] == 0
+    assert report["optimize_loaded"]

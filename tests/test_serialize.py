@@ -36,13 +36,17 @@ class TestMatrixEnvelope:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"dim": "3.5"}, {"dim": float("inf")}, {"entries": None}, {"entries": 5},
-         {"entries": [[10**400, 0]]}],
+        [{"dim": "3.5"}, {"dim": float("inf")}, {"dim": 1.5}, {"dim": True}, {"dim": "1"},
+         {"entries": None}, {"entries": 5}, {"entries": [[10**400, 0]]}],
     )
     def test_rejects_malformed_fields(self, fields):
         obj = dict({"kind": "generic", "dim": 1, "entries": [[1, 0]]}, **fields)
         with pytest.raises(SerializationError):
             serialize.matrix_from_dict(obj)
+
+    def test_integral_float_dim_accepted(self):
+        kind, m = serialize.matrix_from_dict({"kind": "generic", "dim": 1.0, "entries": [[2, 0]]})
+        assert m.shape == (1, 1) and m[0, 0] == 2
 
 
 class TestDecompositionEnvelope:
@@ -65,7 +69,9 @@ class TestDecompositionEnvelope:
             )
 
     @pytest.mark.parametrize(
-        "fields", [{"dim": float("inf")}, {"weights": 1.0}, {"weights": [[1.0]]}]
+        "fields",
+        [{"dim": float("inf")}, {"dim": 2.7}, {"dim": 1.5}, {"weights": 1.0}, {"weights": [[1.0]]},
+         {"phases": [[0.0, float("inf")]]}, {"phases": [[float("nan"), 0.0]]}],
     )
     def test_rejects_malformed_fields(self, fields):
         obj = dict({"dim": 2, "weights": [1.0], "phases": [[0.0, 0.0]]}, **fields)

@@ -19,7 +19,9 @@ from schurmaps import (
     VerificationFailure,
     asymptotic_state,
     decompose_identity_xi,
+    decompose_qubit,
     dilation_from_decomposition,
+    flat_search,
     hermitian_eig,
     run_correction,
     shannon_entropy,
@@ -119,9 +121,11 @@ class TestSettings:
             SearchConfig(**kwargs)
 
 
-def scaled_clock(d, factor):
+def scaled_clock(d, factor, u_factor=1.0):
     dec = decompose_identity_xi(d)
-    return FlatDecomposition(dim=d, weights=dec.weights * factor, phase_vectors=dec.phase_vectors)
+    return FlatDecomposition(
+        dim=d, weights=dec.weights * factor, phase_vectors=dec.phase_vectors * u_factor
+    )
 
 
 class TestOneAcceptancePredicate:
@@ -132,9 +136,9 @@ class TestOneAcceptancePredicate:
         loose = ToleranceProfile(tr=1e-8)
         assert verify_decomposition(xi, scaled_clock(3, 1 + 3e-9), loose).accepted
 
-    @pytest.mark.parametrize("factor, accepted", [(1 + 5e-10, True), (1 + 3e-9, False)])
-    def test_callers_agree_with_verification(self, factor, accepted):
-        dec = scaled_clock(3, factor)
+    @staticmethod
+    def assert_callers_agree(dec, accepted):
+        """Verification, correction and dilation all accept ``dec``, or all reject it up front."""
         ch = SchurChannel(validate_correlation(np.eye(3)))
         rho = DensityMatrix.pure(np.ones(3))
         assert verify_decomposition(ch.xi, dec).accepted == accepted
@@ -146,6 +150,39 @@ class TestOneAcceptancePredicate:
             run_correction(ch, dec, rho)
         with pytest.raises(VerificationFailure):
             dilation_from_decomposition(dec)
+
+    @pytest.mark.parametrize("factor, accepted", [(1 + 5e-10, True), (1 + 3e-9, False)])
+    def test_callers_agree_with_verification(self, factor, accepted):
+        self.assert_callers_agree(scaled_clock(3, factor), accepted)
+
+    @pytest.mark.parametrize(
+        "factor, u_factor, accepted",
+        [
+            (1.0, 1 + 2e-10, True),  # |u|^2 = 1 + 4e-10
+            (1.0, 1 + 2e-9, False),  # |u|^2 = 1 + 4e-9, residual 6.9e-9 < RESIDUAL_TOL
+            (1 + 8e-10, 1 + 4e-10, False),  # each within tol.tr, the diagonal 1 + 1.6e-9 is not
+        ],
+    )
+    def test_flatness_judged_against_trace_tolerance(self, factor, u_factor, accepted):
+        dec = scaled_clock(3, factor, u_factor)
+        assert verify_decomposition(validate_correlation(np.eye(3)), dec).residual <= 1e-8
+        self.assert_callers_agree(dec, accepted)
+
+    def test_library_decompositions_accepted_and_correctable(self, rng):
+        cases = [(validate_correlation(np.eye(d)), decompose_identity_xi(d)) for d in range(2, 9)]
+        for _ in range(20):
+            xi = random_correlation(rng, 2)
+            cases.append((xi, decompose_qubit(xi)))
+        for d in (3, 4):
+            xi = random_correlation(rng, d)
+            cases.append((xi, flat_search(xi, SearchConfig(restarts=8))))
+        for xi, dec in cases:
+            report = verify_decomposition(xi, dec)
+            assert report.accepted
+            assert report.flatness_deviation <= 1e-12
+            records, _ = run_correction(SchurChannel(xi), dec, random_density(rng, xi.dim))
+            for r in records:
+                assert abs(np.trace(r.corrected_state.matrix).real - 1.0) <= 1e-12
 
     def test_negative_weight_rejected(self):
         # reconstructs the all-ones matrix exactly, but sqrt(-0.2) has no meaning

@@ -23,7 +23,6 @@ from .correction import (
     EnvPovm,
     EraserScenario,
     ScreenPattern,
-    correcting_povm,
     dilation_from_decomposition,
     eraser_scenario,
     run_correction,
@@ -55,7 +54,6 @@ from .errors import (
     NoDecompositionFound,
     NotDistribution,
     NotHermitian,
-    NotOrthonormal,
     NotPSD,
     NotSquare,
     NotState,
@@ -63,7 +61,6 @@ from .errors import (
     SchurMapsError,
     SerializationError,
     ShapeMismatch,
-    TooManyColumns,
     VerificationFailure,
     WrongDimension,
 )
@@ -85,7 +82,6 @@ from .numerics import (
     partial_trace_env,
     partial_trace_sys,
     schur_product,
-    unitary_completion,
     von_neumann_entropy,
 )
 

@@ -33,7 +33,6 @@ __all__ = [
     "EraserScenario",
     "ScreenPattern",
     "dilation_from_decomposition",
-    "correcting_povm",
     "run_correction",
     "eraser_scenario",
     "run_eraser",
@@ -48,9 +47,10 @@ class EnvPovm:
     effects: np.ndarray  # shape (outcomes, dim_env), row i = |v_i>
 
     def check_complete(self) -> None:
-        """Raise :class:`VerificationFailure` unless the effects sum to I within DEFAULT_TOL.eig."""
+        """Raise :class:`VerificationFailure` unless the effects sum to I within DEFAULT_TOL.tr,
+        the condition that outcome probabilities sum to 1 for every state."""
         s = np.einsum("ia,ib->ab", self.effects, self.effects.conj())
-        if not np.max(np.abs(s - np.eye(self.dim_env))) <= DEFAULT_TOL.eig:
+        if not np.max(np.abs(s - np.eye(self.dim_env))) <= DEFAULT_TOL.tr:
             raise VerificationFailure("POVM effects do not sum to the identity")
 
 
@@ -88,11 +88,12 @@ class ScreenPattern:
     visibility: float
 
 
-def _decomposition_env(dec: FlatDecomposition) -> np.ndarray:
-    """Environment kets of :func:`dilation_from_decomposition` as rows."""
-    env = np.zeros((dec.dim, max(dec.terms, 2)), dtype=complex)
-    env[:, : dec.terms] = np.sqrt(dec.weights)[None, :] * dec.phase_vectors.conj().T
-    return env
+def _term_amplitudes(dec: FlatDecomposition) -> np.ndarray:
+    """Column i = sqrt(p_i) conj(u^(i)): the amplitudes <i|e_k> of the dilation
+    of :func:`dilation_from_decomposition`, heralded by environment outcome i.
+    Row-major: the layout sets the order in which BLAS sums the outcome
+    probabilities, and with it the last bits of every record."""
+    return np.ascontiguousarray(np.sqrt(dec.weights)[None, :] * dec.phase_vectors.conj().T)
 
 
 def dilation_from_decomposition(
@@ -108,43 +109,31 @@ def dilation_from_decomposition(
     """
     xi = reconstruct_xi(dec)
     _require_accepted(CorrelationMatrix(dec.dim, xi), dec, tol)  # kets: unit within tol.tr
-    env = _decomposition_env(dec)
+    env = np.zeros((dec.dim, max(dec.terms, 2)), dtype=complex)
+    env[:, : dec.terms] = _term_amplitudes(dec)
     return Dilation(dim_sys=dec.dim, dim_env=env.shape[1], env_vectors=env)
 
 
-def correcting_povm(dec: FlatDecomposition) -> EnvPovm:
-    """POVM retrieving the decomposition index in the matched dilation frame.
-
-    In the frame of :func:`dilation_from_decomposition` the effects are
-    simply the computational environment basis states; padded dimensions
-    (never populated) appear as zero-probability outcomes.
-    """
-    de = max(dec.terms, 2)
-    return EnvPovm(dim_env=de, effects=np.eye(de, dtype=complex))
-
-
 def _measure_and_correct(
-    env: np.ndarray,
-    povm: EnvPovm,
+    c: np.ndarray,
     heralded_phases: np.ndarray,
     rho: DensityMatrix,
     tol: ToleranceProfile,
 ):
     """Project the environment on each effect and undo the heralded unitary.
 
-    ``env`` holds the dilation's environment kets as rows; the joint state
-    after the dilation is rho_kl |k><l| (x) |e_k><e_l|, so projecting the
-    environment on |v_i> leaves rho o (c_i c_i*) with c_ik = <v_i|e_k>, in
-    closed form and without the joint unitary. ``heralded_phases[i]`` is the
+    The joint state after the dilation is rho_kl |k><l| (x) |e_k><e_l|, so
+    projecting the environment on |v_i> leaves rho o (c_i c_i*) with the
+    outcome amplitudes c_ik = <v_i|e_k>, column i of ``c`` (d x outcomes):
+    closed form, without the joint unitary. ``heralded_phases[i]`` is the
     diagonal of the unitary W_i heralded by outcome i; the correction
     conjugates by its inverse, which turns c_i into g_i = conj(W_i) c_i.
     Returns (records, recovered) with the recovered state
     sum_i rho o (g_i g_i*) = rho o (G G*), unnormalized-summed over outcomes.
     """
-    if rho.dim != env.shape[0]:
-        raise DimensionMismatch(f"state dim {rho.dim} != system dim {env.shape[0]}")
+    if rho.dim != c.shape[0]:
+        raise DimensionMismatch(f"state dim {rho.dim} != system dim {c.shape[0]}")
     rho_m = rho.matrix
-    c = env @ povm.effects.conj().T  # column i = c_i
     g = heralded_phases.conj().T * c  # column i = g_i
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
     records = [
@@ -188,11 +177,10 @@ def run_correction(
     ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`.
     """
     _require_accepted(ch.xi, dec, tol)
-    povm = correcting_povm(dec)
     # outcome i heralds the Kraus sqrt(p_i) U_i^dagger of the Schrodinger action
-    heralded = np.ones((povm.effects.shape[0], ch.dim), dtype=complex)
-    heralded[: dec.terms] = dec.phase_vectors.conj()
-    records, recovered = _measure_and_correct(_decomposition_env(dec), povm, heralded, rho, tol)
+    records, recovered = _measure_and_correct(
+        _term_amplitudes(dec), dec.phase_vectors.conj(), rho, tol
+    )
     return records, _check_recovery(recovered, rho, tol)
 
 
@@ -234,9 +222,8 @@ def run_eraser(
     """Run the eraser on a state: Fourier measurement, then Z_j correction."""
     # outcome j heralds Z_j^dagger, whose diagonal is the conjugate clock row
     heralded = scenario.correction_phases.conj()
-    records, recovered = _measure_and_correct(
-        scenario.dilation.env_vectors, scenario.povm, heralded, rho, tol
-    )
+    c = scenario.dilation.env_vectors @ scenario.povm.effects.conj().T  # column j = c_j
+    records, recovered = _measure_and_correct(c, heralded, rho, tol)
     return records, _check_recovery(recovered, rho, tol)
 
 
@@ -246,12 +233,9 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix, tol=DEFAULT_
     Outcome k occurs with probability rho_kk and leaves the system in |k><k|:
     the coherences are irreversibly destroyed in every subensemble.
     """
-    basis = np.eye(scenario.dim, dtype=complex)
-    povm = EnvPovm(dim_env=scenario.dim, effects=basis)
+    # register outcome i has amplitudes c_ki = <i|e_k>, the env kets; nothing is undone
     heralded = np.ones((scenario.dim, scenario.dim), dtype=complex)
-    records, _ = _measure_and_correct(
-        scenario.dilation.env_vectors, povm, heralded, rho, tol
-    )
+    records, _ = _measure_and_correct(scenario.dilation.env_vectors, heralded, rho, tol)
     return records
 
 

@@ -65,9 +65,6 @@ class FlatDecomposition:
     def terms(self) -> int:
         return self.weights.shape[0]
 
-    def unitaries(self) -> list[np.ndarray]:
-        return [np.diag(u) for u in self.phase_vectors]
-
 
 @dataclass(frozen=True)
 class SearchConfig:

@@ -12,13 +12,7 @@ import numpy as np
 
 from .channels import CorrelationMatrix, DensityMatrix, SchurChannel
 from .errors import DimensionMismatch
-from .numerics import (
-    DEFAULT_TOL,
-    RANK_THRESHOLD,
-    ToleranceProfile,
-    _fill_remaining_columns,
-    hermitian_eig,
-)
+from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, hermitian_eig
 
 __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_state"]
 
@@ -38,8 +32,24 @@ class Dilation:
 
     @property
     def unitary(self) -> np.ndarray:
-        """The (dim_sys*dim_env)^2 joint unitary, see :func:`unitary_from_env_vectors`."""
-        return unitary_from_env_vectors(self.env_vectors)
+        """The (dim_sys*dim_env)^2 joint unitary with U |k>(x)|0>_e = |k>(x)|e_k>.
+
+        Column k*dim_env lives on block k alone, so U is block diagonal. Block k
+        is the Householder reflection I - 2 w w*/|w|^2 with w = e_k + a_k |0>,
+        a_k = e^{i arg e_k[0]}, whose column 0 is -conj(a_k) e_k; that column is
+        set to e_k. Since |w|^2 = 2 + 2|e_k[0]| >= 2, every block is well defined.
+        """
+        env = self.env_vectors
+        d, de = env.shape
+        w = env.astype(complex)
+        w[:, 0] += np.exp(1j * np.angle(env[:, 0]))  # angle(0) = 0: a_k = 1
+        norm2 = (np.abs(w) ** 2).sum(axis=1)
+        blocks = np.eye(de) - 2 * w[:, :, None] * w.conj()[:, None, :] / norm2[:, None, None]
+        blocks[:, :, 0] = env
+        u = np.zeros((d * de, d * de), dtype=complex)
+        k = np.arange(d)
+        u.reshape(d, de, d, de)[k, :, k, :] = blocks  # in place: no second full-size array
+        return u
 
 
 def kolmogorov_vectors(xi: CorrelationMatrix, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -57,23 +67,6 @@ def kolmogorov_vectors(xi: CorrelationMatrix, tol: ToleranceProfile = DEFAULT_TO
     vals = res.eigenvalues[keep]
     vecs = res.eigenvectors[:, keep]
     return vecs.conj() * np.sqrt(vals)[None, :]
-
-
-def unitary_from_env_vectors(env_vectors: np.ndarray) -> np.ndarray:
-    """Joint unitary with U |k>(x)|0>_e = |k>(x)|e_k>, completed deterministically.
-
-    The specified columns sit at slots k*dim_env; the remaining columns come
-    from Gram-Schmidt of the standard basis in index order. Column k*dim_env
-    lives on block k alone, so the completion is block diagonal: block k is
-    |e_k> completed on its own dim_env x dim_env space.
-    """
-    d, de = env_vectors.shape
-    u = np.zeros((d * de, d * de), dtype=complex)
-    for k in range(d):
-        block = np.zeros((de, de), dtype=complex)
-        block[:, 0] = env_vectors[k]
-        u[k * de : (k + 1) * de, k * de : (k + 1) * de] = _fill_remaining_columns(block, [0])
-    return u
 
 
 def build_dilation(ch: SchurChannel, tol: ToleranceProfile = DEFAULT_TOL) -> Dilation:

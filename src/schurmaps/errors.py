@@ -21,14 +21,6 @@ class NotHermitian(SchurMapsError):
     pass
 
 
-class NotOrthonormal(SchurMapsError):
-    pass
-
-
-class TooManyColumns(SchurMapsError):
-    pass
-
-
 class NotState(SchurMapsError):
     """Matrix fails the density-matrix requirements (Hermitian, PSD, trace one)."""
 

@@ -11,16 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadTolerance,
-    NotHermitian,
-    NotOrthonormal,
-    NotPSD,
-    NotSquare,
-    NotState,
-    ShapeMismatch,
-    TooManyColumns,
-)
+from .errors import BadTolerance, NotHermitian, NotPSD, NotSquare, NotState, ShapeMismatch
 
 __all__ = [
     "ToleranceProfile",
@@ -30,7 +21,6 @@ __all__ = [
     "schur_product",
     "partial_trace_env",
     "partial_trace_sys",
-    "unitary_completion",
     "von_neumann_entropy",
 ]
 
@@ -40,7 +30,6 @@ class ToleranceProfile:
     """Numerical tolerances shared by validation routines.
 
     herm  - max allowed |a_kl - conj(a_lk)| for a matrix to count as Hermitian
-    eig   - relative reconstruction / orthonormality tolerance for eigensolves
     psd   - eigenvalues >= -psd are accepted as nonnegative (and clamped to 0)
     tr    - allowed deviation of a trace or a probability or weight sum from 1
 
@@ -49,7 +38,6 @@ class ToleranceProfile:
     """
 
     herm: float = 1e-9
-    eig: float = 1e-9
     psd: float = 1e-9
     tr: float = 1e-9
 
@@ -159,59 +147,6 @@ def partial_trace_env(m, dim_sys: int, dim_env: int) -> np.ndarray:
 def partial_trace_sys(m, dim_sys: int, dim_env: int) -> np.ndarray:
     """Trace out the system (slow index), leaving the environment."""
     return np.trace(_joint_blocks(m, dim_sys, dim_env), axis1=0, axis2=2)
-
-
-def _fill_remaining_columns(u: np.ndarray, filled: list[int], tol_skip: float = 1e-8):
-    """Complete partially assigned unitary columns by Gram-Schmidt.
-
-    Standard basis vectors are orthogonalized against the already-assigned
-    columns in index order; candidates whose residual norm falls below
-    ``tol_skip`` are skipped. Deterministic by construction.
-    """
-    total = u.shape[0]
-    free = [j for j in range(total) if j not in filled]
-    taken = [u[:, j] for j in filled]
-    it = iter(free)
-    for cand in range(total):
-        if len(taken) == total:
-            break
-        v = np.zeros(total, dtype=complex)
-        v[cand] = 1.0
-        for w in taken:
-            v = v - w * (w.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm < tol_skip:
-            continue
-        v = v / nrm
-        j = next(it)
-        u[:, j] = v
-        taken.append(v)
-    if len(taken) != total:
-        raise NotOrthonormal("could not complete the column set to a unitary")
-    return u
-
-
-def unitary_completion(columns, total_dim: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Extend orthonormal vectors to a full unitary whose first columns are the inputs.
-
-    Completion convention: Gram-Schmidt of the standard basis against the
-    given columns, in index order, skipping candidates with residual norm
-    below 1e-8.
-    """
-    cols = [np.asarray(c, dtype=complex).reshape(-1) for c in columns]
-    if len(cols) > total_dim:
-        raise TooManyColumns(f"{len(cols)} columns cannot fit in dimension {total_dim}")
-    for c in cols:
-        if c.shape[0] != total_dim:
-            raise ShapeMismatch(f"column length {c.shape[0]} != total_dim {total_dim}")
-    if cols:
-        g = np.array([[ci.conj() @ cj for cj in cols] for ci in cols])
-        if not np.max(np.abs(g - np.eye(len(cols)))) <= tol.eig:
-            raise NotOrthonormal("input columns are not orthonormal")
-    u = np.zeros((total_dim, total_dim), dtype=complex)
-    for j, c in enumerate(cols):
-        u[:, j] = c
-    return _fill_remaining_columns(u, list(range(len(cols))))
 
 
 def von_neumann_entropy(rho, tol: ToleranceProfile = DEFAULT_TOL) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 
 from .channels import CorrelationMatrix, DensityMatrix, validate_correlation
 from .decomposition import FlatDecomposition
-from .dilation import Dilation
 from .errors import SerializationError
 from .numerics import DEFAULT_TOL, ToleranceProfile
 
@@ -27,7 +26,6 @@ __all__ = [
     "correlation_from_dict",
     "decomposition_to_dict",
     "decomposition_from_dict",
-    "dilation_to_dict",
     "pattern_to_csv",
     "fmt",
 ]
@@ -132,16 +130,6 @@ def decomposition_from_dict(obj) -> FlatDecomposition:
     if not np.all(np.isfinite(phases)):
         raise SerializationError("phases must be finite angles")
     return FlatDecomposition(dim=dim, weights=weights, phase_vectors=np.exp(1j * phases))
-
-
-def dilation_to_dict(dil: Dilation) -> dict:
-    out = matrix_to_dict(dil.unitary, "unitary")
-    out["env"] = {
-        "dim_env": dil.dim_env,
-        "initial_index": 0,
-        "vectors": [[[z.real, z.imag] for z in v] for v in dil.env_vectors],
-    }
-    return out
 
 
 def pattern_to_csv(path, thetas, intensities) -> None:

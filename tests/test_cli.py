@@ -278,6 +278,14 @@ class TestBadInput:
         xp = write_matrix(workdir / "xi.json", np.eye(2), "correlation")
         assert main(["--tol", "tol.json", "validate", xp]) == 2
 
+    def test_unknown_tolerance_field_exits_4(self, workdir, capsys):
+        # "eig" is no longer a tolerance: the profile is rejected, not ignored
+        serialize.save_json("tol.json", {"eig": 1e-10})
+        xp = write_matrix(workdir / "xi.json", np.eye(2), "correlation")
+        assert main(["--tol", "tol.json", "validate", xp]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
     def test_dec_weights_off_by_3e_9_exits_3(self, workdir):
         dec = decompose_identity_xi(3)
         obj = serialize.decomposition_to_dict(dec)

@@ -9,7 +9,6 @@ from schurmaps import (
     SchurChannel,
     VerificationFailure,
     apply_schrodinger,
-    correcting_povm,
     decompose_identity_xi,
     decompose_qubit,
     dilation_from_decomposition,
@@ -61,9 +60,8 @@ class TestMeasureAndCorrectClosedForm:
             povm.check_complete()
             heralded = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(de, d)))
             rho = random_density(rng, d)
-            records, recovered = _measure_and_correct(
-                dil.env_vectors, povm, heralded, rho, DEFAULT_TOL
-            )
+            amplitudes = dil.env_vectors @ effects.conj().T  # column i = <v_i|e_k>
+            records, recovered = _measure_and_correct(amplitudes, heralded, rho, DEFAULT_TOL)
             expected_recovered = np.zeros((d, d), dtype=complex)
             expected_records = []
             for i, v in enumerate(effects):
@@ -121,12 +119,6 @@ class TestDilationFromDecomposition:
 
 
 class TestCorrectingPovm:
-    def test_effects_are_standard_basis(self, rng):
-        dec = random_flat_decomposition(rng, 3, 4)
-        povm = correcting_povm(dec)
-        assert np.array_equal(povm.effects, np.eye(4, dtype=complex))
-        povm.check_complete()
-
     def test_eraser_frame_is_fourier(self):
         scenario = eraser_scenario(2)
         plus = np.array([1, 1]) / np.sqrt(2)

@@ -74,9 +74,8 @@ class TestDecomposeQubit:
     def test_identity_xi(self):
         dec = decompose_qubit(validate_correlation(np.eye(2)))
         assert np.allclose(dec.weights, [0.5, 0.5])
-        us = dec.unitaries()
-        assert np.allclose(us[0], np.eye(2))
-        assert np.allclose(us[1], np.diag([1, -1]))
+        assert np.allclose(np.diag(dec.phase_vectors[0]), np.eye(2))
+        assert np.allclose(np.diag(dec.phase_vectors[1]), np.diag([1, -1]))
 
     def test_real_offdiagonal(self):
         xi = validate_correlation([[1, 0.6], [0.6, 1]])
@@ -121,7 +120,7 @@ class TestDecomposeIdentityXi:
     def test_d2_is_identity_and_sigma_z(self):
         dec = decompose_identity_xi(2)
         assert np.allclose(dec.weights, [0.5, 0.5])
-        assert np.allclose(dec.unitaries()[1], np.diag([1, -1]))
+        assert np.allclose(np.diag(dec.phase_vectors[1]), np.diag([1, -1]))
 
     def test_d3_roots_of_unity(self):
         dec = decompose_identity_xi(3)

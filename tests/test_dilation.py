@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurmaps import (
     DensityMatrix,
@@ -28,44 +30,42 @@ XI_COMPLEX_D3 = [
     [0.4 - 0.3j, 1, 0.1 + 0.5j],
     [0.2 + 0.3j, 0.1 - 0.5j, 1],
 ]
-# diagonal blocks of the joint unitary; every entry off these blocks is zero
-U_BLOCKS_D2 = [
-    [[0.894427190999916, 0.447213595499958], [0.447213595499958, -0.894427190999916]],
-    [[0.894427190999916, 0.447213595499958], [-0.447213595499958, 0.894427190999916]],
-]
-U_BLOCKS_D3 = [
-    [
-        [0.494483204878291 - 0.201746552047313j, 0.845449400514493, 0.0],
-        [0.829951156870083, -0.485418651538246 - 0.198048261864428j, 0.190595634580861],
-        [
-            -0.124879824892033 + 0.101837102154672j,
-            0.097340255037577 - 0.029762470162505j,
-            0.760775687827277 - 0.62039798266085j,
-        ],
-    ],
-    [
-        [0.970383580729067, 0.241569257670412, 0.0],
-        [
-            -0.069365115788313 + 0.147464312148674j,
-            0.278639633558777 - 0.592364064171669j,
-            0.738178520035936,
-        ],
-        [0.178321237113325, -0.716316315489756, 0.287143804875007 + 0.61044320610476j],
-    ],
-    [
-        [0.240701006181314 + 0.52704162446095j, 0.815039969393444, 0.0],
-        [
-            0.241531802245716 - 0.761274001348391j,
-            0.420943943105686 + 0.381007978970527j,
-            0.19940762296958,
-        ],
-        [
-            -0.025558794579098 - 0.160502906838082j,
-            0.111336552476254 + 0.030872918509072j,
-            -0.875807561893532 + 0.439542619585097j,
-        ],
-    ],
-]
+
+
+def householder_blocks(env):
+    """Block k: I - 2 w w*/|w|^2 with w = e_k + e^{i arg e_k[0]} |0>, column 0 set to e_k."""
+    blocks = []
+    for e in env:
+        w = e.copy()
+        w[0] += np.exp(1j * np.angle(e[0]))
+        block = np.eye(len(e)) - 2 * np.outer(w, w.conj()) / np.vdot(w, w).real
+        block[:, 0] = e
+        blocks.append(block)
+    return blocks
+
+
+ROW_KINDS = ["random", "zero_first", "plus0", "minus0", "i0", "register"]
+
+
+@st.composite
+def env_rows(draw):
+    """Unit env kets of one size 2..8: random, zero first entry, +-|0>, i|0> or |j>."""
+    de = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4)):
+        e = np.zeros(de, dtype=complex)
+        if kind in ("random", "zero_first"):
+            e[:] = rng.normal(size=de) + 1j * rng.normal(size=de)
+            if kind == "zero_first":
+                e[0] = 0.0
+            e /= np.linalg.norm(e)
+        elif kind == "register":
+            e[draw(st.integers(0, de - 1))] = 1.0
+        else:
+            e[0] = {"plus0": 1.0, "minus0": -1.0, "i0": 1j}[kind]
+        rows.append(e)
+    return np.array(rows)
 
 
 def reproduce_channel(dil, rho):
@@ -154,16 +154,28 @@ class TestBuildDilation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             dil.unitary = np.eye(4)
 
-    @pytest.mark.parametrize("xi, blocks", [(XI_REAL_D2, U_BLOCKS_D2), (XI_COMPLEX_D3, U_BLOCKS_D3)])
-    def test_completion_convention_pinned(self, xi, blocks):
-        # values of the Gram-Schmidt completion over the whole joint space, so
-        # the block-by-block completion cannot drift from that convention
-        u = build_dilation(SchurChannel(validate_correlation(xi))).unitary
+    @pytest.mark.parametrize("xi", [XI_REAL_D2, XI_COMPLEX_D3])
+    def test_completion_convention_pinned(self, xi):
+        # block diagonal, block k the Householder completion of e_k; zero elsewhere
+        dil = build_dilation(SchurChannel(validate_correlation(xi)))
+        u = dil.unitary
         expected = np.zeros_like(u)
-        de = len(blocks[0])
-        for k, block in enumerate(blocks):
+        de = dil.dim_env
+        for k, block in enumerate(householder_blocks(dil.env_vectors)):
             expected[k * de : (k + 1) * de, k * de : (k + 1) * de] = block
         assert np.max(np.abs(u - expected)) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(env_rows())
+    def test_closed_form_unitary_and_exact(self, env):
+        d, de = env.shape
+        u = Dilation(dim_sys=d, dim_env=de, env_vectors=env).unitary
+        assert not np.isnan(u).any()
+        assert np.linalg.norm(u.conj().T @ u - np.eye(d * de)) <= 1e-12
+        for k in range(d):
+            col = np.zeros(d * de, dtype=complex)
+            col[k * de : (k + 1) * de] = env[k]
+            assert np.array_equal(u[:, k * de], col)
 
     def test_env_dim_floor(self):
         ch = SchurChannel(validate_correlation(np.ones((2, 2))))

@@ -3,16 +3,13 @@ import pytest
 
 from schurmaps import (
     NotHermitian,
-    NotOrthonormal,
     NotSquare,
     NotState,
     ShapeMismatch,
-    TooManyColumns,
     hermitian_eig,
     partial_trace_env,
     partial_trace_sys,
     schur_product,
-    unitary_completion,
     von_neumann_entropy,
 )
 from conftest import random_density, random_unitary
@@ -116,39 +113,6 @@ class TestPartialTrace:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             partial_trace_env(np.eye(5), 2, 3)
-
-
-class TestUnitaryCompletion:
-    def test_full_basis_gives_identity(self):
-        cols = [np.eye(3)[:, j] for j in range(3)]
-        assert np.allclose(unitary_completion(cols, 3), np.eye(3))
-
-    def test_single_standard_vector(self):
-        u = unitary_completion([np.array([1.0, 0.0, 0.0])], 3)
-        assert np.allclose(u, np.eye(3))
-
-    def test_hadamard_column(self):
-        u = unitary_completion([np.array([1.0, 1.0]) / np.sqrt(2)], 2)
-        assert np.allclose(u[:, 1], np.array([1.0, -1.0]) / np.sqrt(2))
-
-    def test_too_many_columns(self):
-        with pytest.raises(TooManyColumns):
-            unitary_completion([np.eye(2)[:, 0]] * 3, 2)
-
-    def test_not_orthonormal(self):
-        with pytest.raises(NotOrthonormal):
-            unitary_completion([np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)], 2)
-
-    def test_random_columns_unitary_and_exact(self, rng):
-        for _ in range(50):
-            d = int(rng.integers(2, 7))
-            k = int(rng.integers(1, d + 1))
-            v = random_unitary(rng, d)
-            cols = [v[:, j] for j in range(k)]
-            u = unitary_completion(cols, d)
-            assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-10
-            for j, c in enumerate(cols):
-                assert np.array_equal(u[:, j], c)
 
 
 class TestVonNeumannEntropy:

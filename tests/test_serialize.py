@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from schurmaps import SerializationError, decompose_identity_xi, eraser_scenario
+from schurmaps import SerializationError, decompose_identity_xi
 from schurmaps import serialize
 from conftest import random_correlation, random_density, random_flat_decomposition
 
@@ -77,15 +77,6 @@ class TestDecompositionEnvelope:
         obj = dict({"dim": 2, "weights": [1.0], "phases": [[0.0, 0.0]]}, **fields)
         with pytest.raises(SerializationError):
             serialize.decomposition_from_dict(obj)
-
-
-class TestDilationEnvelope:
-    def test_kind_and_env_block(self):
-        scenario = eraser_scenario(2)
-        obj = serialize.dilation_to_dict(scenario.dilation)
-        assert obj["kind"] == "unitary"
-        assert obj["env"]["dim_env"] == 2
-        assert len(obj["env"]["vectors"]) == 2
 
 
 class TestPatternCsv:

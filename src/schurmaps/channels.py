@@ -56,6 +56,12 @@ class DensityMatrix:
         return cls(dim=mm.shape[0], matrix=_read_only(mm))
 
     @classmethod
+    def _certified(cls, m: np.ndarray) -> "DensityMatrix":
+        """A state of a fresh complex matrix (flagged read-only) that the caller
+        has proven to pass :meth:`from_matrix`; nothing is checked here."""
+        return cls(dim=m.shape[0], matrix=_read_only(m))
+
+    @classmethod
     def pure(cls, vector) -> "DensityMatrix":
         """|v><v| / <v|v> (read-only) for a nonzero vector with finite entries."""
         v = np.asarray(vector, dtype=complex).reshape(-1)

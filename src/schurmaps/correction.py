@@ -7,6 +7,7 @@ eraser is the flagship instance (instantaneous decoherence, Fourier
 measurement on the probe, clock-unitary corrections).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,21 +137,54 @@ def _measure_and_correct(
     rho_m = rho.matrix
     g = heralded_phases.conj().T * c  # column i = g_i
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
+    state = _record_states(rho_m, tol)
     records = [
         CorrectionOutcomeRecord(
             outcome_index=i,
             probability=float(p),
-            conditional_state=DensityMatrix.from_matrix(
-                rho_m * np.outer(c[:, i], c[:, i].conj()) / p, tol
-            ),
-            corrected_state=DensityMatrix.from_matrix(
-                rho_m * np.outer(g[:, i], g[:, i].conj()) / p, tol
-            ),
+            conditional_state=state(c[:, i], p),
+            corrected_state=state(g[:, i], p),
         )
         for i, p in enumerate(probs)
         if p >= NEGLIGIBLE
     ]
     return records, rho_m * (g @ g.conj().T)
+
+
+def _record_states(rho_m: np.ndarray, tol: ToleranceProfile):
+    """The builder ``state(a, p)`` of the record states rho o (a a*)/p of one input.
+
+    A record is D rho D*/p with D = diag(a). With F = max_k |a_k|^2/p, its
+    Hermitian deviation is at most F times rho's, and its least eigenvalue is
+    at least F min(0, lam_min(rho)) (Ostrowski). So one eigensolve of rho
+    certifies every record whose two bounds, widened by the rounding of the
+    record's entries and of both eigensolves, stay within half of tol.herm and
+    tol.psd, and whose trace passes the very test of ``from_matrix``. A
+    certified record provably passes the full check and skips its eigensolve;
+    any other record takes the full check.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = abs(rho_m - rho_m.conj().T).max()
+    if dev <= tol.herm:
+        vals = np.linalg.eigvalsh((rho_m + rho_m.conj().T) / 2)
+        low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
+    else:  # NaN and inf included: nothing is certified
+        low = norm = np.inf
+    rounding = 64 * rho_m.shape[0] * np.finfo(float).eps * norm
+    herm_bound, psd_bound = dev + rounding, low + rounding
+
+    def state(a: np.ndarray, p: float) -> DensityMatrix:
+        m = rho_m * np.outer(a, a.conj()) / p
+        f = (np.abs(a) ** 2).max() / p
+        if (
+            f * herm_bound <= tol.herm / 2
+            and f * psd_bound <= tol.psd / 2
+            and abs(m.trace().real - 1.0) <= tol.tr
+        ):
+            return DensityMatrix._certified(m)
+        return DensityMatrix.from_matrix(m, tol)
+
+    return state
 
 
 def _check_recovery(recovered, rho, tol) -> DensityMatrix:
@@ -246,15 +280,23 @@ def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     uniformly on [0, 2 pi); intensity(theta) = <theta|rho|theta>. A toy
     readout model, not a physical propagator: it shows full fringes for pure
     flat superpositions, a flat line for decohered states, and shifted
-    fringes for clock-rotated subensembles.
+    fringes for clock-rotated subensembles. ``samples`` must be an integer >= 2.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise BadDimension(f"samples must be an integer, got {samples!r}") from None
     if samples < 2:
         raise BadDimension(f"need at least 2 samples, got {samples}")
     d = rho.dim
     thetas = 2.0 * np.pi * np.arange(samples) / samples
+    # intensity(theta_s) = (1/d) sum_n t_n e^{2 pi i n s/S} with t_n = sum_{l-k=n} rho_kl;
+    # the diagonal sums are taken mod S, so the sum is S/d times an inverse DFT
     k = np.arange(d)
-    rays = np.exp(1j * np.outer(thetas, k)) / np.sqrt(d)  # row s = <k|theta_s>
-    intensities = np.einsum("sk,kl,sl->s", rays.conj(), rho.matrix, rays).real
+    n = ((k[None, :] - k[:, None]) % samples).ravel()
+    m = rho.matrix.ravel()
+    t = np.bincount(n, m.real, samples) + 1j * np.bincount(n, m.imag, samples)
+    intensities = (samples / d) * np.fft.ifft(t).real
     i_max, i_min = float(np.max(intensities)), float(np.min(intensities))
     visibility = (i_max - i_min) / (i_max + i_min) if i_max + i_min > 0 else 0.0
     return ScreenPattern(thetas=thetas, intensities=intensities, visibility=visibility)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CorrelationMatrix, DensityMatrix, SchurChannel
-from .errors import DimensionMismatch
+from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _read_only
+from .errors import DimensionMismatch, NotState, ShapeMismatch
 from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, hermitian_eig
 
 __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_state"]
@@ -23,12 +23,28 @@ class Dilation:
 
     ``env_vectors[k]`` is the environment ket the interaction writes when the
     system is in basis state k. The kets determine the dilation; the joint
-    unitary is built from them only on demand, by :attr:`unitary`.
+    unitary is built from them only on demand, by :attr:`unitary`. The kets
+    must be finite, of shape (dim_sys, dim_env), and of unit norm within
+    ``DEFAULT_TOL.tr``; the dilation holds a read-only copy of them.
     """
 
     dim_sys: int
     dim_env: int
     env_vectors: np.ndarray  # shape (dim_sys, dim_env)
+
+    def __post_init__(self):
+        env = np.array(self.env_vectors, dtype=complex)
+        if env.shape != (self.dim_sys, self.dim_env):
+            raise ShapeMismatch(
+                f"env_vectors of shape {env.shape}, expected ({self.dim_sys}, {self.dim_env})"
+            )
+        with np.errstate(over="ignore"):
+            norm2 = (np.abs(env) ** 2).sum(axis=1)
+        bad = ~(np.abs(norm2 - 1.0) <= DEFAULT_TOL.tr)  # a NaN or inf entry fails too
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NotState(f"environment ket {k} has squared norm {norm2[k]}, expected 1")
+        object.__setattr__(self, "env_vectors", _read_only(env))
 
     @property
     def unitary(self) -> np.ndarray:

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from schurmaps import (
     DEFAULT_TOL,
@@ -7,6 +11,8 @@ from schurmaps import (
     DensityMatrix,
     RecoveryFailure,
     SchurChannel,
+    SchurMapsError,
+    ToleranceProfile,
     VerificationFailure,
     apply_schrodinger,
     decompose_identity_xi,
@@ -24,12 +30,14 @@ from schurmaps import (
     which_way_readout,
 )
 from schurmaps import SearchConfig
-from schurmaps.correction import EnvPovm, _measure_and_correct
+from schurmaps.correction import CorrectionOutcomeRecord, EnvPovm, _measure_and_correct
 from schurmaps.dilation import build_dilation, evolve_joint
+from schurmaps.numerics import NEGLIGIBLE
 from conftest import (
     random_correlation,
     random_density,
     random_flat_decomposition,
+    random_pure,
     random_unitary,
 )
 
@@ -78,6 +86,139 @@ class TestMeasureAndCorrectClosedForm:
                 assert np.max(np.abs(r.conditional_state.matrix - cond)) < 1e-12
                 assert np.max(np.abs(r.corrected_state.matrix - corr)) < 1e-12
             assert np.max(np.abs(recovered - expected_recovered)) < 1e-12
+
+
+def reference_measure_and_correct(c, heralded_phases, rho, tol):
+    """``_measure_and_correct`` with every record state through the full ``from_matrix`` check."""
+    rho_m = rho.matrix
+    g = heralded_phases.conj().T * c
+    probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
+    records = [
+        CorrectionOutcomeRecord(
+            outcome_index=i,
+            probability=float(p),
+            conditional_state=DensityMatrix.from_matrix(
+                rho_m * np.outer(c[:, i], c[:, i].conj()) / p, tol
+            ),
+            corrected_state=DensityMatrix.from_matrix(
+                rho_m * np.outer(g[:, i], g[:, i].conj()) / p, tol
+            ),
+        )
+        for i, p in enumerate(probs)
+        if p >= NEGLIGIBLE
+    ]
+    return records, rho_m * (g @ g.conj().T)
+
+
+def outcome_bytes(measure, *args):
+    """What a measurement returns, as comparable bytes, or the class of the error it raises."""
+    try:
+        records, recovered = measure(*args)
+    except SchurMapsError as exc:
+        return type(exc)
+    out = [recovered.tobytes()]
+    for r in records:
+        out.append(repr((r.outcome_index, r.probability)))
+        for state in (r.conditional_state, r.corrected_state):
+            m = state.matrix
+            out.append((state.dim, m.shape, m.dtype.str, m.flags.writeable, m.tobytes()))
+    return out
+
+
+EDGE_TOLS = [
+    DEFAULT_TOL,
+    ToleranceProfile(herm=1e-6, psd=1e-6, tr=1e-6),
+    ToleranceProfile(herm=1e-12, psd=1e-12, tr=1e-12),
+    ToleranceProfile(herm=1e-15, psd=1e-15, tr=1e-15),
+]
+
+
+@st.composite
+def edge_inputs(draw):
+    """A state at the edges of its tolerance profile, outcome amplitudes and heralded phases.
+
+    Populations go down to 1e-12, the least eigenvalue to -tol.psd, the trace
+    to 1 +- tol.tr and the Hermitian deviation up to tol.herm. The amplitudes
+    are flat (weighted), register kets, Fourier or random.
+    """
+    tol = draw(st.sampled_from(EDGE_TOLS))
+    d = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, d))
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    pops = np.array(draw(st.lists(st.floats(0, 12), min_size=d, max_size=d)))
+    g *= 10.0 ** (-pops / 2)[:, None]
+    m = g @ g.conj().T
+    m /= m.trace().real
+    _, vecs = np.linalg.eigh(m)
+    m -= draw(st.floats(0, 1)) * tol.psd * np.outer(vecs[:, 0], vecs[:, 0].conj())
+    m *= (1 + draw(st.floats(-1, 1)) * tol.tr) / m.trace().real
+    skew = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    skew = (skew - skew.conj().T) / 2  # |skew_kl - conj(skew_lk)| = 2 |skew_kl|
+    m += draw(st.floats(0, 1)) * tol.herm / 2 * skew / np.abs(skew).max()
+    try:
+        rho = DensityMatrix.from_matrix(m, tol)
+    except SchurMapsError:
+        reject()
+    kind = draw(st.sampled_from(["flat", "register", "fourier", "random"]))
+    n = d if kind in ("register", "fourier") else draw(st.integers(1, d + 2))
+    if kind == "flat":
+        c = np.sqrt(rng.dirichlet(np.ones(n)))[None, :] * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, size=(d, n))
+        )
+    elif kind == "register":
+        c = np.eye(d, dtype=complex)
+    elif kind == "fourier":
+        k = np.arange(d)
+        c = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    else:
+        c = (rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))) / np.sqrt(d * n)
+    heralded = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, d)))
+    return c, heralded, rho, tol
+
+
+class TestRecordCertificate:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_inputs())
+    def test_matches_full_check_on_every_record(self, inputs):
+        # same error class, or byte-equal records and recovered state; and every
+        # record built without its own eigensolve passes the full check
+        certified = []
+        build = DensityMatrix._certified.__func__
+
+        def spy(cls, m):
+            certified.append(m.copy())
+            return build(cls, m)
+
+        with mock.patch.object(DensityMatrix, "_certified", classmethod(spy)):
+            got = outcome_bytes(_measure_and_correct, *inputs)
+        assert got == outcome_bytes(reference_measure_and_correct, *inputs)
+        tol = inputs[3]
+        for m in certified:
+            DensityMatrix.from_matrix(m, tol)
+
+    def test_eigensolves_per_call(self, rng, monkeypatch):
+        # one eigensolve certifies the records of a call; the recovered state has its own
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k)
+            )
+
+        def count(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        scenario = eraser_scenario(16)
+        rho = random_density(rng, 16)
+        assert count(run_eraser, scenario, rho) <= 2
+        assert count(which_way_readout, scenario, rho) <= 1
+        d = 4
+        dec = random_flat_decomposition(rng, d, 5)
+        ch = SchurChannel(validate_correlation(reconstruct_xi(dec)))
+        assert count(run_correction, ch, dec, random_density(rng, d)) <= 2
 
 
 class TestDilationFromDecomposition:
@@ -274,3 +415,26 @@ class TestScreenPattern:
     def test_sample_count_guard(self):
         with pytest.raises(BadDimension):
             screen_pattern(DensityMatrix.pure([1, 1]), 1)
+
+    @pytest.mark.parametrize("samples", [0, -3, True, 2.5, 3.0, "3", None])
+    def test_non_integral_or_small_samples_rejected(self, samples):
+        with pytest.raises(BadDimension):
+            screen_pattern(DensityMatrix.pure([1, 1]), samples)
+
+    def test_numpy_integer_samples(self):
+        pat = screen_pattern(DensityMatrix.pure([1, 1]), np.int64(4))
+        assert np.allclose(pat.intensities, [1, 0.5, 0, 0.5])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64, 200])
+    @pytest.mark.parametrize("samples", [2, 3, 7, 360, 1000])
+    def test_matches_ray_by_ray_sum(self, rng, d, samples):
+        # the einsum over rays that the FFT replaced; S < 2d - 1 folds diagonals together
+        thetas = 2.0 * np.pi * np.arange(samples) / samples
+        rays = np.exp(1j * np.outer(thetas, np.arange(d))) / np.sqrt(d)  # row s = <k|theta_s>
+        for rho in (random_density(rng, d), random_pure(rng, d)):
+            expected = np.einsum("sk,kl,sl->s", rays.conj(), rho.matrix, rays).real
+            i_max, i_min = expected.max(), expected.min()
+            pat = screen_pattern(rho, samples)
+            assert np.array_equal(pat.thetas, thetas)
+            assert np.max(np.abs(pat.intensities - expected)) <= 1e-13
+            assert abs(pat.visibility - (i_max - i_min) / (i_max + i_min)) <= 1e-13

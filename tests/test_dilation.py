@@ -9,7 +9,9 @@ from schurmaps import (
     DensityMatrix,
     Dilation,
     DimensionMismatch,
+    NotState,
     SchurChannel,
+    ShapeMismatch,
     apply_schrodinger,
     build_dilation,
     environment_state,
@@ -231,3 +233,34 @@ class TestEnvironmentState:
         sigma = environment_state(dil, random_density(rng, 3))
         vals = np.linalg.eigvalsh(sigma.matrix)
         assert np.sum(vals > 1e-9) <= 1
+
+
+class TestDilationChecks:
+    @pytest.mark.parametrize(
+        "dim_sys, dim_env, env, error",
+        [
+            (2, 2, [[2, 0], [0, 1]], NotState),  # the unitary would miss unitarity by 3
+            (2, 2, [[1 + 1e-9, 0], [0, 1]], NotState),  # squared norm 1 + 2e-9
+            (2, 2, [[np.nan, 0], [0, 1]], NotState),
+            (2, 2, [[np.inf, 0], [0, 1]], NotState),
+            (2, 2, [[0, 0], [0, 1]], NotState),
+            (2, 3, np.eye(2), ShapeMismatch),
+            (3, 2, np.eye(2), ShapeMismatch),
+            (2, 2, np.ones(2), ShapeMismatch),
+        ],
+    )
+    def test_rejected(self, dim_sys, dim_env, env, error):
+        with pytest.raises(error):
+            Dilation(dim_sys=dim_sys, dim_env=dim_env, env_vectors=np.asarray(env, dtype=complex))
+
+    def test_unit_within_trace_tolerance_accepted(self):
+        env = np.array([[np.sqrt(1 + 9e-10), 0], [0, 1j]])
+        assert Dilation(dim_sys=2, dim_env=2, env_vectors=env).dim_env == 2
+
+    def test_holds_read_only_copy(self):
+        env = np.eye(2, dtype=complex)
+        dil = Dilation(dim_sys=2, dim_env=2, env_vectors=env)
+        env[0, 0] = 5.0
+        assert dil.env_vectors[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            dil.env_vectors[0, 0] = 5.0

@@ -57,8 +57,9 @@ class DensityMatrix:
 
     @classmethod
     def _certified(cls, m: np.ndarray) -> "DensityMatrix":
-        """A state of a fresh complex matrix (flagged read-only) that the caller
-        has proven to pass :meth:`from_matrix`; nothing is checked here."""
+        """A state of a complex matrix (flagged read-only) that the caller has
+        proven to pass :meth:`from_matrix`; nothing is checked here. The matrix
+        is a row of a fresh batch array that no caller holds."""
         return cls(dim=m.shape[0], matrix=_read_only(m))
 
     @classmethod

@@ -117,7 +117,7 @@ def dilation_from_decomposition(
 
 def _measure_and_correct(
     c: np.ndarray,
-    heralded_phases: np.ndarray,
+    heralded_phases: np.ndarray | None,
     rho: DensityMatrix,
     tol: ToleranceProfile,
 ):
@@ -129,30 +129,31 @@ def _measure_and_correct(
     closed form, without the joint unitary. ``heralded_phases[i]`` is the
     diagonal of the unitary W_i heralded by outcome i; the correction
     conjugates by its inverse, which turns c_i into g_i = conj(W_i) c_i.
+    ``heralded_phases=None`` means nothing is undone: g_i = c_i, and each
+    record's corrected state is its conditional state, the same object.
     Returns (records, recovered) with the recovered state
     sum_i rho o (g_i g_i*) = rho o (G G*), unnormalized-summed over outcomes.
     """
     if rho.dim != c.shape[0]:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {c.shape[0]}")
     rho_m = rho.matrix
-    g = heralded_phases.conj().T * c  # column i = g_i
+    g = c if heralded_phases is None else heralded_phases.conj().T * c  # column i = g_i
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
-    state = _record_states(rho_m, tol)
+    kept = np.flatnonzero(probs >= NEGLIGIBLE)
+    p = probs[kept]
+    states = _record_states(rho_m, tol)
+    conditional = states(c[:, kept], p)
+    corrected = conditional if heralded_phases is None else states(g[:, kept], p)
     records = [
-        CorrectionOutcomeRecord(
-            outcome_index=i,
-            probability=float(p),
-            conditional_state=state(c[:, i], p),
-            corrected_state=state(g[:, i], p),
-        )
-        for i, p in enumerate(probs)
-        if p >= NEGLIGIBLE
+        CorrectionOutcomeRecord(int(i), float(p_i), cond, corr)
+        for i, p_i, cond, corr in zip(kept, p, conditional, corrected)
     ]
     return records, rho_m * (g @ g.conj().T)
 
 
 def _record_states(rho_m: np.ndarray, tol: ToleranceProfile):
-    """The builder ``state(a, p)`` of the record states rho o (a a*)/p of one input.
+    """The builder ``states(a, p)`` of the record states rho o (a_i a_i*)/p_i of one
+    input, for the amplitude columns a_i of ``a`` (d x n) and their probabilities p.
 
     A record is D rho D*/p with D = diag(a). With F = max_k |a_k|^2/p, its
     Hermitian deviation is at most F times rho's, and its least eigenvalue is
@@ -162,6 +163,13 @@ def _record_states(rho_m: np.ndarray, tol: ToleranceProfile):
     tol.psd, and whose trace passes the very test of ``from_matrix``. A
     certified record provably passes the full check and skips its eigensolve;
     any other record takes the full check.
+
+    The n records of a call are built in one pass: one (n, d^2) batch of outer
+    products, one product with rho, one division, one array of F and traces. A
+    certified record is a read-only row of that batch. Each entry is the very
+    expression ``rho_m * np.outer(a, a.conj()) / p`` of one record at a time, to
+    the last bit: the operand order and the 2-d product keep numpy on the same
+    elementwise loops.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         dev = abs(rho_m - rho_m.conj().T).max()
@@ -173,18 +181,24 @@ def _record_states(rho_m: np.ndarray, tol: ToleranceProfile):
     rounding = 64 * rho_m.shape[0] * np.finfo(float).eps * norm
     herm_bound, psd_bound = dev + rounding, low + rounding
 
-    def state(a: np.ndarray, p: float) -> DensityMatrix:
-        m = rho_m * np.outer(a, a.conj()) / p
-        f = (np.abs(a) ** 2).max() / p
-        if (
-            f * herm_bound <= tol.herm / 2
-            and f * psd_bound <= tol.psd / 2
-            and abs(m.trace().real - 1.0) <= tol.tr
-        ):
-            return DensityMatrix._certified(m)
-        return DensityMatrix.from_matrix(m, tol)
+    def states(a: np.ndarray, p: np.ndarray) -> list[DensityMatrix]:
+        d, n = a.shape
+        rows = np.ascontiguousarray(a.T)  # row i = a_i
+        outer = rows[:, :, None] * rows.conj()[:, None, :]
+        m = (rho_m.reshape(1, d * d) * outer.reshape(n, d * d)).reshape(n, d, d)
+        m /= p[:, None, None]
+        f = (np.abs(rows) ** 2).max(axis=1) / p
+        ok = (
+            (f * herm_bound <= tol.herm / 2)
+            & (f * psd_bound <= tol.psd / 2)
+            & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
+        )
+        return [
+            DensityMatrix._certified(m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
+            for i in range(n)
+        ]
 
-    return state
+    return states
 
 
 def _check_recovery(recovered, rho, tol) -> DensityMatrix:
@@ -268,8 +282,7 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix, tol=DEFAULT_
     the coherences are irreversibly destroyed in every subensemble.
     """
     # register outcome i has amplitudes c_ki = <i|e_k>, the env kets; nothing is undone
-    heralded = np.ones((scenario.dim, scenario.dim), dtype=complex)
-    records, _ = _measure_and_correct(scenario.dilation.env_vectors, heralded, rho, tol)
+    records, _ = _measure_and_correct(scenario.dilation.env_vectors, None, rho, tol)
     return records
 
 

@@ -91,8 +91,13 @@ def build_dilation(ch: SchurChannel, tol: ToleranceProfile = DEFAULT_TOL) -> Dil
     The environment dimension is max(rank(xi), 2): a one-dimensional
     environment admits no nontrivial measurement, so a never-populated
     dimension is padded in to keep the correction machinery uniform.
+    Each Kolmogorov ket is divided by its norm: the eigenvalues that
+    ``kolmogorov_vectors`` drops, negative ones down to -tol.psd included,
+    leave its squared norm off 1 by up to that much, and the dilation
+    needs unit kets.
     """
     vecs = kolmogorov_vectors(ch.xi, tol)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     d, r = vecs.shape
     de = max(r, 2)
     env = np.zeros((d, de), dtype=complex)

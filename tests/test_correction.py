@@ -1,8 +1,9 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from schurmaps import (
@@ -110,19 +111,24 @@ def reference_measure_and_correct(c, heralded_phases, rho, tol):
     return records, rho_m * (g @ g.conj().T)
 
 
-def outcome_bytes(measure, *args):
-    """What a measurement returns, as comparable bytes, or the class of the error it raises."""
-    try:
-        records, recovered = measure(*args)
-    except SchurMapsError as exc:
-        return type(exc)
-    out = [recovered.tobytes()]
+def records_bytes(records):
+    """Outcome indices, probabilities and record states, as comparable bytes."""
+    out = []
     for r in records:
         out.append(repr((r.outcome_index, r.probability)))
         for state in (r.conditional_state, r.corrected_state):
             m = state.matrix
             out.append((state.dim, m.shape, m.dtype.str, m.flags.writeable, m.tobytes()))
     return out
+
+
+def outcome_bytes(measure, *args):
+    """What a measurement returns, as comparable bytes, or the class of the error it raises."""
+    try:
+        records, recovered = measure(*args)
+    except SchurMapsError as exc:
+        return type(exc)
+    return [recovered.tobytes()] + records_bytes(records)
 
 
 EDGE_TOLS = [
@@ -177,9 +183,24 @@ def edge_inputs(draw):
     return c, heralded, rho, tol
 
 
+# d = 1, one outcome: a record product broadcast over a 3-d batch misses the
+# record-at-a-time product by 1 ulp here; the 2-d product matches
+def _hex_complex(re, im):
+    return complex(float.fromhex(re), float.fromhex(im))
+
+
+D1_ONE_OUTCOME = (
+    np.array([[_hex_complex("0x1.b4fb1551ec501p-1", "-0x1.0ad16123cabf9p-1")]]),
+    np.array([[_hex_complex("-0x1.915011ab5edf1p-1", "-0x1.3df3249c7d3adp-1")]]),
+    DensityMatrix.from_matrix([[_hex_complex("0x1.0000000044b83p+0", "0x1.12e0be826d695p-31")]]),
+    DEFAULT_TOL,
+)
+
+
 class TestRecordCertificate:
     @settings(max_examples=400, deadline=None)
     @given(edge_inputs())
+    @example(D1_ONE_OUTCOME)
     def test_matches_full_check_on_every_record(self, inputs):
         # same error class, or byte-equal records and recovered state; and every
         # record built without its own eigensolve passes the full check
@@ -196,6 +217,40 @@ class TestRecordCertificate:
         tol = inputs[3]
         for m in certified:
             DensityMatrix.from_matrix(m, tol)
+
+    @pytest.mark.parametrize("d", [12, 16, 24, 32])
+    def test_benchmark_sizes_match_reference(self, rng, d):
+        # the eraser sizes of the benchmark, beyond the reach of edge_inputs
+        scenario = eraser_scenario(d)
+        env = scenario.dilation.env_vectors
+        c = env @ scenario.povm.effects.conj().T
+        heralded = scenario.correction_phases.conj()
+        ones = np.ones((d, d), dtype=complex)
+        for rho in (DensityMatrix.pure(np.ones(d)), random_pure(rng, d), random_density(rng, d)):
+            records, recovered = run_eraser(scenario, rho)
+            got = [recovered.matrix.tobytes()] + records_bytes(records)
+            expected = outcome_bytes(reference_measure_and_correct, c, heralded, rho, DEFAULT_TOL)
+            assert got == expected
+            records = which_way_readout(scenario, rho)
+            expected, _ = reference_measure_and_correct(env, ones, rho, DEFAULT_TOL)
+            assert records_bytes(records) == records_bytes(expected)
+            assert all(r.corrected_state is r.conditional_state for r in records)
+
+    def test_batch_memory(self, rng):
+        # at its peak a d = 32 eraser call holds at most two (outcomes x d^2) complex
+        # buffers beyond the records and recovered state it returns
+        d = 32
+        scenario = eraser_scenario(d)
+        rho = random_density(rng, d)
+        run_eraser(scenario, rho)
+        tracemalloc.start()
+        try:
+            out = run_eraser(scenario, rho)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out[0]) == d
+        assert peak - current <= 2 * d * d * d * np.dtype(complex).itemsize
 
     def test_eigensolves_per_call(self, rng, monkeypatch):
         # one eigensolve certifies the records of a call; the recovered state has its own

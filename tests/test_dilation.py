@@ -12,6 +12,7 @@ from schurmaps import (
     NotState,
     SchurChannel,
     ShapeMismatch,
+    ToleranceProfile,
     apply_schrodinger,
     build_dilation,
     environment_state,
@@ -178,6 +179,23 @@ class TestBuildDilation:
             col = np.zeros(d * de, dtype=complex)
             col[k * de : (k + 1) * de] = env[k]
             assert np.array_equal(u[:, k * de], col)
+
+    def test_loose_psd_tolerance(self, rng):
+        # a rank-2 xi pushed to least eigenvalue -6e-7: accepted under psd = 1e-6, and the
+        # dropped eigenvalue leaves the Kolmogorov kets' squared norms off 1 by ~4e-7
+        tol = ToleranceProfile(psd=1e-6)
+        v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        xi = v @ v.conj().T
+        _, vecs = np.linalg.eigh(xi)
+        xi -= 6e-7 * np.trace(xi).real / 3 * np.outer(vecs[:, 0], vecs[:, 0].conj())
+        s = 1 / np.sqrt(np.diag(xi).real)
+        xi = validate_correlation(s[:, None] * xi * s[None, :], tol)
+        assert np.linalg.eigvalsh(xi.matrix)[0] < -1e-7
+        dil = build_dilation(SchurChannel(xi), tol)
+        u = dil.unitary
+        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-12
+        gram = np.einsum("ka,la->kl", dil.env_vectors.conj(), dil.env_vectors)
+        assert np.max(np.abs(gram - xi.matrix)) <= tol.psd
 
     def test_env_dim_floor(self):
         ch = SchurChannel(validate_correlation(np.ones((2, 2))))

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCount, BadDiagonal, NotState, ShapeMismatch
+from .errors import BadDiagonal, NotState
 from .numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
-    _as_matrix,
     _hermitian_copy,
+    _integer,
     _psd_eigenvalues,
     _state_eigenvalues,
     schur_product,
@@ -44,7 +44,9 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, PSD, unit trace."""
+    """Validated quantum state: Hermitian, PSD, unit trace. Every function that takes
+    one trusts it; built directly rather than by :meth:`from_matrix`, it skips
+    validation and is trusted unchecked."""
 
     dim: int
     matrix: np.ndarray
@@ -75,7 +77,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """PSD matrix with exactly-unit diagonal; the channel's full description."""
+    """PSD matrix with exactly-unit diagonal; the channel's full description. Every
+    function that takes one trusts it; built directly rather than by
+    :func:`validate_correlation`, it skips validation and is trusted unchecked."""
 
     dim: int
     matrix: np.ndarray
@@ -116,26 +120,17 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
     return CorrelationMatrix(dim=mm.shape[0], matrix=_read_only(mm))
 
 
-def _check_dim(ch: SchurChannel, m: np.ndarray) -> None:
-    if m.shape != (ch.dim, ch.dim):
-        raise ShapeMismatch(f"operator shape {m.shape} does not match channel dim {ch.dim}")
-
-
 def apply_heisenberg(ch: SchurChannel, obs) -> np.ndarray:
     """Heisenberg-picture action on an observable: xi o O."""
-    m = _as_matrix(obs)
-    _check_dim(ch, m)
-    return schur_product(ch.xi.matrix, m)
+    return schur_product(ch.xi.matrix, obs)
 
 
 def apply_schrodinger(
     ch: SchurChannel, rho: DensityMatrix, tol: ToleranceProfile = DEFAULT_TOL
 ) -> DensityMatrix:
     """Schrodinger-picture action on a state: xi^T o rho (transpose taken in
-    the decoherence basis, never omitted)."""
-    _check_dim(ch, rho.matrix)
-    out = schur_product(ch.xi.matrix.T, rho.matrix)
-    return DensityMatrix.from_matrix(out, tol)
+    the decoherence basis, never omitted): :func:`iterate` once."""
+    return iterate(ch, rho, 1, tol)
 
 
 def iterate(
@@ -146,12 +141,8 @@ def iterate(
     Implemented as a single Schur product with the elementwise n-th power of
     xi^T, which is exactly equivalent for Schur maps and stabler for large n.
     """
-    if n < 0:
-        raise BadCount(f"iteration count must be nonnegative, got {n}")
-    _check_dim(ch, rho.matrix)
-    powered = np.power(ch.xi.matrix.T, n)
-    out = schur_product(powered, rho.matrix)
-    return DensityMatrix.from_matrix(out, tol)
+    powered = np.power(ch.xi.matrix.T, _integer(n, 0, "iteration count"))
+    return DensityMatrix.from_matrix(schur_product(powered, rho.matrix), tol)
 
 
 def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:

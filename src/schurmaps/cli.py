@@ -160,7 +160,7 @@ def cmd_correct(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_eraser(args, tol: ToleranceProfile) -> int:
-    scenario = eraser_scenario(args.d, tol)
+    scenario = eraser_scenario(args.d)
     if args.state:
         rho = DensityMatrix.from_matrix(serialize.load_matrix(args.state)[1], tol)
     else:

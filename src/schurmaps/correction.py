@@ -7,7 +7,6 @@ eraser is the flagship instance (instantaneous decoherence, Fourier
 measurement on the probe, clock-unitary corrections).
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,9 @@ from .decomposition import (
     decompose_identity_xi,
     reconstruct_xi,
 )
-from .dilation import Dilation
+from .dilation import Dilation, _unit_dilation
 from .errors import BadDimension, DimensionMismatch, RecoveryFailure, VerificationFailure
-from .numerics import DEFAULT_TOL, NEGLIGIBLE, RESIDUAL_TOL, ToleranceProfile
+from .numerics import DEFAULT_TOL, NEGLIGIBLE, RESIDUAL_TOL, ToleranceProfile, _integer
 
 __all__ = [
     "EnvPovm",
@@ -106,13 +105,11 @@ def dilation_from_decomposition(
     matrix <e_k|e_l> reproduces xi and measuring the environment in the
     computational basis heralds the Kraus operator
     sqrt(p_i) diag(u^(i))^dagger of the Schrodinger action. The
-    decomposition is verified against its own reconstruction of xi.
+    decomposition is verified against its own reconstruction of xi; each
+    ket, of squared norm within ``tol.tr`` of 1, is divided by its norm.
     """
-    xi = reconstruct_xi(dec)
-    _require_accepted(CorrelationMatrix(dec.dim, xi), dec, tol)  # kets: unit within tol.tr
-    env = np.zeros((dec.dim, max(dec.terms, 2)), dtype=complex)
-    env[:, : dec.terms] = _term_amplitudes(dec)
-    return Dilation(dim_sys=dec.dim, dim_env=env.shape[1], env_vectors=env)
+    _require_accepted(CorrelationMatrix(dec.dim, reconstruct_xi(dec)), dec, tol)
+    return _unit_dilation(_term_amplitudes(dec))
 
 
 def _measure_and_correct(
@@ -171,13 +168,9 @@ def _record_states(rho_m: np.ndarray, tol: ToleranceProfile):
     the last bit: the operand order and the 2-d product keep numpy on the same
     elementwise loops.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        dev = abs(rho_m - rho_m.conj().T).max()
-    if dev <= tol.herm:
-        vals = np.linalg.eigvalsh((rho_m + rho_m.conj().T) / 2)
-        low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
-    else:  # NaN and inf included: nothing is certified
-        low = norm = np.inf
+    dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
+    vals = np.linalg.eigvalsh((rho_m + rho_m.conj().T) / 2)
+    low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
     rounding = 64 * rho_m.shape[0] * np.finfo(float).eps * norm
     herm_bound, psd_bound = dev + rounding, low + rounding
 
@@ -232,7 +225,7 @@ def run_correction(
     return records, _check_recovery(recovered, rho, tol)
 
 
-def eraser_scenario(d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EraserScenario:
+def eraser_scenario(d: int) -> EraserScenario:
     """The d-dimensional quantum eraser.
 
     The probe registers the which-way index (U |k>(x)|0> = |k>(x)|k>,
@@ -241,10 +234,7 @@ def eraser_scenario(d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EraserScenar
     Z_j* up to phase; conjugating by Z_j restores any input state. Both the
     which-way record and the erasing measurement account for log2(d) bits.
     """
-    if d < 2:
-        raise BadDimension(f"eraser needs d >= 2, got {d}")
-    xi = validate_correlation(np.eye(d), tol)
-    ch = SchurChannel(xi)
+    d = _integer(d, 2, "eraser dimension d", BadDimension)
     # probe as register: e_k = |k>
     dil = Dilation(dim_sys=d, dim_env=d, env_vectors=np.eye(d, dtype=complex))
     k = np.arange(d)
@@ -253,7 +243,7 @@ def eraser_scenario(d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EraserScenar
     clock = decompose_identity_xi(d).phase_vectors  # row j = diagonal of Z_j
     return EraserScenario(
         dim=d,
-        channel=ch,
+        channel=SchurChannel(validate_correlation(np.eye(d))),  # xi = I passes every profile
         dilation=dil,
         povm=povm,
         correction_phases=clock,
@@ -295,12 +285,7 @@ def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     flat superpositions, a flat line for decohered states, and shifted
     fringes for clock-rotated subensembles. ``samples`` must be an integer >= 2.
     """
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise BadDimension(f"samples must be an integer, got {samples!r}") from None
-    if samples < 2:
-        raise BadDimension(f"need at least 2 samples, got {samples}")
+    samples = _integer(samples, 2, "samples", BadDimension)
     d = rho.dim
     thetas = 2.0 * np.pi * np.arange(samples) / samples
     # intensity(theta_s) = (1/d) sum_n t_n e^{2 pi i n s/S} with t_n = sum_{l-k=n} rho_kl;

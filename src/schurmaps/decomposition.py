@@ -17,7 +17,6 @@ import numpy as np
 from .channels import CorrelationMatrix
 from .dilation import kolmogorov_vectors
 from .errors import (
-    BadCount,
     BadDimension,
     DimensionMismatch,
     NoDecompositionFound,
@@ -30,6 +29,8 @@ from .numerics import (
     RANK_THRESHOLD,
     RESIDUAL_TOL,
     ToleranceProfile,
+    _entropy_bits,
+    _integer,
 )
 
 __all__ = [
@@ -68,15 +69,15 @@ class FlatDecomposition:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the numerical flat-vector search; both counts must be >= 1."""
+    """Knobs for the numerical flat-vector search: integers, both counts >= 1, seed >= 0."""
 
     restarts: int = 32
     max_iters: int = 5000
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise BadCount(f"need restarts, max_iters >= 1, got {self.restarts}, {self.max_iters}")
+        for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            _integer(getattr(self, name), least, name)
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,10 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
     Reconstructs xi = I exactly and attains the minimal weight entropy
     log2(d) for the instantaneous-decoherence channel.
     """
-    if d < 2:
-        raise BadDimension(f"need d >= 2, got {d}")
+    d = _integer(d, 2, "dimension d", BadDimension)
     k = np.arange(d)
     phases = np.exp(2j * np.pi * np.outer(k, k) / d)  # row j = Z_j diagonal
-    return FlatDecomposition(
-        dim=d, weights=np.full(d, 1.0 / d), phase_vectors=phases
-    )
+    return FlatDecomposition(dim=d, weights=np.full(d, 1.0 / d), phase_vectors=phases)
 
 
 def _unpack(x, m, d):
@@ -270,8 +268,7 @@ def verify_decomposition(
         flatness = float(abs(abs(dec.phase_vectors) ** 2 - 1.0).max())
         diagonal_dev = float(abs(recon.diagonal().real - 1.0).max())
         weight_dev = float(abs(dec.weights.sum() - 1.0))
-        p = dec.weights[dec.weights > 0]
-        entropy = float(-(p * np.log2(p)).sum())
+        entropy = _entropy_bits(dec.weights)
         ortho = dec.phase_vectors @ dec.phase_vectors.conj().T / dec.dim
     orthogonal = bool(np.max(np.abs(ortho - np.eye(dec.terms))) <= RESIDUAL_TOL)
     traces_ok = weight_dev <= tol.tr and flatness <= tol.tr and diagonal_dev <= tol.tr

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _read_only
 from .errors import DimensionMismatch, NotState, ShapeMismatch
-from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, hermitian_eig
+from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, _spectrum
 
 __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_state"]
 
@@ -68,7 +68,7 @@ class Dilation:
         return u
 
 
-def kolmogorov_vectors(xi: CorrelationMatrix, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def kolmogorov_vectors(xi: CorrelationMatrix) -> np.ndarray:
     """Unit vectors e_k (rows) whose Gram matrix <e_k|e_l> equals xi_kl,
     of dimension rank(xi).
 
@@ -76,33 +76,36 @@ def kolmogorov_vectors(xi: CorrelationMatrix, tol: ToleranceProfile = DEFAULT_TO
     conj(V) sqrt(Lam), keeping only eigenvalues above the rank threshold.
     With this index order the dilation reproduces the Schrodinger action
     xi^T o rho (for real xi both orders coincide). Deterministic thanks to
-    the eigensolver's phase convention.
+    the eigensolver's phase convention. ``xi`` is trusted: nothing is checked.
     """
-    res = hermitian_eig(xi.matrix, tol)
+    res = _spectrum(xi.matrix)
     keep = res.eigenvalues > RANK_THRESHOLD
     vals = res.eigenvalues[keep]
     vecs = res.eigenvectors[:, keep]
     return vecs.conj() * np.sqrt(vals)[None, :]
 
 
-def build_dilation(ch: SchurChannel, tol: ToleranceProfile = DEFAULT_TOL) -> Dilation:
+def _unit_dilation(kets: np.ndarray) -> Dilation:
+    """The dilation whose environment kets are the rows of ``kets`` divided by
+    their norms, zero-padded to an environment of dimension at least 2."""
+    d, r = kets.shape
+    env = np.zeros((d, max(r, 2)), dtype=complex)
+    env[:, :r] = kets / np.linalg.norm(kets, axis=1, keepdims=True)
+    return Dilation(dim_sys=d, dim_env=env.shape[1], env_vectors=env)
+
+
+def build_dilation(ch: SchurChannel) -> Dilation:
     """Spectral dilation of a Schur channel.
 
     The environment dimension is max(rank(xi), 2): a one-dimensional
     environment admits no nontrivial measurement, so a never-populated
     dimension is padded in to keep the correction machinery uniform.
     Each Kolmogorov ket is divided by its norm: the eigenvalues that
-    ``kolmogorov_vectors`` drops, negative ones down to -tol.psd included,
-    leave its squared norm off 1 by up to that much, and the dilation
-    needs unit kets.
+    ``kolmogorov_vectors`` drops, negative ones down to -psd of the
+    validating profile included, leave its squared norm off 1 by up to
+    that much, and the dilation needs unit kets.
     """
-    vecs = kolmogorov_vectors(ch.xi, tol)
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    d, r = vecs.shape
-    de = max(r, 2)
-    env = np.zeros((d, de), dtype=complex)
-    env[:, :r] = vecs
-    return Dilation(dim_sys=d, dim_env=de, env_vectors=env)
+    return _unit_dilation(kolmogorov_vectors(ch.xi))
 
 
 def evolve_joint(dil: Dilation, rho: DensityMatrix) -> np.ndarray:

@@ -18,7 +18,8 @@ from .numerics import (
     MAJORIZATION_SLACK,
     RANK_THRESHOLD,
     ToleranceProfile,
-    hermitian_eig,
+    _eigenvalues,
+    _entropy_bits,
     von_neumann_entropy,
 )
 
@@ -60,18 +61,16 @@ class EntropyProductionReport:
     satisfied: bool
 
 
-def entropy_exchange(
-    ch: SchurChannel, rho: DensityMatrix, tol: ToleranceProfile = DEFAULT_TOL
-) -> float:
+def entropy_exchange(ch: SchurChannel, rho: DensityMatrix) -> float:
     """Entropy exchange S(sqrt(rho_inf) xi sqrt(rho_inf)) in bits.
 
-    rho_inf is diagonal, so its square root is taken entrywise.
+    rho_inf is diagonal, so its square root is taken entrywise. The operator
+    is a congruence of the validated xi with trace Tr rho, so it is trusted.
     """
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
     sq = np.sqrt(np.clip(np.diag(rho.matrix).real, 0.0, None))
-    core = sq[:, None] * ch.xi.matrix * sq[None, :]
-    return von_neumann_entropy(core, tol)
+    return _entropy_bits(_eigenvalues(sq[:, None] * ch.xi.matrix * sq[None, :]))
 
 
 def entropy_exchange_from_decomposition(
@@ -98,8 +97,7 @@ def shannon_entropy(p, tol: ToleranceProfile = DEFAULT_TOL) -> float:
         raise NotDistribution(f"entries must be nonnegative numbers, smallest is {v.min()}")
     if not abs(v.sum() - 1.0) <= tol.tr:
         raise NotDistribution(f"entries sum to {v.sum()}, expected 1")
-    nz = v[v > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return _entropy_bits(v)
 
 
 def bounds_report(
@@ -113,9 +111,8 @@ def bounds_report(
     upper bound 2 log2 rank(xi) constrains only the minimum over
     decompositions and is reported informationally.
     """
-    d = ch.dim
-    s_low = von_neumann_entropy(ch.xi.matrix / d, tol)
-    rank = kolmogorov_vectors(ch.xi, tol).shape[1]
+    s_low = _entropy_bits(_eigenvalues(ch.xi.matrix / ch.dim))
+    rank = kolmogorov_vectors(ch.xi).shape[1]
     two_log_rank = 2.0 * float(np.log2(rank))
     h_p = lower_ok = upper_ok = None
     if dec is not None:
@@ -136,12 +133,12 @@ def bounds_report(
 def entropy_production_check(
     ch: SchurChannel, rho: DensityMatrix, tol: ToleranceProfile = DEFAULT_TOL
 ) -> EntropyProductionReport:
-    """Check |S(E(rho)) - S(rho)| <= S_ex(rho)."""
+    """Check |S(E(rho)) - S(rho)| <= S_ex(rho); E(rho) is validated under ``tol``."""
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
-    s_in = von_neumann_entropy(rho.matrix, tol)
-    s_out = von_neumann_entropy(apply_schrodinger(ch, rho, tol).matrix, tol)
-    s_ex = entropy_exchange(ch, rho, tol)
+    s_in = _entropy_bits(_eigenvalues(rho.matrix))
+    s_out = _entropy_bits(_eigenvalues(apply_schrodinger(ch, rho, tol).matrix))
+    s_ex = entropy_exchange(ch, rho)
     return EntropyProductionReport(
         entropy_in=s_in,
         entropy_out=s_out,
@@ -153,10 +150,8 @@ def entropy_production_check(
 def majorization_check(rho: DensityMatrix) -> bool:
     """True iff the diagonal of rho is majorized by its spectrum, within
     ``MAJORIZATION_SLACK``."""
-    diag = np.sort(np.diag(rho.matrix).real)[::-1]
-    spec = hermitian_eig(rho.matrix).eigenvalues
-    partial_diag = np.cumsum(diag)
-    partial_spec = np.cumsum(spec)
+    partial_diag = np.cumsum(np.sort(np.diag(rho.matrix).real)[::-1])
+    partial_spec = np.cumsum(_eigenvalues(rho.matrix)[::-1])
     if not abs(partial_diag[-1] - partial_spec[-1]) <= MAJORIZATION_SLACK:
         return False
     return bool(np.all(partial_diag <= partial_spec + MAJORIZATION_SLACK))

@@ -6,12 +6,13 @@ environment index fastest-varying; every module in the package follows this
 convention.
 """
 
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadTolerance, NotHermitian, NotPSD, NotSquare, NotState, ShapeMismatch
+from .errors import BadCount, BadTolerance, NotHermitian, NotPSD, NotSquare, NotState, ShapeMismatch
 
 __all__ = [
     "ToleranceProfile",
@@ -65,6 +66,17 @@ class HermitianEigenResult:
     eigenvectors: np.ndarray
 
 
+def _integer(value, least: int, what: str, error=BadCount) -> int:
+    """``value`` as an int if ``operator.index`` takes it and it is >= ``least``, else ``error``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise error(f"{what} must be {'nonnegative' if least == 0 else f'>= {least}'}, got {value}")
+    return value
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -87,9 +99,30 @@ def _hermitian_copy(a, tol: ToleranceProfile) -> np.ndarray:
     return m
 
 
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a trusted ``m``: nothing is checked."""
+    return np.linalg.eigvalsh((m + m.conj().T) / 2)
+
+
+def _spectrum(m: np.ndarray) -> HermitianEigenResult:
+    """:func:`hermitian_eig` of a matrix that is trusted: nothing is checked."""
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    anchors = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = vecs / (anchors / np.abs(anchors))[None, :]
+    return HermitianEigenResult(eigenvalues=vals, eigenvectors=vecs)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum(p log2 p) over the positive entries of ``p``: 0 log 0 = 0."""
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
 def _psd_eigenvalues(m: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian-checked matrix, or :class:`NotPSD`."""
-    vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    vals = _eigenvalues(m)
     if not vals[0] >= -tol.psd:
         raise NotPSD(float(vals[0]))
     return vals
@@ -112,14 +145,7 @@ def hermitian_eig(a, tol: ToleranceProfile = DEFAULT_TOL) -> HermitianEigenResul
     largest-modulus entry is real and positive, which makes downstream
     constructions (Kolmogorov vectors, dilations) deterministic.
     """
-    m = _hermitian_copy(a, tol)
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    anchors = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs = vecs / (anchors / np.abs(anchors))[None, :]
-    return HermitianEigenResult(eigenvalues=vals, eigenvectors=vecs)
+    return _spectrum(_hermitian_copy(a, tol))
 
 
 def schur_product(a, b) -> np.ndarray:
@@ -155,6 +181,4 @@ def von_neumann_entropy(rho, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     The input must be a valid state: Hermitian, PSD, and unit trace within
     the profile's tolerances.
     """
-    _, vals = _state_eigenvalues(rho, tol)
-    nz = vals[vals > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return _entropy_bits(_state_eigenvalues(rho, tol)[1])

@@ -124,6 +124,12 @@ class TestIterate:
         with pytest.raises(SchurMapsError):
             iterate(ch, random_density(rng, 2), -1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3", None])
+    def test_non_integral_count_rejected(self, rng, n):
+        ch = SchurChannel(random_correlation(rng, 2))
+        with pytest.raises(SchurMapsError):
+            iterate(ch, random_density(rng, 2), n)
+
     def test_decay_by_hand(self):
         ch = channel([[1, 0.5], [0.5, 1]])
         rho = DensityMatrix.pure([1, 1])

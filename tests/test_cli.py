@@ -91,6 +91,11 @@ class TestEvolve:
 
 
 class TestDecompose:
+    def test_negative_seed_exits_2(self, workdir, rng, capsys):
+        p = write_matrix(workdir / "xi.json", random_correlation(rng, 3).matrix, "correlation")
+        assert main(["--seed", "-1", "decompose", p]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_qubit_matches_closed_form(self, workdir, capsys):
         p = write_matrix(workdir / "xi.json", [[1, 0.6], [0.6, 1]], "correlation")
         assert main(["--json", "--out", "dec", "decompose", p]) == 0
@@ -294,3 +299,24 @@ class TestBadInput:
         xp = write_matrix(workdir / "xi.json", np.eye(3), "correlation")
         rp = write_matrix(workdir / "rho.json", np.eye(3) / 3, "state")
         assert main(["correct", xp, rp, "--dec", "dec.json"]) == 3
+
+
+class TestProfileAppliedOnce:
+    def test_loose_herm_xi_accepted_by_every_subcommand(self, workdir, rng):
+        # a 3e-9 anti-Hermitian part: rejected by the default herm = 1e-9, accepted under
+        # 1e-8 by validation, and then trusted by every step after it
+        xi = random_correlation(rng, 3).matrix.copy()
+        xi[0, 1] += 3e-9j
+        xp = write_matrix(workdir / "xi.json", xi, "correlation")
+        rp = write_matrix(workdir / "rho.json", random_density(rng, 3).matrix, "state")
+        serialize.save_json("tol.json", {"herm": 1e-8})
+        commands = [
+            ["validate", xp],
+            ["decompose", xp],
+            ["correct", xp, rp],
+            ["bounds", xp],
+            ["evolve", xp, rp, "3"],
+        ]
+        for argv in commands:
+            assert main(argv) == 2, argv
+            assert main(["--tol", "tol.json", "--out", "run"] + argv) == 0, argv

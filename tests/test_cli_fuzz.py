@@ -121,7 +121,7 @@ def _write(path, obj):
 def _argv(tmp, command, files, count, flags):
     """The command line for ``command`` over ``files`` written to ``tmp``."""
     xp, rp, dp, tp = (_write(os.path.join(tmp, f"{k}.json"), v) for k, v in files.items())
-    argv = ["--out", os.path.join(tmp, "run"), "--seed", str(count % 3)]
+    argv = ["--out", os.path.join(tmp, "run"), "--seed", str(count % 3 - 1)]
     if files["tol"] is not None:
         argv += ["--tol", tp]
     if flags & 1:

@@ -423,6 +423,13 @@ class TestEraser:
         with pytest.raises(BadDimension):
             eraser_scenario(1)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, "3"])
+    def test_non_integral_d_rejected(self, d):
+        with pytest.raises(BadDimension):
+            eraser_scenario(d)
+        with pytest.raises(BadDimension):
+            decompose_identity_xi(d)
+
     def test_which_way_readout_destroys_coherence(self, rng):
         scenario = eraser_scenario(3)
         rho = random_density(rng, 3)

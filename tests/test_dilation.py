@@ -191,7 +191,7 @@ class TestBuildDilation:
         s = 1 / np.sqrt(np.diag(xi).real)
         xi = validate_correlation(s[:, None] * xi * s[None, :], tol)
         assert np.linalg.eigvalsh(xi.matrix)[0] < -1e-7
-        dil = build_dilation(SchurChannel(xi), tol)
+        dil = build_dilation(SchurChannel(xi))
         u = dil.unitary
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-12
         gram = np.einsum("ka,la->kl", dil.env_vectors.conj(), dil.env_vectors)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmaps import (
+    DEFAULT_TOL,
     BadCount,
     BadTolerance,
     DensityMatrix,
@@ -18,11 +19,18 @@ from schurmaps import (
     ToleranceProfile,
     VerificationFailure,
     asymptotic_state,
+    bounds_report,
+    build_dilation,
     decompose_identity_xi,
     decompose_qubit,
     dilation_from_decomposition,
+    entropy_exchange,
+    entropy_production_check,
+    extremality_test,
     flat_search,
     hermitian_eig,
+    kolmogorov_vectors,
+    majorization_check,
     run_correction,
     shannon_entropy,
     validate_correlation,
@@ -115,10 +123,27 @@ class TestSettings:
     def test_zero_tolerance_is_allowed(self):
         assert ToleranceProfile(tr=0.0).tr == 0.0
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iters": 0}, {"restarts": -3}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"restarts": 0},
+            {"max_iters": 0},
+            {"restarts": -3},
+            {"restarts": 2.5},
+            {"max_iters": "5"},
+            {"max_iters": None},
+            {"seed": -1},
+            {"seed": 1.0},
+        ],
+    )
     def test_search_counts_must_be_positive(self, kwargs):
+        # restarts and max_iters are integers >= 1, the seed an integer >= 0
         with pytest.raises(BadCount):
             SearchConfig(**kwargs)
+
+    def test_search_accepts_numpy_integers(self):
+        config = SearchConfig(restarts=np.int64(2), max_iters=np.uint16(9), seed=np.int32(0))
+        assert (config.restarts, config.max_iters, config.seed) == (2, 9, 0)
 
 
 def scaled_clock(d, factor, u_factor=1.0):
@@ -137,23 +162,31 @@ class TestOneAcceptancePredicate:
         assert verify_decomposition(xi, scaled_clock(3, 1 + 3e-9), loose).accepted
 
     @staticmethod
-    def assert_callers_agree(dec, accepted):
-        """Verification, correction and dilation all accept ``dec``, or all reject it up front."""
+    def assert_callers_agree(dec, accepted, tol=DEFAULT_TOL):
+        """Verification, correction and dilation all accept ``dec`` under ``tol``, or all
+        reject it up front."""
         ch = SchurChannel(validate_correlation(np.eye(3)))
         rho = DensityMatrix.pure(np.ones(3))
-        assert verify_decomposition(ch.xi, dec).accepted == accepted
+        assert verify_decomposition(ch.xi, dec, tol).accepted == accepted
         if accepted:
-            run_correction(ch, dec, rho)
-            dilation_from_decomposition(dec)
+            run_correction(ch, dec, rho, tol)
+            kets = dilation_from_decomposition(dec, tol).env_vectors
+            assert np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) <= 1e-14
             return
         with pytest.raises(VerificationFailure):
-            run_correction(ch, dec, rho)
+            run_correction(ch, dec, rho, tol)
         with pytest.raises(VerificationFailure):
-            dilation_from_decomposition(dec)
+            dilation_from_decomposition(dec, tol)
 
     @pytest.mark.parametrize("factor, accepted", [(1 + 5e-10, True), (1 + 3e-9, False)])
     def test_callers_agree_with_verification(self, factor, accepted):
         self.assert_callers_agree(scaled_clock(3, factor), accepted)
+
+    def test_callers_agree_under_a_loose_trace_tolerance(self):
+        # weights summing to 1 + 5e-9: the dilation divides each ket by its norm
+        loose = ToleranceProfile(tr=1e-8)
+        self.assert_callers_agree(scaled_clock(3, 1 + 5e-9), True, loose)
+        self.assert_callers_agree(scaled_clock(3, 1 + 3e-8), False, loose)
 
     @pytest.mark.parametrize(
         "factor, u_factor, accepted",
@@ -195,3 +228,57 @@ class TestOneAcceptancePredicate:
             run_correction(ch, dec, DensityMatrix.pure([1, 1j]))
         with pytest.raises(VerificationFailure):
             dilation_from_decomposition(dec)
+
+
+LOOSE = ToleranceProfile(herm=1e-8, psd=1e-8)
+
+
+def loosely_hermitian(m):
+    """``m`` with a 3e-9 anti-Hermitian part: outside the default herm, inside LOOSE's.
+    Its Hermitian part moves by 1.5e-9, so a singular ``m`` needs LOOSE's psd as well."""
+    m = np.array(m, dtype=complex)
+    m[0, 1] += 3e-9j
+    return m
+
+
+class TestProfileAppliedOnce:
+    """A matrix is checked once, against the caller's profile, where it comes in;
+    every function that takes the validated object trusts it."""
+
+    def test_default_profile_rejects_the_inputs(self, rng):
+        with pytest.raises(SchurMapsError):
+            validate_correlation(loosely_hermitian(random_correlation(rng, 3).matrix))
+        with pytest.raises(SchurMapsError):
+            DensityMatrix.from_matrix(loosely_hermitian(random_density(rng, 3).matrix))
+
+    @pytest.mark.parametrize("d, rank", [(3, 3), (3, 2), (3, 1), (4, 2), (5, 2)])
+    def test_extremality_and_dilation_read_the_hermitian_part(self, rng, d, rank):
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        a = g @ g.conj().T
+        s = 1 / np.sqrt(np.diag(a).real)
+        m = loosely_hermitian(s[:, None] * a * s[None, :])
+        xi = validate_correlation(m, LOOSE)
+        hermitian = validate_correlation((m + m.conj().T) / 2, LOOSE)
+        assert np.array_equal(kolmogorov_vectors(xi), kolmogorov_vectors(hermitian))
+        ext = extremality_test(xi)
+        assert ext == extremality_test(hermitian)
+        assert np.array_equal(
+            build_dilation(SchurChannel(xi)).env_vectors,
+            build_dilation(SchurChannel(hermitian)).env_vectors,
+        )
+        assert bounds_report(SchurChannel(xi), tol=LOOSE).rank == ext.rank
+
+    def test_flat_search_on_a_loosely_validated_xi(self, rng):
+        xi = validate_correlation(loosely_hermitian(random_correlation(rng, 3).matrix), LOOSE)
+        dec = flat_search(xi, SearchConfig(restarts=8))
+        assert verify_decomposition(xi, dec, LOOSE).accepted
+        report = bounds_report(SchurChannel(xi), dec, LOOSE)
+        assert report.lower_bound_satisfied and report.upper_bound_satisfied
+
+    def test_state_functions_on_a_loosely_validated_state(self, rng):
+        for d in (2, 3, 5):
+            rho = DensityMatrix.from_matrix(loosely_hermitian(random_density(rng, d).matrix), LOOSE)
+            ch = SchurChannel(random_correlation(rng, d))
+            assert majorization_check(rho)
+            assert entropy_production_check(ch, rho, LOOSE).satisfied
+            assert 0 <= entropy_exchange(ch, rho) <= np.log2(d) + 1e-9

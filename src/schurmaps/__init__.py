@@ -62,7 +62,6 @@ from .errors import (
     SerializationError,
     ShapeMismatch,
     VerificationFailure,
-    WrongDimension,
 )
 from .infometrics import (
     BoundsReport,

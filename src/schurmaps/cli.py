@@ -14,13 +14,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .channels import (
-    DensityMatrix,
-    SchurChannel,
-    asymptotic_state,
-    iterate,
-    validate_correlation,
-)
+from .channels import DensityMatrix, SchurChannel, asymptotic_state, iterate
 from .correction import eraser_scenario, run_correction, run_eraser, screen_pattern
 from .decomposition import decompose, extremality_test, verify_decomposition
 from .errors import (
@@ -57,7 +51,7 @@ def _emit(args, obj, table_lines):
 
 
 def cmd_validate(args, tol: ToleranceProfile) -> int:
-    xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
+    xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     ch = SchurChannel(xi)
     ext = extremality_test(xi)
     obj = {
@@ -80,29 +74,27 @@ def cmd_validate(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_evolve(args, tol: ToleranceProfile) -> int:
-    xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
-    rho = DensityMatrix.from_matrix(serialize.load_matrix(args.rho)[1], tol)
+    xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
+    rho = serialize.density_from_dict(serialize.load_json(args.rho), tol)
     ch = SchurChannel(xi)
     prefix = args.out or "evolve"
     d = xi.dim
     pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
     final = iterate(ch, rho, args.n, tol)  # rejects a negative n before any file is written
-    rows = []
-    for n in range(args.n + 1):
-        state = iterate(ch, rho, n, tol)
-        rows.append([n] + [abs(state.matrix[k, l]) for k, l in pairs])
+    states = [iterate(ch, rho, n, tol) for n in range(args.n)] + [final]
     serialize.save_json(prefix + "_state.json", serialize.matrix_to_dict(final.matrix, "state"))
     csv_path = prefix + "_decay.csv"
-    with open(csv_path, "w") as f:
-        f.write("n," + ",".join(f"abs_rho_{k}_{l}" for k, l in pairs) + "\n")
-        for row in rows:
-            f.write(str(row[0]) + "," + ",".join(serialize.fmt(v) for v in row[1:]) + "\n")
+    serialize.write_csv(
+        csv_path,
+        ["n"] + [f"abs_rho_{k}_{l}" for k, l in pairs],
+        ([n] + [abs(s.matrix[k, l]) for k, l in pairs] for n, s in enumerate(states)),
+    )
     print(f"wrote {prefix}_state.json and {csv_path}")
     return EXIT_OK
 
 
 def cmd_decompose(args, tol: ToleranceProfile) -> int:
-    xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
+    xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     dec = decompose(xi, args.seed)
     report = verify_decomposition(xi, dec, tol)
     obj = {
@@ -126,8 +118,8 @@ def cmd_decompose(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_correct(args, tol: ToleranceProfile) -> int:
-    xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
-    rho = DensityMatrix.from_matrix(serialize.load_matrix(args.rho)[1], tol)
+    xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
+    rho = serialize.density_from_dict(serialize.load_json(args.rho), tol)
     ch = SchurChannel(xi)
     if args.dec:
         dec = serialize.decomposition_from_dict(serialize.load_json(args.dec))
@@ -162,18 +154,16 @@ def cmd_correct(args, tol: ToleranceProfile) -> int:
 def cmd_eraser(args, tol: ToleranceProfile) -> int:
     scenario = eraser_scenario(args.d)
     if args.state:
-        rho = DensityMatrix.from_matrix(serialize.load_matrix(args.state)[1], tol)
+        rho = serialize.density_from_dict(serialize.load_json(args.state), tol)
     else:
         rho = DensityMatrix.pure(np.ones(args.d))
     records, recovered = run_eraser(scenario, rho, tol)
-    decohered = asymptotic_state(rho)
+    screens = {"input": rho, "decohered": asymptotic_state(rho), "corrected": recovered}
+    patterns = {name: screen_pattern(s, args.samples) for name, s in screens.items()}
     prefix = args.out or "eraser"
-    p_in = screen_pattern(rho, args.samples)
-    p_dec = screen_pattern(decohered, args.samples)
-    p_cor = screen_pattern(recovered, args.samples)
-    serialize.pattern_to_csv(prefix + "_input.csv", p_in.thetas, p_in.intensities)
-    serialize.pattern_to_csv(prefix + "_decohered.csv", p_dec.thetas, p_dec.intensities)
-    serialize.pattern_to_csv(prefix + "_corrected.csv", p_cor.thetas, p_cor.intensities)
+    for name, p in patterns.items():
+        rows = zip(p.thetas, p.intensities)
+        serialize.write_csv(f"{prefix}_{name}.csv", ["theta", "intensity"], rows)
     probs = [r.probability for r in records]
     ledger = {
         "d": args.d,
@@ -182,9 +172,7 @@ def cmd_eraser(args, tol: ToleranceProfile) -> int:
         "info_extracted_bits": scenario.info_extracted_bits,
         "outcome_probabilities": probs,
         "outcome_entropy_bits": shannon_entropy(probs, tol),
-        "visibility_input": p_in.visibility,
-        "visibility_decohered": p_dec.visibility,
-        "visibility_corrected": p_cor.visibility,
+        **{f"visibility_{name}": p.visibility for name, p in patterns.items()},
     }
     serialize.save_json(prefix + "_ledger.json", ledger)
     print(
@@ -195,7 +183,7 @@ def cmd_eraser(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_bounds(args, tol: ToleranceProfile) -> int:
-    xi = validate_correlation(serialize.load_matrix(args.xi)[1], tol)
+    xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     ch = SchurChannel(xi)
     dec = None
     if args.dec:

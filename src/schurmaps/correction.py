@@ -235,8 +235,12 @@ def eraser_scenario(d: int) -> EraserScenario:
     which-way record and the erasing measurement account for log2(d) bits.
     """
     d = _integer(d, 2, "eraser dimension d", BadDimension)
+    try:  # numpy refuses a size past its index range before allocating anything
+        probe = np.eye(d, dtype=complex)
+    except ValueError as exc:
+        raise BadDimension(f"eraser dimension d = {d} is too large: {exc}") from None
     # probe as register: e_k = |k>
-    dil = Dilation(dim_sys=d, dim_env=d, env_vectors=np.eye(d, dtype=complex))
+    dil = Dilation(dim_sys=d, dim_env=d, env_vectors=probe)
     k = np.arange(d)
     fourier = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)  # row j = |e~_j>
     povm = EnvPovm(dim_env=d, effects=fourier)
@@ -287,7 +291,10 @@ def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     """
     samples = _integer(samples, 2, "samples", BadDimension)
     d = rho.dim
-    thetas = 2.0 * np.pi * np.arange(samples) / samples
+    try:  # numpy refuses a size past its index range before allocating anything
+        thetas = 2.0 * np.pi * np.arange(samples) / samples
+    except ValueError as exc:
+        raise BadDimension(f"samples = {samples} is too large: {exc}") from None
     # intensity(theta_s) = (1/d) sum_n t_n e^{2 pi i n s/S} with t_n = sum_{l-k=n} rho_kl;
     # the diagonal sums are taken mod S, so the sum is S/d times an inverse DFT
     k = np.arange(d)

@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     NoDecompositionFound,
     VerificationFailure,
-    WrongDimension,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -116,7 +115,7 @@ def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
     second weight vanishes (below ``NEGLIGIBLE``) and its term is dropped.
     """
     if xi.dim != 2:
-        raise WrongDimension(f"decompose_qubit needs d=2, got d={xi.dim}")
+        raise BadDimension(f"decompose_qubit needs d=2, got d={xi.dim}")
     c = xi.matrix[0, 1]
     weights = np.array([1.0 + abs(c), 1.0 - abs(c)]) / 2.0
     phase = np.exp(-1j * np.angle(c))
@@ -200,7 +199,7 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     """
     d = xi.dim
     if d < 2:
-        raise WrongDimension(f"need d >= 2, got {d}")
+        raise BadDimension(f"need d >= 2, got {d}")
     ext = extremality_test(xi)
     if ext.verdict is ExtremalityVerdict.EXTREMAL and ext.rank >= 2:
         raise NoDecompositionFound(np.inf, 0, extreme_rank=ext.rank)

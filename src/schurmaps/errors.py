@@ -42,10 +42,6 @@ class BadDiagonal(SchurMapsError):
         self.value = value
 
 
-class WrongDimension(SchurMapsError):
-    pass
-
-
 class BadDimension(SchurMapsError):
     pass
 

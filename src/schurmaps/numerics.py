@@ -6,6 +6,7 @@ environment index fastest-varying; every module in the package follows this
 convention.
 """
 
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ class ToleranceProfile:
     psd   - eigenvalues >= -psd are accepted as nonnegative (and clamped to 0)
     tr    - allowed deviation of a trace or a probability or weight sum from 1
 
-    The only tolerances a caller sets, each finite and >= 0; every other
-    acceptance bound is one of the fixed constants below.
+    The only tolerances a caller sets, each a real number (not a bool), finite
+    and >= 0; every other acceptance bound is one of the fixed constants below.
     """
 
     herm: float = 1e-9
@@ -44,8 +45,10 @@ class ToleranceProfile:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not 0 <= value <= sys.float_info.max:  # also rejects an int no double holds
-                raise BadTolerance(f"tolerance {name} must be finite and >= 0, got {value!r}")
+            # a bool or a string is no tolerance; the bound also rejects an int no double holds
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 <= value <= sys.float_info.max):
+                raise BadTolerance(f"tolerance {name} must be a finite real >= 0, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceProfile()

@@ -1,9 +1,10 @@
 """JSON and CSV envelopes shared by the library and the CLI.
 
-Matrix envelope: {"kind": "correlation"|"state"|"unitary"|"generic",
-"dim": d, "entries": [[re, im], ...]} with entries row-major. Floats pass
-through Python's shortest-roundtrip repr, so every file the library writes
-reads back bit-exactly.
+Matrix envelope: {"kind": "correlation"|"state", "dim": d, "entries":
+[[re, im], ...]} with entries row-major. The kind names the role: a file is
+read as a correlation matrix only if it says "correlation", and as a state
+only if it says "state". Floats pass through Python's shortest-roundtrip
+repr, so every file the library writes reads back bit-exactly.
 """
 
 import json
@@ -26,11 +27,11 @@ __all__ = [
     "correlation_from_dict",
     "decomposition_to_dict",
     "decomposition_from_dict",
-    "pattern_to_csv",
+    "write_csv",
     "fmt",
 ]
 
-MATRIX_KINDS = ("correlation", "state", "unitary", "generic")
+MATRIX_KINDS = ("correlation", "state")
 
 
 def fmt(x: float) -> str:
@@ -38,7 +39,7 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def matrix_to_dict(m, kind: str = "generic") -> dict:
+def matrix_to_dict(m, kind: str) -> dict:
     if kind not in MATRIX_KINDS:
         raise SerializationError(f"unknown matrix kind {kind!r}")
     mm = np.asarray(m, dtype=complex)
@@ -97,14 +98,19 @@ def load_matrix(path) -> tuple[str, np.ndarray]:
     return matrix_from_dict(load_json(path))
 
 
+def _matrix_of_kind(obj, kind: str) -> np.ndarray:
+    found, m = matrix_from_dict(obj)
+    if found != kind:
+        raise SerializationError(f"expected a {kind!r} matrix, got kind {found!r}")
+    return m
+
+
 def density_from_dict(obj, tol: ToleranceProfile = DEFAULT_TOL) -> DensityMatrix:
-    _, m = matrix_from_dict(obj)
-    return DensityMatrix.from_matrix(m, tol)
+    return DensityMatrix.from_matrix(_matrix_of_kind(obj, "state"), tol)
 
 
 def correlation_from_dict(obj, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationMatrix:
-    _, m = matrix_from_dict(obj)
-    return validate_correlation(m, tol)
+    return validate_correlation(_matrix_of_kind(obj, "correlation"), tol)
 
 
 def decomposition_to_dict(dec: FlatDecomposition) -> dict:
@@ -132,8 +138,9 @@ def decomposition_from_dict(obj) -> FlatDecomposition:
     return FlatDecomposition(dim=dim, weights=weights, phase_vectors=np.exp(1j * phases))
 
 
-def pattern_to_csv(path, thetas, intensities) -> None:
+def write_csv(path, header, rows) -> None:
+    """A comma-separated table: the ``header`` names, then each row's numbers in :func:`fmt`."""
     with open(path, "w") as f:
-        f.write("theta,intensity\n")
-        for t, i in zip(thetas, intensities):
-            f.write(f"{fmt(t)},{fmt(i)}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(fmt(x) for x in row) + "\n")

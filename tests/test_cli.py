@@ -194,6 +194,16 @@ class TestEraser:
     def test_d1_rejected(self, workdir):
         assert main(["eraser", "--d", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--d", str(10**20)], ["--d", "2", "--samples", str(10**20)]]
+    )
+    def test_size_numpy_refuses_exits_2_without_output(self, workdir, capsys, flags):
+        # 10**20 is past numpy's index range: refused before anything is allocated
+        assert main(["eraser"] + flags) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "too large" in lines[0], lines
+        assert list(workdir.iterdir()) == []
+
 
 class TestBounds:
     def test_identity_with_clock_dec(self, workdir, capsys):
@@ -242,6 +252,31 @@ class TestBadInput:
         assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
 
     @pytest.mark.parametrize(
+        "argv, wrong",
+        [
+            (["validate", "xi.json"], "xi"),
+            (["evolve", "xi.json", "rho.json", "2"], "xi"),
+            (["evolve", "xi.json", "rho.json", "2"], "rho"),
+            (["decompose", "xi.json"], "xi"),
+            (["correct", "xi.json", "rho.json"], "xi"),
+            (["correct", "xi.json", "rho.json"], "rho"),
+            (["bounds", "xi.json"], "xi"),
+            (["eraser", "--d", "2", "--state", "rho.json"], "rho"),
+        ],
+    )
+    def test_other_kind_exits_4_without_output(self, workdir, capsys, argv, wrong):
+        # each matrix is valid in the role it is read for; only the file's kind is wrong
+        kinds = {"xi": "correlation", "rho": "state"}
+        kinds[wrong] = {"xi": "state", "rho": "correlation"}[wrong]
+        write_matrix(workdir / "xi.json", np.eye(2), kinds["xi"])
+        write_matrix(workdir / "rho.json", np.eye(2) / 2, kinds["rho"])
+        assert main(["--out", "run"] + argv) == 4
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert not out and len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
+
+    @pytest.mark.parametrize(
         "field, dim",
         [("xi", "3.5"), ("xi", 1e400), ("xi", 2.7), ("dec", float("inf")), ("dec", 2.7)],
     )
@@ -277,7 +312,9 @@ class TestBadInput:
         assert main(["correct", xp, rp]) == 3
         assert "decomposition rejected" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("profile", [{"tr": float("nan")}, {"psd": -1.0}])
+    @pytest.mark.parametrize(
+        "profile", [{"tr": float("nan")}, {"psd": -1.0}, {"herm": True}, {"herm": "1e-9"}]
+    )
     def test_bad_tolerance_profile_exits_2(self, workdir, profile):
         serialize.save_json("tol.json", profile)
         xp = write_matrix(workdir / "xi.json", np.eye(2), "correlation")

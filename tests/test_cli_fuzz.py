@@ -69,13 +69,17 @@ def decomposition_doc(draw, d):
 
 
 def break_doc(draw, doc, d):
-    """``doc`` with one field broken: a bad or junk value, a lost key, the wrong size."""
+    """``doc`` with one field broken: a bad or junk value, a lost key, the wrong size,
+    or a matrix's kind swapped to the other role's."""
     doc = json.loads(json.dumps(doc))
     key = draw(st.sampled_from(sorted(doc)))
-    how = draw(st.sampled_from(["junk", "item", "dim", "drop", "resize", "whole"]))
+    how = draw(st.sampled_from(["junk", "item", "dim", "drop", "resize", "whole", "kind"]))
     if how == "whole":
         return draw(junk)
-    if how == "junk":
+    if how == "kind":
+        if "kind" in doc:
+            doc["kind"] = {"correlation": "state", "state": "correlation"}[doc["kind"]]
+    elif how == "junk":
         doc[key] = draw(junk)
     elif how == "item" and isinstance(doc[key], list) and doc[key]:
         i = draw(st.integers(0, len(doc[key]) - 1))

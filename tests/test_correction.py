@@ -423,6 +423,11 @@ class TestEraser:
         with pytest.raises(BadDimension):
             eraser_scenario(1)
 
+    def test_d_numpy_refuses_rejected(self):
+        # 10**20 is past numpy's index range: refused before anything is allocated
+        with pytest.raises(BadDimension, match="too large"):
+            eraser_scenario(10**20)
+
     @pytest.mark.parametrize("d", [2.5, 3.0, "3"])
     def test_non_integral_d_rejected(self, d):
         with pytest.raises(BadDimension):
@@ -477,6 +482,8 @@ class TestScreenPattern:
     def test_sample_count_guard(self):
         with pytest.raises(BadDimension):
             screen_pattern(DensityMatrix.pure([1, 1]), 1)
+        with pytest.raises(BadDimension, match="too large"):
+            screen_pattern(DensityMatrix.pure([1, 1]), 10**20)  # refused before allocating
 
     @pytest.mark.parametrize("samples", [0, -3, True, 2.5, 3.0, "3", None])
     def test_non_integral_or_small_samples_rejected(self, samples):

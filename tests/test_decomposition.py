@@ -7,8 +7,8 @@ from schurmaps import (
     FlatDecomposition,
     NoDecompositionFound,
     SchurChannel,
+    BadDimension,
     SearchConfig,
-    WrongDimension,
     apply_schrodinger,
     decompose,
     decompose_identity_xi,
@@ -93,7 +93,7 @@ class TestDecomposeQubit:
         assert np.allclose(dec.phase_vectors, [[1, 1]])
 
     def test_wrong_dimension(self):
-        with pytest.raises(WrongDimension):
+        with pytest.raises(BadDimension):
             decompose_qubit(validate_correlation(np.eye(3)))
 
     @pytest.mark.parametrize("c", [1e-8, 1e-9])

@@ -26,9 +26,24 @@ class TestMatrixEnvelope:
         with pytest.raises(SerializationError):
             serialize.matrix_to_dict(np.eye(2), "mystery")
 
+    @pytest.mark.parametrize("kind", ["unitary", "generic"])
+    def test_rejects_kinds_without_a_role(self, kind):
+        with pytest.raises(SerializationError):
+            serialize.matrix_to_dict(np.eye(2), kind)
+        with pytest.raises(SerializationError):
+            serialize.matrix_from_dict({"kind": kind, "dim": 1, "entries": [[1, 0]]})
+
+    def test_readers_require_their_own_kind(self):
+        eye = serialize.matrix_to_dict(np.eye(1), "correlation")
+        assert serialize.correlation_from_dict(eye).dim == 1
+        with pytest.raises(SerializationError, match="'state'"):
+            serialize.density_from_dict(eye)
+        with pytest.raises(SerializationError, match="'correlation'"):
+            serialize.correlation_from_dict(dict(eye, kind="state"))
+
     def test_rejects_bad_entry_count(self):
         with pytest.raises(SerializationError):
-            serialize.matrix_from_dict({"kind": "generic", "dim": 2, "entries": [[1, 0]]})
+            serialize.matrix_from_dict({"kind": "state", "dim": 2, "entries": [[1, 0]]})
 
     def test_rejects_malformed(self):
         with pytest.raises(SerializationError):
@@ -40,12 +55,12 @@ class TestMatrixEnvelope:
          {"entries": None}, {"entries": 5}, {"entries": [[10**400, 0]]}],
     )
     def test_rejects_malformed_fields(self, fields):
-        obj = dict({"kind": "generic", "dim": 1, "entries": [[1, 0]]}, **fields)
+        obj = dict({"kind": "state", "dim": 1, "entries": [[1, 0]]}, **fields)
         with pytest.raises(SerializationError):
             serialize.matrix_from_dict(obj)
 
     def test_integral_float_dim_accepted(self):
-        kind, m = serialize.matrix_from_dict({"kind": "generic", "dim": 1.0, "entries": [[2, 0]]})
+        kind, m = serialize.matrix_from_dict({"kind": "state", "dim": 1.0, "entries": [[2, 0]]})
         assert m.shape == (1, 1) and m[0, 0] == 2
 
 
@@ -79,13 +94,21 @@ class TestDecompositionEnvelope:
             serialize.decomposition_from_dict(obj)
 
 
-class TestPatternCsv:
+class TestWriteCsv:
     def test_format(self, tmp_path):
+        # the screen-pattern shape: two float columns
         path = tmp_path / "p.csv"
-        serialize.pattern_to_csv(path, [0.0, 0.1], [1.0, 0.3333333333333333])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "theta,intensity"
-        assert len(lines) == 3
-        theta, intensity = lines[2].split(",")
-        assert float(theta) == 0.1
-        assert float(intensity) == 0.3333333333333333
+        thetas, intensities = np.array([0.0, 0.1]), np.array([1.0, 1 / 3])
+        serialize.write_csv(path, ["theta", "intensity"], zip(thetas, intensities))
+        assert path.read_bytes() == (
+            b"theta,intensity\n0,1\n0.10000000000000001,0.33333333333333331\n"
+        )
+
+    def test_decay_table(self, tmp_path):
+        # the decay-table shape: an integer step count, then one magnitude per pair
+        path = tmp_path / "d.csv"
+        rows = [[0, 0.5, 0.25], [20, 2.0**-21, 0.0]]
+        serialize.write_csv(path, ["n", "abs_rho_0_1", "abs_rho_0_2"], rows)
+        assert path.read_bytes() == (
+            b"n,abs_rho_0_1,abs_rho_0_2\n0,0.5,0.25\n20,4.76837158203125e-07,0\n"
+        )

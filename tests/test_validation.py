@@ -115,7 +115,7 @@ class TestStates:
 
 class TestSettings:
     @pytest.mark.parametrize("field", ["herm", "psd", "tr"])
-    @pytest.mark.parametrize("value", [-1e-9, np.nan, np.inf])
+    @pytest.mark.parametrize("value", [-1e-9, np.nan, np.inf, True, "1e-9"])
     def test_tolerance_must_be_finite_and_nonnegative(self, field, value):
         with pytest.raises(BadTolerance):
             ToleranceProfile(**{field: value})

@@ -3,10 +3,14 @@
 A Schur channel is random-unitary iff its correlation matrix is a convex
 mixture of rank-one correlation matrices u u* with flat (all entries
 unimodular) vectors u; each flat vector encodes the diagonal unitary
-diag(u). Closed forms exist for d = 2 and for xi = I in any d; the general
-case is handled by a seeded numerical search. An extreme correlation matrix
-of rank >= 2 (possible only for d >= 4) has no flat decomposition; the Li-Tam
-test of :func:`extremality_test` certifies it, and the search refuses it.
+diag(u). Closed forms exist for d = 2 and for xi = I in any d. For d = 3
+an exact descent through the faces of the convex set finds one: by Li-Tam,
+a qutrit correlation matrix is extreme only at rank one, where it is a flat
+u u*, so every face of higher rank can be split in two faces of lower rank
+until only flat vectors are left. For d >= 4 a seeded numerical search takes
+over. An extreme correlation matrix of rank >= 2 (possible only for d >= 4)
+has no flat decomposition; the Li-Tam test of :func:`extremality_test`
+certifies it, and the search refuses it.
 """
 
 import enum
@@ -30,6 +34,7 @@ from .numerics import (
     ToleranceProfile,
     _entropy_bits,
     _integer,
+    _spectrum,
 )
 
 __all__ = [
@@ -233,12 +238,90 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     raise NoDecompositionFound(best_residual, config.restarts)
 
 
+def _null_direction(vecs: np.ndarray):
+    """A unit Hermitian r x r matrix H with e_k* H e_k = 0 for every row e_k of
+    ``vecs`` (d x r), or None when the outer products e_k e_k* span all r^2
+    Hermitian matrices (the Li-Tam count).
+
+    One SVD of the outer products' stacked real and imaginary parts gives
+    both: the singular values above ``RANK_THRESHOLD`` times the largest
+    count the dimension of the span, and the right singular vectors beyond
+    them encode matrices X = X_re + i X_im orthogonal to every e_k e_k*.
+    Since each e_k e_k* is Hermitian, so is the Hermitian part of X; the
+    largest of those parts, normalized, is H.
+    """
+    d, r = vecs.shape
+    outer = np.einsum("ka,kb->kab", vecs, vecs.conj()).reshape(d, r * r)
+    _, sv, vt = np.linalg.svd(np.hstack([outer.real, outer.imag]))
+    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+    if rank >= r * r:
+        return None
+    x = (vt[rank:, : r * r] + 1j * vt[rank:, r * r :]).reshape(-1, r, r)
+    herm = x + x.conj().transpose(0, 2, 1)
+    h = herm[np.argmax(np.linalg.norm(herm, axis=(1, 2)))]
+    return h / np.linalg.norm(h)
+
+
+def _descend(v: np.ndarray, weight: float):
+    """Yield the (weight, flat vector) terms of weight * V V*.
+
+    V (d x r) has orthogonal columns and V V* has unit diagonal. At r = 1 the
+    column is flat; it is returned with phases relative to its first entry.
+    Otherwise a unit Hermitian H with V_k H V_k* = 0 for every row k moves
+    V V* inside its face: V (I + t H) V* keeps the unit diagonal, and stays
+    positive for t between t- = -1/lambda_max(H) < 0 and t+ = -1/lambda_min(H)
+    > 0, where it loses rank. V V* is the mixture of the two ends with weights
+    w = -t-/(t+ - t-) and 1 - w, and each end is factored as V sqrt(I + t H)
+    restricted to its range (singular values squared above ``NEGLIGIBLE``).
+    """
+    if v.shape[1] == 1:
+        angle = np.angle(v[:, 0])
+        yield weight, np.exp(1j * (angle - angle[0]))
+        return
+    mu, q = np.linalg.eigh(_null_direction(v.conj()))
+    t = -1.0 / mu[[0, -1]]
+    w = -t[1] / (t[0] - t[1])
+    for tk, wk in zip(t, (w, 1.0 - w)):
+        end = (v @ q) * np.sqrt(np.maximum(1.0 + tk * mu, 0.0))
+        u, sv, _ = np.linalg.svd(end, full_matrices=False)
+        keep = sv * sv > NEGLIGIBLE
+        yield from _descend(u[:, keep] * sv[keep], weight * wk)
+
+
+def _face_descent(xi: CorrelationMatrix) -> FlatDecomposition:
+    """Exact flat decomposition of a qutrit xi by descent through faces.
+
+    Starts from the spectral factor V of :func:`kolmogorov_vectors` (up to
+    conjugation), so xi = V V*, and splits with :func:`_descend`. V keeps
+    every eigenvalue above ``NEGLIGIBLE``, not only those above the rank
+    threshold: dropping an eigenvalue lam would lower H(p) below its bound
+    S(xi/3) by up to about lam log2(1/lam). For d = 3 a face of rank r >= 2
+    is never extreme (Li-Tam: that needs r^2 <= d), so the direction H always
+    exists and each split lowers the rank: rank 3 ends in at most 4 terms,
+    rank 2 in 2. Terms are sorted by weight, descending and stable.
+    """
+    res = _spectrum(xi.matrix)
+    keep = res.eigenvalues > NEGLIGIBLE
+    v = res.eigenvectors[:, keep] * np.sqrt(res.eigenvalues[keep])
+    weights, vectors = map(np.array, zip(*_descend(v, 1.0)))
+    order = np.argsort(-weights, kind="stable")
+    return FlatDecomposition(dim=xi.dim, weights=weights[order], phase_vectors=vectors[order])
+
+
 def decompose(xi: CorrelationMatrix, seed=0) -> FlatDecomposition:
-    """Clock family for xi = I (within ``NEGLIGIBLE``), closed form for d = 2, else flat_search."""
+    """A flat decomposition of xi, by the first route that applies.
+
+    The clock family for xi = I (within ``NEGLIGIBLE``), the closed form for
+    d = 2, the exact face descent for d = 3, else :func:`flat_search` seeded
+    with ``seed``. ``seed`` must be a nonnegative integer on every route.
+    """
+    seed = _integer(seed, 0, "seed")
     if np.max(np.abs(xi.matrix - np.eye(xi.dim))) < NEGLIGIBLE:
         return decompose_identity_xi(xi.dim)
     if xi.dim == 2:
         return decompose_qubit(xi)
+    if xi.dim == 3:
+        return _face_descent(xi)
     return flat_search(xi, SearchConfig(seed=seed))
 
 
@@ -297,17 +380,12 @@ def extremality_test(xi: CorrelationMatrix) -> ExtremalityResult:
     xi is the Gram matrix of its Kolmogorov vectors e_k in C^r, r = rank(xi).
     It is extreme exactly when the d outer products e_k e_k* span all r x r
     Hermitian matrices, i.e. their real span has dimension r^2. That needs
-    r^2 <= d, so a larger rank is settled without an SVD; otherwise the real
-    and imaginary parts of the outer products are stacked and singular values
-    above ``RANK_THRESHOLD`` times the largest are counted. For d <= 3 this
-    is the rank-one rule.
+    r^2 <= d, so a larger rank is settled without an SVD; otherwise
+    :func:`_null_direction` counts the dimension of the span. For d <= 3
+    this is the rank-one rule.
     """
     vecs = kolmogorov_vectors(xi)
     d, r = vecs.shape
-    extreme = False
-    if r * r <= d:
-        outer = np.einsum("ka,kb->kab", vecs, vecs.conj()).reshape(d, r * r)
-        sv = np.linalg.svd(np.hstack([outer.real, outer.imag]), compute_uv=False)
-        extreme = int(np.sum(sv > RANK_THRESHOLD * sv[0])) == r * r
+    extreme = r * r <= d and _null_direction(vecs) is None
     verdict = ExtremalityVerdict.EXTREMAL if extreme else ExtremalityVerdict.NOT_EXTREMAL
     return ExtremalityResult(verdict=verdict, rank=r)

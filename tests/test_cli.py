@@ -96,6 +96,12 @@ class TestDecompose:
         assert main(["--seed", "-1", "decompose", p]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [[[1, 0.6], [0.6, 1]], np.eye(3)], ids=["qubit", "identity"])
+    def test_negative_seed_exits_2_on_every_route(self, workdir, capsys, m):
+        p = write_matrix(workdir / "xi.json", m, "correlation")
+        assert main(["--seed", "-1", "decompose", p]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_qubit_matches_closed_form(self, workdir, capsys):
         p = write_matrix(workdir / "xi.json", [[1, 0.6], [0.6, 1]], "correlation")
         assert main(["--json", "--out", "dec", "decompose", p]) == 0

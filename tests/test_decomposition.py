@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurmaps import (
+    DEFAULT_TOL,
     DensityMatrix,
     ExtremalityVerdict,
     FlatDecomposition,
@@ -240,11 +243,55 @@ class TestDecompose:
         assert np.array_equal(dec.phase_vectors, ref.phase_vectors)
 
     def test_other_inputs_take_the_seeded_search(self, rng):
-        xi = random_correlation(rng, 3)
+        xi = random_correlation(rng, 4)
         for seed in (0, 5):
             dec, ref = decompose(xi, seed=seed), flat_search(xi, SearchConfig(seed=seed))
             assert np.array_equal(dec.weights, ref.weights)
             assert np.array_equal(dec.phase_vectors, ref.phase_vectors)
+
+
+def no_search(*args):
+    raise AssertionError("the search ran")
+
+
+def shifted_gram(seed, r, shift) -> np.ndarray:
+    """(1 - shift) G + shift I for the Gram matrix G of r random unit vectors in C^3.
+
+    The diagonal stays 1 and, for r < 3, the least eigenvalue is ``shift``."""
+    rng = np.random.default_rng(seed)
+    return (1 - shift) * gram(random_vectors(rng, 3, r))[0] + shift * np.eye(3)
+
+
+class TestFaceDescent:
+    # shifts at, around and below RANK_THRESHOLD, and negative within the psd slack
+    SHIFTS = [0.0, 1e-14, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6, 1e-3, 0.2, -5e-10]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3), shift=st.sampled_from(SHIFTS))
+    def test_exact_and_short_on_random_qutrits(self, seed, r, shift):
+        xi = validate_correlation(shifted_gram(seed, r, shift))
+        dec = decompose(xi)
+        rank = r if shift <= 0 else 3  # of the matrix as built, before rounding
+        assert verify_decomposition(xi, dec).accepted
+        assert dec.terms <= 2 ** (rank - 1) <= 4
+        assert abs(dec.weights.sum() - 1.0) <= DEFAULT_TOL.tr
+        assert np.all(dec.phase_vectors[:, 0] == 1)
+        assert shannon_entropy(dec.weights) >= von_neumann_entropy(xi.matrix / 3) - 1e-9
+
+    def test_wishart_qutrits_take_the_descent(self, rng, monkeypatch):
+        monkeypatch.setattr(decomposition, "_polish", no_search)
+        for _ in range(50):
+            xi = random_correlation(rng, 3)
+            dec = decompose(xi, seed=3)
+            assert verify_decomposition(xi, dec).residual <= 1e-13
+            assert dec.terms == 4
+            assert np.all(np.diff(dec.weights) <= 0)
+
+    def test_determinism(self, rng):
+        for xi in (random_correlation(rng, 3), validate_correlation(shifted_gram(5, 2, 0.0))):
+            a, b = decompose(xi), decompose(xi, seed=9)
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.phase_vectors, b.phase_vectors)
 
 
 class TestVerifyDecomposition:

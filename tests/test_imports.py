@@ -1,8 +1,9 @@
 """The import boundary: scipy is loaded only by the flat search.
 
-One fresh interpreter imports the package, runs the five subcommands that
-need no search on d = 3 files, then ``decompose``, and reports which scipy
-modules were loaded at each point.
+One fresh interpreter imports the package, runs every subcommand on d = 3
+files (a qutrit is decomposed by the exact face descent, with no search),
+then ``decompose`` on a d = 4 file that only the search decomposes, and
+reports which scipy modules were loaded at each point.
 """
 
 import json
@@ -42,9 +43,18 @@ report["codes"] = [
     run("correct", "xi.json", "rho.json", "--dec", "dec.json"),
     run("bounds", "xi.json", "dec.json"),
     run("eraser", "--d", "4"),
+    run("decompose", "xi.json"),
+    run("correct", "xi.json", "rho.json"),
 ]
 report["after_commands"] = scipy_modules()
-report["decompose_code"] = run("decompose", "xi.json")
+# neither the identity nor Toeplitz: no closed form applies at d = 4
+phases4 = np.array([
+    [0.0, 0.4, 1.9, -2.2], [0.0, 2.5, -1.2, 0.8], [0.0, -0.7, 0.3, 2.9],
+    [0.0, 1.3, -2.6, 0.1], [0.0, -1.9, 2.2, -0.5],
+])
+dec4 = FlatDecomposition(4, np.array([0.3, 0.25, 0.2, 0.15, 0.1]), np.exp(1j * phases4))
+serialize.save_json("xi4.json", serialize.matrix_to_dict(reconstruct_xi(dec4), "correlation"))
+report["decompose_code"] = run("decompose", "xi4.json")
 report["optimize_loaded"] = "scipy.optimize" in sys.modules
 print(json.dumps(report))
 """
@@ -58,7 +68,7 @@ def test_scipy_loaded_only_by_the_search(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["after_import"] == []
-    assert report["codes"] == [0, 0, 0, 0, 0]
+    assert report["codes"] == [0] * 7
     assert report["after_commands"] == []
     assert report["decompose_code"] == 0
     assert report["optimize_loaded"]

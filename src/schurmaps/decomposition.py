@@ -106,9 +106,14 @@ class ExtremalityResult:
     rank: int
 
 
+def _mix(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_i p_i u_i u_i* for weights p and vectors u (rows), as one matrix product."""
+    return (u.T * p) @ u.conj()
+
+
 def reconstruct_xi(dec: FlatDecomposition) -> np.ndarray:
     """sum_i p_i u_i u_i*, the correlation matrix the decomposition encodes."""
-    return np.einsum("i,ik,il->kl", dec.weights, dec.phase_vectors, dec.phase_vectors.conj())
+    return _mix(dec.weights, dec.phase_vectors)
 
 
 def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
@@ -141,6 +146,9 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
     return FlatDecomposition(dim=d, weights=np.full(d, 1.0 / d), phase_vectors=phases)
 
 
+_LBFGS_MEMORY = 10  # steps the search's L-BFGS remembers, scipy's default
+
+
 def _unpack(x, m, d):
     """Flat vectors (rows) and weights from the search parameters.
 
@@ -149,52 +157,92 @@ def _unpack(x, m, d):
     softmax.
     """
     n_theta = m * (d - 1)
-    theta = np.zeros((m, d))
-    theta[:, 1:] = x[:n_theta].reshape(m, d - 1)
-    s = x[n_theta:] - np.max(x[n_theta:])
-    es = np.exp(s)
-    return np.exp(1j * theta), es / es.sum()
+    u = np.ones((m, d), dtype=complex)
+    u[:, 1:] = np.exp(1j * x[:n_theta].reshape(m, d - 1))
+    es = np.exp(x[n_theta:] - np.max(x[n_theta:]))
+    return u, es / es.sum()
 
 
 def _objective(x: np.ndarray, xi: np.ndarray, m: int, d: int):
     """Squared Frobenius residual and its analytic gradient in the parameters
     of :func:`_unpack`."""
     u, p = _unpack(x, m, d)
-    recon = np.einsum("i,ik,il->kl", p, u, u.conj())
-    r = xi - recon
-    f = float(np.sum(np.abs(r) ** 2))
-    g = u @ r.T  # g[i, k] = (r @ u_i)[k] since r is Hermitian
-    grad_theta = 4.0 * p[:, None] * np.imag(np.conj(g) * u)
-    quad = np.real(np.sum(np.conj(u) * g, axis=1))
-    grad_p = -2.0 * quad
-    grad_s = p * (grad_p - float(p @ grad_p))
-    grad = np.concatenate([grad_theta[:, 1:].ravel(), grad_s])
-    return f, grad
+    r = xi - _mix(p, u)
+    h = u.conj() * (u @ r.T)  # h[i, k] = conj(u_ik) (r u_i)_k since r is Hermitian
+    grad_theta = -4.0 * p[:, None] * h.imag[:, 1:]
+    grad_p = -2.0 * h.real.sum(axis=1)
+    grad_s = p * (grad_p - p @ grad_p)
+    return float(np.vdot(r, r).real), np.concatenate([grad_theta.ravel(), grad_s])
 
 
 def _polish(x0, xi, m, d, max_iters):
-    # Imported here, not at module level: scipy.optimize costs more than the
-    # rest of ``import schurmaps`` and only the flat search needs it.
-    from scipy.optimize import minimize
+    """Minimize :func:`_objective` from x0 by L-BFGS; returns (x, f).
 
-    res = minimize(
-        _objective,
-        x0,
-        args=(xi, m, d),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iters, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    return res.x, float(res.fun)
+    Directions come from the two-loop recursion (Nocedal 1980) over the last
+    ``_LBFGS_MEMORY`` steps; with none stored, from the Polyak step
+    -g f / |g|^2 (the zero of f's linear model), which sizes the first step,
+    and the first after pruning, to the distance from a zero residual. The
+    step length is bisected, or doubled while the slope stays steep, until
+    it meets the strong Wolfe conditions with c1 = 1e-4 and c2 = 0.5; the
+    line search, more exact than at the usual c2 = 0.9, lets more restarts
+    converge on rank-deficient xi. Stops after ``max_iters`` iterations, at
+    max |g| <= 1e-14, after a step that lowers f by at most
+    1e-18 max(|f|, |f_new|, 1), or when 20 trial steps fail.
+    """
+    x = x0
+    f, g = _objective(x, xi, m, d)
+    steps = []  # (s, y, 1 / (s . y)) of the last _LBFGS_MEMORY steps, oldest first
+    for _ in range(max_iters):
+        if np.max(np.abs(g)) <= 1e-14:
+            break
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(steps):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if steps:
+            _, y, rho = steps[-1]
+            q /= rho * (y @ y)  # H0 = (s . y) / (y . y) I of the newest step
+        else:
+            q *= f / (g @ g)
+        for (s, y, rho), a in zip(steps, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        slope = -(g @ q)
+        if not slope < 0 and steps:  # only rounding turns the direction uphill
+            steps.clear()
+            continue
+        t, lo, hi = 1.0, 0.0, np.inf
+        for _ in range(20):
+            x_new = x - t * q
+            f_new, g_new = _objective(x_new, xi, m, d)
+            slope_new = -(g_new @ q)
+            if not f_new <= f + 1e-4 * t * slope or slope_new > -0.5 * slope:
+                hi = t
+            elif slope_new < 0.5 * slope:
+                lo = t
+            else:
+                break
+            t = 2.0 * t if hi == np.inf else (lo + hi) / 2.0
+        else:
+            break
+        small = f - f_new <= 1e-18 * max(abs(f), abs(f_new), 1.0)
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0:
+            steps = steps[1 - _LBFGS_MEMORY :] + [(s, y, 1.0 / sy)]
+        x, f, g = x_new, f_new, g_new
+        if small:
+            break
+    return x, f
 
 
 def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) -> FlatDecomposition:
     """Seeded numerical search for a flat decomposition of a correlation matrix.
 
     Minimizes the squared Frobenius residual over phase angles and softmax
-    weights with analytic gradients, restarting from fresh random points
-    until the residual meets ``RESIDUAL_TOL``, with d^2 - d + 1 terms (the
-    Caratheodory bound). Terms with weight below 1e-6
+    weights by L-BFGS (:func:`_polish`, with analytic gradients), restarting
+    from fresh random points until the residual meets ``RESIDUAL_TOL``, with
+    d^2 - d + 1 terms (the Caratheodory bound). Terms with weight below 1e-6
     are pruned and the survivors re-polished. Deterministic under a fixed
     seed. Raises :class:`NoDecompositionFound` (carrying the best residual)
     when every restart fails -- an expected outcome for some d >= 4 inputs --

@@ -179,6 +179,15 @@ class TestFlatSearch:
         assert exc.value.best_residual > 0
         assert exc.value.restarts == 1
 
+    def test_rank_two_input_is_pruned_to_two_terms(self):
+        # the search polishes 13 terms; it returns 2 only through the block that
+        # prunes weights below 1e-6 and polishes the survivors again
+        u = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, size=(2, 4)))
+        xi = validate_correlation((u.T * np.array([0.6, 0.4])) @ u.conj())
+        dec = flat_search(xi, SearchConfig(restarts=4, max_iters=1000))
+        assert verify_decomposition(xi, dec).accepted
+        assert dec.terms == 2
+
     @pytest.mark.parametrize("d", [4, 5])
     def test_certified_extreme_input_is_refused_without_search(self, rng, monkeypatch, d):
         def no_polish(*args):

@@ -1,9 +1,9 @@
-"""The import boundary: scipy is loaded only by the flat search.
+"""The package runs on numpy alone: nothing loads scipy.
 
 One fresh interpreter imports the package, runs every subcommand on d = 3
 files (a qutrit is decomposed by the exact face descent, with no search),
-then ``decompose`` on a d = 4 file that only the search decomposes, and
-reports which scipy modules were loaded at each point.
+then ``decompose`` on a d = 4 file that only the flat search decomposes,
+and reports which scipy modules were loaded at each point.
 """
 
 import json
@@ -55,12 +55,12 @@ phases4 = np.array([
 dec4 = FlatDecomposition(4, np.array([0.3, 0.25, 0.2, 0.15, 0.1]), np.exp(1j * phases4))
 serialize.save_json("xi4.json", serialize.matrix_to_dict(reconstruct_xi(dec4), "correlation"))
 report["decompose_code"] = run("decompose", "xi4.json")
-report["optimize_loaded"] = "scipy.optimize" in sys.modules
+report["after_search"] = scipy_modules()
 print(json.dumps(report))
 """
 
 
-def test_scipy_loaded_only_by_the_search(tmp_path):
+def test_nothing_loads_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path)],
         env=src_env(), capture_output=True, text=True, timeout=120,
@@ -71,4 +71,4 @@ def test_scipy_loaded_only_by_the_search(tmp_path):
     assert report["codes"] == [0] * 7
     assert report["after_commands"] == []
     assert report["decompose_code"] == 0
-    assert report["optimize_loaded"]
+    assert report["after_search"] == []

@@ -7,7 +7,7 @@ fully described by a correlation matrix xi (PSD, unit diagonal): it acts as
 standard basis here.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .errors import BadDiagonal, NotState
 from .numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _eigenvalues,
     _hermitian_copy,
     _integer,
     _psd_eigenvalues,
@@ -50,19 +51,33 @@ class DensityMatrix:
 
     dim: int
     matrix: np.ndarray
+    # not an init field, so dataclasses.replace never carries it to another matrix
+    _eigvals: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def _eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the Hermitian part (read-only), to the bit
+        ``_eigenvalues(matrix)``: carried from the solve of :meth:`from_matrix`, or
+        for a directly built state solved on first read."""
+        if self._eigvals is None:
+            object.__setattr__(self, "_eigvals", _read_only(_eigenvalues(self.matrix)))
+        return self._eigvals
 
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
-        """Validate ``m`` as a state; the state holds a read-only copy of it."""
-        mm, _ = _state_eigenvalues(m, tol)
-        return cls(dim=mm.shape[0], matrix=_read_only(mm))
+        """Validate ``m`` as a state; the state holds a read-only copy of it and
+        carries the eigenvalues the validation solved."""
+        mm, vals = _state_eigenvalues(m, tol)
+        state = cls(dim=mm.shape[0], matrix=_read_only(mm))
+        object.__setattr__(state, "_eigvals", _read_only(vals))
+        return state
 
     @classmethod
     def _certified(cls, m: np.ndarray) -> "DensityMatrix":
-        """A state of a complex matrix (flagged read-only) that the caller has
-        proven to pass :meth:`from_matrix`; nothing is checked here. The matrix
-        is a row of a fresh batch array that no caller holds."""
-        return cls(dim=m.shape[0], matrix=_read_only(m))
+        """A state of a read-only complex matrix that the caller has proven to pass
+        :meth:`from_matrix`; nothing is checked or copied here. The matrix is a row
+        of a fresh batch array, flagged read-only as a whole, that no caller holds."""
+        return cls(dim=m.shape[0], matrix=m)
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":

@@ -82,13 +82,14 @@ def cmd_evolve(args, tol: ToleranceProfile) -> int:
     final = iterate(ch, rho, args.n, tol)  # rejects a negative n before any file is written
     serialize.save_json(prefix + "_state.json", serialize.matrix_to_dict(final.matrix, "state"))
     csv_path = prefix + "_decay.csv"
-    # |rho_kl(n)| read from the products iterate validates, without validating
-    # each state; abs per scalar, since numpy's array abs can differ in the last bit
-    products = (np.power(xi.matrix.T, n) * rho.matrix for n in range(args.n + 1))
+    # |rho_kl(n)| of the written entries, read from the products iterate validates,
+    # without validating each state; abs per scalar, since numpy's array abs can
+    # differ in the last bit
+    xi_t, rho_kl = xi.matrix.T[k, l], rho.matrix[k, l]
     serialize.write_csv(
         csv_path,
         ["n"] + [f"abs_rho_{a}_{b}" for a, b in zip(k, l)],
-        ([n] + [abs(z) for z in m[k, l]] for n, m in enumerate(products)),
+        ([n] + [abs(z) for z in np.power(xi_t, n) * rho_kl] for n in range(args.n + 1)),
     )
     print(f"wrote {prefix}_state.json and {csv_path}")
     return EXIT_OK

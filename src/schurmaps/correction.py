@@ -114,7 +114,7 @@ def dilation_from_decomposition(
 
 def _measure_and_correct(
     c: np.ndarray,
-    heralded_phases: np.ndarray | None,
+    heralded_phases: np.ndarray,
     rho: DensityMatrix,
     tol: ToleranceProfile,
 ):
@@ -126,50 +126,49 @@ def _measure_and_correct(
     closed form, without the joint unitary. ``heralded_phases[i]`` is the
     diagonal of the unitary W_i heralded by outcome i; the correction
     conjugates by its inverse, which turns c_i into g_i = conj(W_i) c_i.
-    ``heralded_phases=None`` means nothing is undone: g_i = c_i, and each
-    record's corrected state is its conditional state, the same object.
     Returns (records, recovered) with the recovered state
     sum_i rho o (g_i g_i*) = rho o (G G*), unnormalized-summed over outcomes.
     """
     if rho.dim != c.shape[0]:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {c.shape[0]}")
     rho_m = rho.matrix
-    g = c if heralded_phases is None else heralded_phases.conj().T * c  # column i = g_i
+    g = heralded_phases.conj().T * c  # column i = g_i
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
     p = probs[kept]
-    states = _record_states(rho_m, tol)
-    conditional = states(c[:, kept], p)
-    corrected = conditional if heralded_phases is None else states(g[:, kept], p)
+    states = _record_states(rho, tol)
     records = [
         CorrectionOutcomeRecord(int(i), float(p_i), cond, corr)
-        for i, p_i, cond, corr in zip(kept, p, conditional, corrected)
+        for i, p_i, cond, corr in zip(kept, p, states(c[:, kept], p), states(g[:, kept], p))
     ]
     return records, rho_m * (g @ g.conj().T)
 
 
-def _record_states(rho_m: np.ndarray, tol: ToleranceProfile):
+def _record_states(rho: DensityMatrix, tol: ToleranceProfile):
     """The builder ``states(a, p)`` of the record states rho o (a_i a_i*)/p_i of one
     input, for the amplitude columns a_i of ``a`` (d x n) and their probabilities p.
 
     A record is D rho D*/p with D = diag(a). With F = max_k |a_k|^2/p, its
     Hermitian deviation is at most F times rho's, and its least eigenvalue is
-    at least F min(0, lam_min(rho)) (Ostrowski). So one eigensolve of rho
-    certifies every record whose two bounds, widened by the rounding of the
-    record's entries and of both eigensolves, stay within half of tol.herm and
-    tol.psd, and whose trace passes the very test of ``from_matrix``. A
-    certified record provably passes the full check and skips its eigensolve;
-    any other record takes the full check.
+    at least F min(0, lam_min(rho)) (Ostrowski). So rho's spectrum, which the
+    state carries from its validation, certifies every record whose two
+    bounds, widened by the rounding of the record's entries and of both
+    eigensolves, stay within half of tol.herm and tol.psd, and whose trace
+    passes the very test of ``from_matrix``. A certified record provably
+    passes the full check and skips its eigensolve; any other record takes
+    the full check.
 
     The n records of a call are built in one pass: one (n, d^2) batch of outer
-    products, one product with rho, one division, one array of F and traces. A
-    certified record is a read-only row of that batch. Each entry is the very
-    expression ``rho_m * np.outer(a, a.conj()) / p`` of one record at a time, to
-    the last bit: the operand order and the 2-d product keep numpy on the same
-    elementwise loops.
+    products, one product with rho, one division, one array of F and traces.
+    The batch is then flagged read-only, and a certified record is a row of
+    it, a read-only view, through :meth:`DensityMatrix._certified`. Each entry
+    is the very expression ``rho_m * np.outer(a, a.conj()) / p`` of one record
+    at a time, to the last bit: the operand order and the 2-d product keep
+    numpy on the same elementwise loops.
     """
+    rho_m = rho.matrix
     dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
-    vals = np.linalg.eigvalsh((rho_m + rho_m.conj().T) / 2)
+    vals = rho._eigenvalues
     low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
     rounding = 64 * rho_m.shape[0] * np.finfo(float).eps * norm
     herm_bound, psd_bound = dev + rounding, low + rounding
@@ -180,6 +179,7 @@ def _record_states(rho_m: np.ndarray, tol: ToleranceProfile):
         outer = rows[:, :, None] * rows.conj()[:, None, :]
         m = (rho_m.reshape(1, d * d) * outer.reshape(n, d * d)).reshape(n, d, d)
         m /= p[:, None, None]
+        m.flags.writeable = False
         f = (np.abs(rows) ** 2).max(axis=1) / p
         ok = (
             (f * herm_bound <= tol.herm / 2)
@@ -269,14 +269,28 @@ def run_eraser(
     return records, _check_recovery(recovered, rho, tol)
 
 
-def which_way_readout(scenario: EraserScenario, rho: DensityMatrix, tol=DEFAULT_TOL):
+def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
     """Measure the probe in the register basis instead of erasing.
 
     Outcome k occurs with probability rho_kk and leaves the system in |k><k|:
-    the coherences are irreversibly destroyed in every subensemble.
+    the coherences are irreversibly destroyed in every subensemble. Closed
+    form: the probe registers the path (e_k = |k>), so the records are the
+    exact one-hot states, one read-only batch, and nothing is simulated.
+    Nothing is undone, so each record holds one state object as both its
+    conditional and its corrected state.
     """
-    # register outcome i has amplitudes c_ki = <i|e_k>, the env kets; nothing is undone
-    records, _ = _measure_and_correct(scenario.dilation.env_vectors, None, rho, tol)
+    d = scenario.dim
+    if rho.dim != d:
+        raise DimensionMismatch(f"state dim {rho.dim} != system dim {d}")
+    probs = np.diag(rho.matrix).real
+    kept = np.flatnonzero(probs >= NEGLIGIBLE)
+    states = np.zeros((kept.size, d, d), dtype=complex)
+    states[np.arange(kept.size), kept, kept] = 1.0
+    states.flags.writeable = False
+    records = []
+    for k, m in zip(kept, states):
+        state = DensityMatrix._certified(m)
+        records.append(CorrectionOutcomeRecord(int(k), float(probs[k]), state, state))
     return records
 
 

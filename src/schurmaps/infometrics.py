@@ -136,8 +136,8 @@ def entropy_production_check(
     """Check |S(E(rho)) - S(rho)| <= S_ex(rho); E(rho) is validated under ``tol``."""
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
-    s_in = _entropy_bits(_eigenvalues(rho.matrix))
-    s_out = _entropy_bits(_eigenvalues(apply_schrodinger(ch, rho, tol).matrix))
+    s_in = _entropy_bits(rho._eigenvalues)
+    s_out = _entropy_bits(apply_schrodinger(ch, rho, tol)._eigenvalues)
     s_ex = entropy_exchange(ch, rho)
     return EntropyProductionReport(
         entropy_in=s_in,
@@ -151,7 +151,7 @@ def majorization_check(rho: DensityMatrix) -> bool:
     """True iff the diagonal of rho is majorized by its spectrum, within
     ``MAJORIZATION_SLACK``."""
     partial_diag = np.cumsum(np.sort(np.diag(rho.matrix).real)[::-1])
-    partial_spec = np.cumsum(_eigenvalues(rho.matrix)[::-1])
+    partial_spec = np.cumsum(rho._eigenvalues[::-1])
     if not abs(partial_diag[-1] - partial_spec[-1]) <= MAJORIZATION_SLACK:
         return False
     return bool(np.all(partial_diag <= partial_spec + MAJORIZATION_SLACK))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,14 @@ from schurmaps import (
     apply_schrodinger,
     asymptotic_state,
     choi_operator,
+    eraser_scenario,
     hermitian_eig,
     iterate,
     jamiolkowski_operator,
+    run_eraser,
     validate_correlation,
 )
+from schurmaps.numerics import _eigenvalues
 from conftest import random_correlation, random_density
 
 
@@ -186,6 +191,60 @@ class TestAsymptoticState:
     def test_definition(self):
         rho = DensityMatrix.from_matrix([[0.7, 0.3], [0.3, 0.3]])
         assert np.allclose(asymptotic_state(rho).matrix, np.diag([0.7, 0.3]))
+
+
+class TestCarriedSpectrum:
+    """A state carries the ascending eigenvalues of its Hermitian part."""
+
+    @staticmethod
+    def assert_carried(state):
+        vals = state._eigenvalues
+        expected = _eigenvalues(state.matrix)
+        assert vals.dtype == expected.dtype and vals.tobytes() == expected.tobytes()
+        assert state._eigenvalues is vals
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_from_matrix_carries_its_solve(self, rng, d):
+        # within the Hermitian tolerance, so the Hermitian part differs from the matrix
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        m = m / np.trace(m).real + 1e-10j * np.eye(d)
+        state = DensityMatrix.from_matrix(m)
+        assert state._eigvals is not None
+        self.assert_carried(state)
+
+    def test_built_states_solve_on_first_read(self, rng):
+        rho = random_density(rng, 4)
+        records, _ = run_eraser(eraser_scenario(4), rho)
+        built = [
+            DensityMatrix.pure(rng.normal(size=4) + 1j * rng.normal(size=4)),
+            asymptotic_state(rho),
+            DensityMatrix(4, np.array(rho.matrix)),
+            records[0].conditional_state,
+        ]
+        for state in built:
+            assert state._eigvals is None
+            self.assert_carried(state)
+
+    def test_caller_array_changes_nothing(self, rng):
+        m = random_density(rng, 3).matrix.copy()
+        state = DensityMatrix.from_matrix(m)
+        matrix, vals = state.matrix.copy(), state._eigenvalues.copy()
+        m[:] = np.eye(3)
+        assert np.array_equal(state.matrix, matrix)
+        assert np.array_equal(state._eigenvalues, vals)
+
+    def test_repr_equality_and_replace_ignore_it(self, rng):
+        state = DensityMatrix.from_matrix(random_density(rng, 3).matrix)
+        bare = DensityMatrix(state.dim, state.matrix)
+        assert state == bare
+        assert repr(state) == repr(bare)
+        assert "_eigvals" not in repr(state)
+        other = dataclasses.replace(state, matrix=np.eye(3, dtype=complex) / 3)
+        assert other._eigvals is None
+        self.assert_carried(other)
 
 
 class TestChoiJamiolkowski:

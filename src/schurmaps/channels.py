@@ -18,6 +18,7 @@ from .numerics import (
     _eigenvalues,
     _hermitian_copy,
     _integer,
+    _numbers,
     _psd_eigenvalues,
     _state_eigenvalues,
     schur_product,
@@ -82,7 +83,7 @@ class DensityMatrix:
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
         """|v><v| / <v|v> (read-only) for a nonzero vector with finite entries."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = _numbers(vector, complex, NotState).reshape(-1)
         norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:
             raise NotState(f"a pure state needs a nonzero finite vector, got norm {norm}")

@@ -24,7 +24,9 @@ from .decomposition import (
     reconstruct_xi,
 )
 from .dilation import Dilation, _unit_dilation
-from .errors import BadDimension, DimensionMismatch, RecoveryFailure, VerificationFailure
+from .errors import (
+    BadDimension, DimensionMismatch, RecoveryFailure, ShapeMismatch, VerificationFailure
+)
 from .numerics import DEFAULT_TOL, NEGLIGIBLE, RESIDUAL_TOL, ToleranceProfile, _integer
 
 __all__ = [
@@ -49,6 +51,8 @@ class EnvPovm:
     def check_complete(self) -> None:
         """Raise :class:`VerificationFailure` unless the effects sum to I within DEFAULT_TOL.tr,
         the condition that outcome probabilities sum to 1 for every state."""
+        if np.shape(self.effects)[1:] != (self.dim_env,):
+            raise ShapeMismatch(f"effects must have shape (outcomes, {self.dim_env})")
         s = np.einsum("ia,ib->ab", self.effects, self.effects.conj())
         if not np.max(np.abs(s - np.eye(self.dim_env))) <= DEFAULT_TOL.tr:
             raise VerificationFailure("POVM effects do not sum to the identity")
@@ -126,6 +130,8 @@ def _measure_and_correct(
     closed form, without the joint unitary. ``heralded_phases[i]`` is the
     diagonal of the unitary W_i heralded by outcome i; the correction
     conjugates by its inverse, which turns c_i into g_i = conj(W_i) c_i.
+    Kept outcome i's c_i and g_i are scaled once by 1/sqrt(p_i), rows i and
+    n + i of one batch, so every record is rho o (b b*), with no division.
     Returns (records, recovered) with the recovered state
     sum_i rho o (g_i g_i*) = rho o (G G*), unnormalized-summed over outcomes.
     """
@@ -135,63 +141,56 @@ def _measure_and_correct(
     g = heralded_phases.conj().T * c  # column i = g_i
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
-    p = probs[kept]
-    states = _record_states(rho, tol)
+    p, n = probs[kept], kept.size
+    b = np.concatenate((c[:, kept].T, g[:, kept].T)) * np.tile(1.0 / np.sqrt(p), 2)[:, None]
+    states = _record_states(rho, b, tol)
     records = [
         CorrectionOutcomeRecord(int(i), float(p_i), cond, corr)
-        for i, p_i, cond, corr in zip(kept, p, states(c[:, kept], p), states(g[:, kept], p))
+        for i, p_i, cond, corr in zip(kept, p, states[:n], states[n:])
     ]
     return records, rho_m * (g @ g.conj().T)
 
 
-def _record_states(rho: DensityMatrix, tol: ToleranceProfile):
-    """The builder ``states(a, p)`` of the record states rho o (a_i a_i*)/p_i of one
-    input, for the amplitude columns a_i of ``a`` (d x n) and their probabilities p.
+def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> list[DensityMatrix]:
+    """The record states rho o (b_i b_i*) of one input, one per row b_i of ``b``.
 
-    A record is D rho D*/p with D = diag(a). With F = max_k |a_k|^2/p, its
-    Hermitian deviation is at most F times rho's, and its least eigenvalue is
-    at least F min(0, lam_min(rho)) (Ostrowski). So rho's spectrum, which the
-    state carries from its validation, certifies every record whose two
-    bounds, widened by the rounding of the record's entries and of both
-    eigensolves, stay within half of tol.herm and tol.psd, and whose trace
-    passes the very test of ``from_matrix``. A certified record provably
-    passes the full check and skips its eigensolve; any other record takes
-    the full check.
+    A record is D rho D* with D = diag(b_i). With F = max_k |b_k|^2, its
+    Hermitian deviation is at most F times rho's and its least eigenvalue at
+    least F min(0, lam_min(rho)) (Ostrowski), for the rounded b as it is. So
+    rho's carried spectrum certifies every record whose two bounds, widened
+    by rounding, stay within half of tol.herm and tol.psd, and whose trace
+    passes the very test of ``from_matrix``; any other record takes the full
+    check. Each entry b_k conj(b_l) rho_kl takes two roundings of a product
+    at most F norm(rho), and each eigensolve errs by about d eps times its
+    matrix's norm: F 64 d eps norm(rho) covers all three, and the other half
+    of each tolerance covers the rounding of F.
 
-    The n records of a call are built in one pass: one (n, d^2) batch of outer
-    products, one product with rho, one division, one array of F and traces.
-    The batch is then flagged read-only, and a certified record is a row of
-    it, a read-only view, through :meth:`DensityMatrix._certified`. Each entry
-    is the very expression ``rho_m * np.outer(a, a.conj()) / p`` of one record
-    at a time, to the last bit: the operand order and the 2-d product keep
-    numpy on the same elementwise loops.
+    The batch of outer products is multiplied by rho in place, as a 2-d
+    product, and flagged read-only; a certified record is a read-only row of
+    it, through :meth:`DensityMatrix._certified`. Each entry is, to the last
+    bit, ``np.outer(b_i, b_i.conj()) * rho_m`` of one record at a time: the
+    operand order and the 2-d product keep numpy on the same elementwise loops.
     """
     rho_m = rho.matrix
     dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
     vals = rho._eigenvalues
     low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
     rounding = 64 * rho_m.shape[0] * np.finfo(float).eps * norm
-    herm_bound, psd_bound = dev + rounding, low + rounding
-
-    def states(a: np.ndarray, p: np.ndarray) -> list[DensityMatrix]:
-        d, n = a.shape
-        rows = np.ascontiguousarray(a.T)  # row i = a_i
-        outer = rows[:, :, None] * rows.conj()[:, None, :]
-        m = (rho_m.reshape(1, d * d) * outer.reshape(n, d * d)).reshape(n, d, d)
-        m /= p[:, None, None]
-        m.flags.writeable = False
-        f = (np.abs(rows) ** 2).max(axis=1) / p
-        ok = (
-            (f * herm_bound <= tol.herm / 2)
-            & (f * psd_bound <= tol.psd / 2)
-            & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
-        )
-        return [
-            DensityMatrix._certified(m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
-            for i in range(n)
-        ]
-
-    return states
+    n, d = b.shape
+    m = (b[:, :, None] * b.conj()[:, None, :]).reshape(n, d * d)
+    m *= rho_m.reshape(1, d * d)
+    m = m.reshape(n, d, d)
+    m.flags.writeable = False
+    f = (np.abs(b) ** 2).max(axis=1)
+    ok = (
+        (f * (dev + rounding) <= tol.herm / 2)
+        & (f * (low + rounding) <= tol.psd / 2)
+        & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
+    )
+    return [
+        DensityMatrix._certified(m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
+        for i in range(n)
+    ]
 
 
 def _check_recovery(recovered, rho, tol) -> DensityMatrix:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _read_only
 from .errors import DimensionMismatch, NotState, ShapeMismatch
-from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, _spectrum
+from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, _numbers, _spectrum
 
 __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_state"]
 
@@ -33,7 +33,7 @@ class Dilation:
     env_vectors: np.ndarray  # shape (dim_sys, dim_env)
 
     def __post_init__(self):
-        env = np.array(self.env_vectors, dtype=complex)
+        env = _numbers(self.env_vectors, complex, ShapeMismatch).copy()
         if env.shape != (self.dim_sys, self.dim_env):
             raise ShapeMismatch(
                 f"env_vectors of shape {env.shape}, expected ({self.dim_sys}, {self.dim_env})"

@@ -20,6 +20,7 @@ from .numerics import (
     ToleranceProfile,
     _eigenvalues,
     _entropy_bits,
+    _numbers,
     von_neumann_entropy,
 )
 
@@ -92,7 +93,7 @@ def entropy_exchange_from_decomposition(
 
 def shannon_entropy(p, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Shannon entropy of a probability vector, in bits."""
-    v = np.asarray(p, dtype=float)
+    v = _numbers(p, float, NotDistribution)
     if not np.all(v >= 0):
         raise NotDistribution(f"entries must be nonnegative numbers, smallest is {v.min()}")
     if not abs(v.sum() - 1.0) <= tol.tr:

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCount, BadTolerance, NotHermitian, NotPSD, NotSquare, NotState, ShapeMismatch
+from .errors import (
+    BadCount,
+    BadDimension,
+    BadTolerance,
+    NotHermitian,
+    NotPSD,
+    NotSquare,
+    NotState,
+    ShapeMismatch,
+)
 
 __all__ = [
     "ToleranceProfile",
@@ -80,8 +89,19 @@ def _integer(value, least: int, what: str, error=BadCount) -> int:
     return value
 
 
+def _numbers(a, dtype, error) -> np.ndarray:
+    """``a`` as an array of ``dtype``, or ``error`` where numpy cannot convert it:
+    a string, a ragged list, a complex number where a real is asked for."""
+    try:
+        if dtype is float and np.iscomplexobj(a):  # numpy would drop the imaginary parts
+            raise TypeError("complex entries where real ones are expected")
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise error(f"expected an array of numbers: {exc}") from None
+
+
 def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    m = _numbers(a, complex, ShapeMismatch)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d array, got shape {m.shape}")
     return m
@@ -161,6 +181,8 @@ def schur_product(a, b) -> np.ndarray:
 
 def _joint_blocks(m, dim_sys: int, dim_env: int) -> np.ndarray:
     """A system (x) environment matrix as the 4-index array [k, a, l, b]."""
+    dim_sys = _integer(dim_sys, 1, "dim_sys", BadDimension)
+    dim_env = _integer(dim_env, 1, "dim_env", BadDimension)
     mm = _as_matrix(m)
     n = dim_sys * dim_env
     if mm.shape != (n, n):

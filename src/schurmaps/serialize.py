@@ -15,7 +15,7 @@ import numpy as np
 from .channels import CorrelationMatrix, DensityMatrix, validate_correlation
 from .decomposition import FlatDecomposition
 from .errors import SerializationError
-from .numerics import DEFAULT_TOL, ToleranceProfile
+from .numerics import DEFAULT_TOL, ToleranceProfile, _numbers
 
 __all__ = [
     "matrix_to_dict",
@@ -28,21 +28,15 @@ __all__ = [
     "decomposition_to_dict",
     "decomposition_from_dict",
     "write_csv",
-    "fmt",
 ]
 
 MATRIX_KINDS = ("correlation", "state")
 
 
-def fmt(x: float) -> str:
-    """17 significant digits: enough to round-trip any double."""
-    return format(float(x), ".17g")
-
-
 def matrix_to_dict(m, kind: str) -> dict:
     if kind not in MATRIX_KINDS:
         raise SerializationError(f"unknown matrix kind {kind!r}")
-    mm = np.asarray(m, dtype=complex)
+    mm = _numbers(m, complex, SerializationError)
     if mm.ndim != 2 or mm.shape[0] != mm.shape[1]:
         raise SerializationError(f"expected a square matrix, got shape {mm.shape}")
     entries = [[z.real, z.imag] for z in mm.reshape(-1)]
@@ -139,8 +133,9 @@ def decomposition_from_dict(obj) -> FlatDecomposition:
 
 
 def write_csv(path, header, rows) -> None:
-    """A comma-separated table: the ``header`` names, then each row's numbers in :func:`fmt`."""
+    """A comma-separated table: the ``header`` names, then each row's numbers to 17
+    significant digits (``%.17g``), enough to round-trip any double."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(x) for x in row) + "\n")
+        f.writelines(line % tuple(row) for row in rows)

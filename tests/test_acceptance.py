@@ -3,6 +3,7 @@ pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_criterion_07_decay_law(tmp_path, monkeypatch):
         "rho.json", serialize.matrix_to_dict(np.full((2, 2), 0.5), "state")
     )
     assert cli_main(["--out", "run", "evolve", "xi.json", "rho.json", "30"]) == 0
-    rows = [line.split(",") for line in open("run_decay.csv").read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path("run_decay.csv").read_text().splitlines()[1:]]
     n = np.array([int(r[0]) for r in rows])
     mag = np.array([float(r[1]) for r in rows])
     slope = np.polyfit(n, np.log2(mag), 1)[0]
@@ -247,7 +248,7 @@ def test_criterion_09_visibility_dichotomy(tmp_path, monkeypatch):
 
     def visibility(path):
         vals = np.array(
-            [float(line.split(",")[1]) for line in open(path).read().splitlines()[1:]]
+            [float(line.split(",")[1]) for line in Path(path).read_text().splitlines()[1:]]
         )
         return (vals.max() - vals.min()) / (vals.max() + vals.min())
 

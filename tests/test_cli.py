@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestEvolve:
         rp = write_matrix(workdir / "rho.json", rho, "state")
         assert main(["--out", "run", "evolve", xp, rp, "20"]) == 0
         rows = [
-            line.split(",") for line in open("run_decay.csv").read().splitlines()[1:]
+            line.split(",") for line in Path("run_decay.csv").read_text().splitlines()[1:]
         ]
         n = np.array([int(r[0]) for r in rows])
         mag = np.array([float(r[1]) for r in rows])
@@ -189,7 +190,7 @@ class TestEraser:
         assert ledger["visibility_corrected"] == pytest.approx(1.0, abs=1e-9)
         assert ledger["outcome_entropy_bits"] == pytest.approx(1.0, abs=1e-10)
         for name in ("er_input.csv", "er_decohered.csv", "er_corrected.csv"):
-            assert len(open(name).read().splitlines()) == 361
+            assert len(Path(name).read_text().splitlines()) == 361
 
     def test_ledger_log_d(self, workdir):
         assert main(["--out", "er", "eraser", "--d", "5"]) == 0

@@ -98,16 +98,17 @@ def reference_measure_and_correct(c, heralded_phases, rho, tol):
     rho_m = rho.matrix
     g = heralded_phases.conj().T * c
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
+
+    def state(a, p):
+        b = a * (1.0 / np.sqrt(p))
+        return DensityMatrix.from_matrix(np.outer(b, b.conj()) * rho_m, tol)
+
     records = [
         CorrectionOutcomeRecord(
             outcome_index=i,
             probability=float(p),
-            conditional_state=DensityMatrix.from_matrix(
-                rho_m * np.outer(c[:, i], c[:, i].conj()) / p, tol
-            ),
-            corrected_state=DensityMatrix.from_matrix(
-                rho_m * np.outer(g[:, i], g[:, i].conj()) / p, tol
-            ),
+            conditional_state=state(c[:, i], p),
+            corrected_state=state(g[:, i], p),
         )
         for i, p in enumerate(probs)
         if p >= NEGLIGIBLE
@@ -252,8 +253,8 @@ class TestRecordCertificate:
                 assert r.corrected_state is r.conditional_state
 
     def test_batch_memory(self, rng):
-        # at its peak a d = 32 eraser call holds at most two (outcomes x d^2) complex
-        # buffers beyond the records and recovered state it returns
+        # at its peak a d = 32 eraser call holds at most one (outcomes x d^2) complex
+        # buffer beyond the records and recovered state it returns
         d = 32
         scenario = eraser_scenario(d)
         rho = random_density(rng, d)
@@ -265,7 +266,7 @@ class TestRecordCertificate:
         finally:
             tracemalloc.stop()
         assert len(out[0]) == d
-        assert peak - current <= 2 * d * d * d * np.dtype(complex).itemsize
+        assert peak - current <= d * d * d * np.dtype(complex).itemsize
 
     def test_eigensolves_per_call(self, rng, monkeypatch):
         # a validated state carries its spectrum, which certifies the records of a

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from schurmaps import (
     DEFAULT_TOL,
     BadCount,
+    BadDimension,
     BadTolerance,
     DensityMatrix,
+    Dilation,
+    EnvPovm,
     FlatDecomposition,
+    NotDistribution,
     NotState,
     SchurChannel,
     SchurMapsError,
     SearchConfig,
+    SerializationError,
+    ShapeMismatch,
     ToleranceProfile,
     VerificationFailure,
     asymptotic_state,
@@ -31,7 +37,11 @@ from schurmaps import (
     hermitian_eig,
     kolmogorov_vectors,
     majorization_check,
+    partial_trace_env,
+    partial_trace_sys,
     run_correction,
+    schur_product,
+    serialize,
     shannon_entropy,
     validate_correlation,
     verify_decomposition,
@@ -84,6 +94,47 @@ def test_one_non_finite_entry_is_always_rejected(d, seed, k, l, bad, bad_real, m
             call(arg)
 
 
+RAGGED = [[1, 0], [0]]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: validate_correlation("ab"), ShapeMismatch, id="xi-str"),
+        pytest.param(lambda: validate_correlation(RAGGED), ShapeMismatch, id="xi-ragged"),
+        pytest.param(lambda: DensityMatrix.from_matrix("ab"), ShapeMismatch, id="rho-str"),
+        pytest.param(lambda: DensityMatrix.from_matrix(RAGGED), ShapeMismatch, id="rho-ragged"),
+        pytest.param(lambda: hermitian_eig(RAGGED), ShapeMismatch, id="eig-ragged"),
+        pytest.param(lambda: schur_product("ab", [[1]]), ShapeMismatch, id="schur-str"),
+        pytest.param(lambda: von_neumann_entropy(RAGGED), ShapeMismatch, id="entropy-ragged"),
+        pytest.param(lambda: Dilation(2, 2, "ab"), ShapeMismatch, id="dilation-str"),
+        pytest.param(lambda: shannon_entropy(["a"]), NotDistribution, id="shannon-str"),
+        pytest.param(lambda: shannon_entropy([1j]), NotDistribution, id="shannon-complex"),
+        pytest.param(
+            lambda: shannon_entropy(np.array([0.5 + 1j, 0.5])),
+            NotDistribution,
+            id="shannon-complex-array",
+        ),
+        pytest.param(
+            lambda: serialize.matrix_to_dict("abc", "state"), SerializationError, id="to-dict-str"
+        ),
+        pytest.param(lambda: partial_trace_env(np.eye(2), 0, 2), BadDimension, id="ptr-env-0"),
+        pytest.param(lambda: partial_trace_sys(np.eye(2), -1, -2), BadDimension, id="ptr-sys-neg"),
+        pytest.param(
+            lambda: partial_trace_env(np.zeros((0, 0)), 0, 0), BadDimension, id="ptr-env-empty"
+        ),
+        pytest.param(
+            lambda: EnvPovm(2, np.eye(3)).check_complete(), ShapeMismatch, id="povm-columns"
+        ),
+        pytest.param(lambda: EnvPovm(2, np.ones(2)).check_complete(), ShapeMismatch, id="povm-1d"),
+    ],
+)
+def test_malformed_input_raises_library_error(call, error):
+    # never numpy's ValueError or TypeError, nor a returned value
+    with pytest.raises(error):
+        call()
+
+
 class TestStates:
     def test_from_matrix_copies_the_callers_array(self):
         m = np.full((2, 2), 0.5, dtype=complex)
@@ -103,7 +154,7 @@ class TestStates:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1.0
 
-    @pytest.mark.parametrize("vector", [[0, 0], [np.nan, 1], [np.inf, 0], []])
+    @pytest.mark.parametrize("vector", [[0, 0], [np.nan, 1], [np.inf, 0], [], "ab"])
     def test_pure_rejects_zero_and_non_finite_vectors(self, vector):
         with pytest.raises(NotState):
             DensityMatrix.pure(vector)

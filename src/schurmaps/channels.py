@@ -74,13 +74,6 @@ class DensityMatrix:
         return state
 
     @classmethod
-    def _certified(cls, m: np.ndarray) -> "DensityMatrix":
-        """A state of a read-only complex matrix that the caller has proven to pass
-        :meth:`from_matrix`; nothing is checked or copied here. The matrix is a row
-        of a fresh batch array, flagged read-only as a whole, that no caller holds."""
-        return cls(dim=m.shape[0], matrix=m)
-
-    @classmethod
     def pure(cls, vector) -> "DensityMatrix":
         """|v><v| / <v|v> (read-only) for a nonzero vector with finite entries."""
         v = _numbers(vector, complex, NotState).reshape(-1)

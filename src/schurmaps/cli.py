@@ -101,7 +101,7 @@ def cmd_decompose(args, tol: ToleranceProfile) -> int:
     report = verify_decomposition(xi, dec, tol)
     obj = {
         "decomposition": serialize.decomposition_to_dict(dec),
-        "verification": {k: v for k, v in vars(report).items() if k != "orthogonality_matrix"},
+        "verification": vars(report),
     }
     if args.out:
         serialize.save_json(args.out + "_decomposition.json", obj["decomposition"])

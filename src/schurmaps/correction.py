@@ -4,7 +4,8 @@ The loop: dilate the channel so the environment records which diagonal
 unitary acted, measure the environment with a rank-one POVM that reveals
 the index, and undo that unitary on the system. The d-dimensional quantum
 eraser is the flagship instance (instantaneous decoherence, Fourier
-measurement on the probe, clock-unitary corrections).
+measurement on the probe, clock-unitary corrections): the same loop in the
+frame of the clock decomposition.
 """
 
 from dataclasses import dataclass
@@ -116,29 +117,25 @@ def dilation_from_decomposition(
     return _unit_dilation(_term_amplitudes(dec))
 
 
-def _measure_and_correct(
-    c: np.ndarray,
-    heralded_phases: np.ndarray,
-    rho: DensityMatrix,
-    tol: ToleranceProfile,
-):
-    """Project the environment on each effect and undo the heralded unitary.
+def _correct(dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile):
+    """Measure the environment of :func:`dilation_from_decomposition` in its
+    computational basis and undo the heralded unitary; returns (records, recovered).
 
     The joint state after the dilation is rho_kl |k><l| (x) |e_k><e_l|, so
-    projecting the environment on |v_i> leaves rho o (c_i c_i*) with the
-    outcome amplitudes c_ik = <v_i|e_k>, column i of ``c`` (d x outcomes):
-    closed form, without the joint unitary. ``heralded_phases[i]`` is the
-    diagonal of the unitary W_i heralded by outcome i; the correction
-    conjugates by its inverse, which turns c_i into g_i = conj(W_i) c_i.
-    Kept outcome i's c_i and g_i are scaled once by 1/sqrt(p_i), rows i and
-    n + i of one batch, so every record is rho o (b b*), with no division.
-    Returns (records, recovered) with the recovered state
-    sum_i rho o (g_i g_i*) = rho o (G G*), unnormalized-summed over outcomes.
+    outcome i leaves rho o (c_i c_i*) with c_i column i of
+    :func:`_term_amplitudes`: closed form, without the joint unitary. Outcome
+    i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action; conjugating
+    by U_i turns c_i into g_i = u^(i) o c_i. Kept outcome i's c_i and g_i are
+    scaled once by 1/sqrt(p_i), rows i and n + i of one batch, so every record
+    is rho o (b b*), with no division. The recovered state
+    sum_i rho o (g_i g_i*) = rho o (G G*) must reproduce rho within
+    ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`.
     """
-    if rho.dim != c.shape[0]:
-        raise DimensionMismatch(f"state dim {rho.dim} != system dim {c.shape[0]}")
+    if rho.dim != dec.dim:
+        raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
     rho_m = rho.matrix
-    g = heralded_phases.conj().T * c  # column i = g_i
+    c = _term_amplitudes(dec)  # column i = c_i
+    g = dec.phase_vectors.T * c  # column i = g_i
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
     p, n = probs[kept], kept.size
@@ -148,7 +145,11 @@ def _measure_and_correct(
         CorrectionOutcomeRecord(int(i), float(p_i), cond, corr)
         for i, p_i, cond, corr in zip(kept, p, states[:n], states[n:])
     ]
-    return records, rho_m * (g @ g.conj().T)
+    recovered = rho_m * (g @ g.conj().T)
+    residual = float(np.linalg.norm(recovered - rho_m))
+    if not residual <= RESIDUAL_TOL:
+        raise RecoveryFailure(residual)
+    return records, DensityMatrix.from_matrix(recovered, tol)
 
 
 def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> list[DensityMatrix]:
@@ -167,9 +168,9 @@ def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> 
 
     The batch of outer products is multiplied by rho in place, as a 2-d
     product, and flagged read-only; a certified record is a read-only row of
-    it, through :meth:`DensityMatrix._certified`. Each entry is, to the last
-    bit, ``np.outer(b_i, b_i.conj()) * rho_m`` of one record at a time: the
-    operand order and the 2-d product keep numpy on the same elementwise loops.
+    it, built directly. Each entry is, to the last bit,
+    ``np.outer(b_i, b_i.conj()) * rho_m`` of one record at a time: the operand
+    order and the 2-d product keep numpy on the same elementwise loops.
     """
     rho_m = rho.matrix
     dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
@@ -187,18 +188,11 @@ def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> 
         & (f * (low + rounding) <= tol.psd / 2)
         & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
     )
+    # a certified record is a read-only row of this fresh batch, which no caller holds
     return [
-        DensityMatrix._certified(m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
+        DensityMatrix(d, m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
         for i in range(n)
     ]
-
-
-def _check_recovery(recovered, rho, tol) -> DensityMatrix:
-    """The recovered state, or :class:`RecoveryFailure` if it misses rho by > RESIDUAL_TOL."""
-    residual = float(np.linalg.norm(recovered - rho.matrix))
-    if not residual <= RESIDUAL_TOL:
-        raise RecoveryFailure(residual)
-    return DensityMatrix.from_matrix(recovered, tol)
 
 
 def run_correction(
@@ -217,11 +211,7 @@ def run_correction(
     ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`.
     """
     _require_accepted(ch.xi, dec, tol)
-    # outcome i heralds the Kraus sqrt(p_i) U_i^dagger of the Schrodinger action
-    records, recovered = _measure_and_correct(
-        _term_amplitudes(dec), dec.phase_vectors.conj(), rho, tol
-    )
-    return records, _check_recovery(recovered, rho, tol)
+    return _correct(dec, rho, tol)
 
 
 def eraser_scenario(d: int) -> EraserScenario:
@@ -232,18 +222,13 @@ def eraser_scenario(d: int) -> EraserScenario:
     |e~_j> = (1/sqrt d) sum_k e^{2 pi i jk/d} |k> heralds the clock unitary
     Z_j* up to phase; conjugating by Z_j restores any input state. Both the
     which-way record and the erasing measurement account for log2(d) bits.
+    ``d`` is checked as by :func:`decompose_identity_xi`.
     """
-    d = _integer(d, 2, "eraser dimension d", BadDimension)
-    try:  # numpy refuses a size past its index range before allocating anything
-        probe = np.eye(d, dtype=complex)
-    except ValueError as exc:
-        raise BadDimension(f"eraser dimension d = {d} is too large: {exc}") from None
+    dec = decompose_identity_xi(d)
+    d, clock = dec.dim, dec.phase_vectors  # row j = diagonal of Z_j
     # probe as register: e_k = |k>
-    dil = Dilation(dim_sys=d, dim_env=d, env_vectors=probe)
-    k = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)  # row j = |e~_j>
-    povm = EnvPovm(dim_env=d, effects=fourier)
-    clock = decompose_identity_xi(d).phase_vectors  # row j = diagonal of Z_j
+    dil = Dilation(dim_sys=d, dim_env=d, env_vectors=np.eye(d, dtype=complex))
+    povm = EnvPovm(dim_env=d, effects=clock / np.sqrt(d))  # row j = |e~_j>
     return EraserScenario(
         dim=d,
         channel=SchurChannel(validate_correlation(np.eye(d))),  # xi = I passes every profile
@@ -260,12 +245,15 @@ def run_eraser(
     rho: DensityMatrix,
     tol: ToleranceProfile = DEFAULT_TOL,
 ):
-    """Run the eraser on a state: Fourier measurement, then Z_j correction."""
-    # outcome j heralds Z_j^dagger, whose diagonal is the conjugate clock row
-    heralded = scenario.correction_phases.conj()
-    c = scenario.dilation.env_vectors @ scenario.povm.effects.conj().T  # column j = c_j
-    records, recovered = _measure_and_correct(c, heralded, rho, tol)
-    return records, _check_recovery(recovered, rho, tol)
+    """Run the eraser on a state: Fourier measurement, then Z_j correction.
+
+    With register kets e_k = |k>, outcome j's amplitudes <e~_j|e_k> are
+    (1/sqrt d) conj(Z_j)_kk, those of outcome j of the clock decomposition's
+    environment read in the computational basis. So this is the correction
+    loop of :func:`run_correction` in the clock frame.
+    """
+    d = scenario.dim
+    return _correct(FlatDecomposition(d, np.full(d, 1 / d), scenario.correction_phases), rho, tol)
 
 
 def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
@@ -288,7 +276,7 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
     states.flags.writeable = False
     records = []
     for k, m in zip(kept, states):
-        state = DensityMatrix._certified(m)
+        state = DensityMatrix(d, m)  # a read-only row of a fresh batch that no caller holds
         records.append(CorrectionOutcomeRecord(int(k), float(probs[k]), state, state))
     return records
 

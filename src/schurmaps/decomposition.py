@@ -14,7 +14,7 @@ certifies it, and the search refuses it.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     BadDimension,
     DimensionMismatch,
     NoDecompositionFound,
+    ShapeMismatch,
     VerificationFailure,
 )
 from .numerics import (
@@ -59,12 +60,22 @@ class FlatDecomposition:
 
     ``phase_vectors`` has one flat vector per row; row i encodes the diagonal
     unitary diag(phase_vectors[i]) applied with probability ``weights[i]``.
-    The first entry of every phase vector is normalized to 1.
+    The first entry of every phase vector is normalized to 1. Built with
+    ``weights`` not 1-d, or ``phase_vectors`` not of shape (terms, ``dim``),
+    it raises :class:`ShapeMismatch`.
     """
 
     dim: int
     weights: np.ndarray
     phase_vectors: np.ndarray  # shape (terms, dim), entries unimodular
+
+    def __post_init__(self):
+        w, u = np.shape(self.weights), np.shape(self.phase_vectors)
+        if len(w) != 1 or u != (w[0], self.dim):
+            raise ShapeMismatch(
+                f"weights of shape {w} and phase vectors of shape {u} "
+                f"do not make a decomposition of dim {self.dim}"
+            )
 
     @property
     def terms(self) -> int:
@@ -90,7 +101,6 @@ class VerificationReport:
     flatness_deviation: float
     weight_sum_deviation: float
     shannon_entropy_bits: float
-    orthogonality_matrix: np.ndarray = field(repr=False)
     orthogonal_family: bool
     accepted: bool
 
@@ -138,9 +148,12 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
     """Uniform mixture of the d clock unitaries Z_j = diag(e^{2 pi i k j / d}).
 
     Reconstructs xi = I exactly and attains the minimal weight entropy
-    log2(d) for the instantaneous-decoherence channel.
+    log2(d) for the instantaneous-decoherence channel. ``d`` must be an
+    integer >= 2 that numpy can index; any other raises :class:`BadDimension`.
     """
     d = _integer(d, 2, "dimension d", BadDimension)
+    if d * d > np.iinfo(np.intp).max // np.dtype(complex).itemsize:  # before allocating anything
+        raise BadDimension(f"dimension d = {d} is too large: numpy cannot index {d} x {d} entries")
     k = np.arange(d)
     phases = np.exp(2j * np.pi * np.outer(k, k) / d)  # row j = Z_j diagonal
     return FlatDecomposition(dim=d, weights=np.full(d, 1.0 / d), phase_vectors=phases)
@@ -379,12 +392,13 @@ def verify_decomposition(
     """Check a decomposition against a correlation matrix.
 
     Reports the reconstruction residual, flatness and weight-sum deviations,
-    the weight Shannon entropy in bits, and the trace-form Gram matrix
-    O_ij = Tr[U_i U_j*]/d whose identity shape characterizes mutually
-    orthogonal unitary families (the equality case of the information lower
-    bound). Flatness is max | |u_ik|^2 - 1 |. Accepted: residual within
-    ``RESIDUAL_TOL``, weights nonnegative, and the weight sum, the flatness
-    and the diagonal of the reconstruction within ``tol.tr`` of 1, 0 and 1.
+    the weight Shannon entropy in bits, and whether the trace-form Gram
+    matrix O_ij = Tr[U_i U_j*]/d is the identity within ``RESIDUAL_TOL``,
+    which characterizes mutually orthogonal unitary families (the equality
+    case of the information lower bound). Flatness is max | |u_ik|^2 - 1 |.
+    Accepted: residual within ``RESIDUAL_TOL``, weights nonnegative, and the
+    weight sum, the flatness and the diagonal of the reconstruction within
+    ``tol.tr`` of 1, 0 and 1.
     The last two bound the traces of the states a correction builds (for a
     unit-trace input): a corrected state of term i has trace between the
     least and the largest |u_ik|^2, the recovered state one between the least
@@ -408,7 +422,6 @@ def verify_decomposition(
         flatness_deviation=flatness,
         weight_sum_deviation=weight_dev,
         shannon_entropy_bits=entropy,
-        orthogonality_matrix=ortho,
         orthogonal_family=orthogonal,
         accepted=accepted,
     )

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from schurmaps import (
     DEFAULT_TOL,
     BadDimension,
     DensityMatrix,
+    FlatDecomposition,
     RecoveryFailure,
     SchurChannel,
     SchurMapsError,
@@ -35,15 +35,14 @@ from schurmaps import (
     which_way_readout,
 )
 from schurmaps import SearchConfig, serialize
-from schurmaps.correction import CorrectionOutcomeRecord, EnvPovm, _measure_and_correct
-from schurmaps.dilation import build_dilation, evolve_joint
+from schurmaps.correction import CorrectionOutcomeRecord, _record_states, _term_amplitudes
+from schurmaps.dilation import evolve_joint
 from schurmaps.numerics import NEGLIGIBLE
 from conftest import (
     random_correlation,
     random_density,
     random_flat_decomposition,
     random_pure,
-    random_unitary,
 )
 
 
@@ -55,26 +54,26 @@ def projected_joint_state(dil, rho, v):
 
 class TestMeasureAndCorrectClosedForm:
     @pytest.mark.parametrize("d", [2, 3, 5])
-    @pytest.mark.parametrize("povm_kind", ["fourier", "random"])
-    def test_matches_joint_unitary(self, d, povm_kind, rng):
+    @pytest.mark.parametrize("frame", ["fourier", "random"])
+    def test_matches_joint_unitary(self, d, frame, rng):
+        # the two frames of the library: the eraser's register read in the Fourier
+        # basis, and a random decomposition's environment read in its computational basis
         for trial in range(6):
-            if trial % 2 == 0:
-                dil = build_dilation(SchurChannel(random_correlation(rng, d)))
+            rho = random_density(rng, d) if trial % 2 else random_pure(rng, d)
+            if frame == "fourier":
+                scenario = eraser_scenario(d)
+                dil, effects = scenario.dilation, scenario.povm.effects
+                heralded = scenario.correction_phases.conj()
+                records, recovered = run_eraser(scenario, rho)
             else:
                 dec = random_flat_decomposition(rng, d, int(rng.integers(1, d + 3)))
                 dil = dilation_from_decomposition(dec)
-            de = dil.dim_env
-            if povm_kind == "fourier":
-                k = np.arange(de)
-                effects = np.exp(2j * np.pi * np.outer(k, k) / de) / np.sqrt(de)
-            else:
-                effects = random_unitary(rng, de).T
-            povm = EnvPovm(dim_env=de, effects=effects)
-            povm.check_complete()
-            heralded = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(de, d)))
-            rho = random_density(rng, d)
-            amplitudes = dil.env_vectors @ effects.conj().T  # column i = <v_i|e_k>
-            records, recovered = _measure_and_correct(amplitudes, heralded, rho, DEFAULT_TOL)
+                effects = np.eye(dil.dim_env)
+                # outcome i heralds U_i*; a padding outcome has probability 0
+                heralded = np.ones((dil.dim_env, d), dtype=complex)
+                heralded[: dec.terms] = dec.phase_vectors.conj()
+                ch = SchurChannel(validate_correlation(reconstruct_xi(dec)))
+                records, recovered = run_correction(ch, dec, rho)
             expected_recovered = np.zeros((d, d), dtype=complex)
             expected_records = []
             for i, v in enumerate(effects):
@@ -90,11 +89,13 @@ class TestMeasureAndCorrectClosedForm:
                 assert abs(r.probability - prob) < 1e-12
                 assert np.max(np.abs(r.conditional_state.matrix - cond)) < 1e-12
                 assert np.max(np.abs(r.corrected_state.matrix - corr)) < 1e-12
-            assert np.max(np.abs(recovered - expected_recovered)) < 1e-12
+            assert np.max(np.abs(recovered.matrix - expected_recovered)) < 1e-12
 
 
 def reference_measure_and_correct(c, heralded_phases, rho, tol):
-    """``_measure_and_correct`` with every record state through the full ``from_matrix`` check."""
+    """Records and recovered state of outcome amplitudes ``c`` (column i = c_i) and
+    heralded diagonals ``heralded_phases`` (row i), every record state through the
+    full ``from_matrix`` check."""
     rho_m = rho.matrix
     g = heralded_phases.conj().T * c
     probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
@@ -134,6 +135,26 @@ def outcome_bytes(measure, *args):
     except SchurMapsError as exc:
         return type(exc)
     return [recovered.tobytes()] + records_bytes(records)
+
+
+def record_rows(c, heralded_phases, rho):
+    """The rows c_i / sqrt(p_i), then g_i / sqrt(p_i), of the kept outcomes, stacked
+    as a correction passes them to ``_record_states``."""
+    g = heralded_phases.conj().T * c
+    probs = (np.abs(c) ** 2).T @ np.diag(rho.matrix).real
+    kept = probs >= NEGLIGIBLE
+    scale = np.tile(1.0 / np.sqrt(probs[kept]), 2)[:, None]
+    return np.concatenate((c[:, kept].T, g[:, kept].T)) * scale
+
+
+def states_bytes(build, rho, b, tol):
+    """The record states built from rows ``b``, as comparable bytes, or the error class."""
+    try:
+        states = build(rho, b, tol)
+    except SchurMapsError as exc:
+        return type(exc)
+    return [(s.dim, s.matrix.shape, s.matrix.dtype.str, s.matrix.flags.writeable,
+             s.matrix.tobytes()) for s in states]
 
 
 EDGE_TOLS = [
@@ -207,28 +228,26 @@ class TestRecordCertificate:
     @given(edge_inputs())
     @example(D1_ONE_OUTCOME)
     def test_matches_full_check_on_every_record(self, inputs):
-        # same error class, or byte-equal records and recovered state; and every
-        # record built without its own eigensolve passes the full check
-        certified = []
-        build = DensityMatrix._certified.__func__
+        # same error class, or byte-equal records; and every record, those built
+        # without their own eigensolve among them, passes the full check
+        c, heralded, rho, tol = inputs
+        b = record_rows(c, heralded, rho)
 
-        def spy(cls, m):
-            certified.append(m.copy())
-            return build(cls, m)
+        def reference(rho, b, tol):
+            return [DensityMatrix.from_matrix(np.outer(r, r.conj()) * rho.matrix, tol) for r in b]
 
-        with mock.patch.object(DensityMatrix, "_certified", classmethod(spy)):
-            got = outcome_bytes(_measure_and_correct, *inputs)
-        assert got == outcome_bytes(reference_measure_and_correct, *inputs)
-        tol = inputs[3]
-        for m in certified:
-            DensityMatrix.from_matrix(m, tol)
+        got = states_bytes(_record_states, rho, b, tol)
+        assert got == states_bytes(reference, rho, b, tol)
+        if isinstance(got, list):
+            for state in _record_states(rho, b, tol):
+                DensityMatrix.from_matrix(state.matrix, tol)
 
     @pytest.mark.parametrize("d", [12, 16, 24, 32])
     def test_benchmark_sizes_match_reference(self, rng, d):
         # the eraser sizes of the benchmark, beyond the reach of edge_inputs
         scenario = eraser_scenario(d)
         env = scenario.dilation.env_vectors
-        c = env @ scenario.povm.effects.conj().T
+        c = _term_amplitudes(decompose_identity_xi(d))  # the clock frame
         heralded = scenario.correction_phases.conj()
         ones = np.ones((d, d), dtype=complex)
         for rho in (DensityMatrix.pure(np.ones(d)), random_pure(rng, d), random_density(rng, d)):
@@ -357,6 +376,15 @@ class TestCorrectingPovm:
         assert np.allclose(scenario.povm.effects[1], minus)
         scenario.povm.check_complete()
 
+    def test_fourier_readout_is_the_clock_frame(self):
+        # the register read in the Fourier basis gives the amplitudes of the clock
+        # decomposition's environment read in its computational basis, to rounding
+        for d in range(2, 65):
+            scenario = eraser_scenario(d)
+            fourier = scenario.dilation.env_vectors @ scenario.povm.effects.conj().T
+            clock = FlatDecomposition(d, np.full(d, 1 / d), scenario.correction_phases)
+            assert np.max(np.abs(fourier - _term_amplitudes(clock))) <= 4e-16 / np.sqrt(d)
+
 
 class TestRunCorrection:
     def test_qubit_eraser_plus_state(self):
@@ -461,6 +489,12 @@ class TestEraser:
         # 10**20 is past numpy's index range: refused before anything is allocated
         with pytest.raises(BadDimension, match="too large"):
             eraser_scenario(10**20)
+
+    @pytest.mark.parametrize("d", [10**20, 2**63 - 1])
+    def test_identity_xi_numpy_refuses_rejected(self, d):
+        # refused before anything is allocated; numpy takes 2**63 - 1 as an empty range
+        with pytest.raises(BadDimension, match="too large"):
+            decompose_identity_xi(d)
 
     @pytest.mark.parametrize("d", [2.5, 3.0, "3"])
     def test_non_integral_d_rejected(self, d):

@@ -31,6 +31,7 @@ from schurmaps import (
     decompose_qubit,
     dilation_from_decomposition,
     entropy_exchange,
+    entropy_exchange_from_decomposition,
     entropy_production_check,
     extremality_test,
     flat_search,
@@ -133,6 +134,36 @@ def test_malformed_input_raises_library_error(call, error):
     # never numpy's ValueError or TypeError, nor a returned value
     with pytest.raises(error):
         call()
+
+
+CLOCK3 = decompose_identity_xi(3)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda ch, dec, rho: verify_decomposition(ch.xi, dec), id="verify"),
+        pytest.param(run_correction, id="correct"),
+        pytest.param(lambda ch, dec, rho: bounds_report(ch, dec), id="bounds"),
+        pytest.param(
+            lambda ch, dec, rho: entropy_exchange_from_decomposition(dec, rho), id="exchange"
+        ),
+        pytest.param(lambda ch, dec, rho: dilation_from_decomposition(dec), id="dilation"),
+    ],
+)
+@pytest.mark.parametrize(
+    "weights, phases",
+    [
+        pytest.param(np.full(4, 0.25), np.ones((4, 4)), id="phase-width-4"),
+        pytest.param(np.full(2, 0.5), np.ones((3, 3)), id="2-weights-3-rows"),
+        pytest.param(CLOCK3.weights[None, :], CLOCK3.phase_vectors, id="2-d-weights"),
+    ],
+)
+def test_malformed_decomposition_raises_shape_mismatch(entry, weights, phases):
+    # at d = 3: no numpy broadcast error, no acceptance, no dilation of another size
+    ch = SchurChannel(validate_correlation(np.eye(3)))
+    with pytest.raises(ShapeMismatch):
+        entry(ch, FlatDecomposition(3, weights, phases), DensityMatrix.from_matrix(np.eye(3) / 3))
 
 
 class TestStates:

@@ -16,6 +16,7 @@ from .channels import (
     CorrelationMatrix,
     DensityMatrix,
     SchurChannel,
+    _read_only,
     validate_correlation,
 )
 from .decomposition import (
@@ -61,6 +62,11 @@ class EnvPovm:
 
 @dataclass(frozen=True)
 class CorrectionOutcomeRecord:
+    """One kept outcome of a correction: its probability, the state it leaves
+    (read-only, certified from the input's carried spectrum or fully checked)
+    and the state after the heralded unitary is undone. That is the input state
+    exactly, so the records of one call share one read-only state object."""
+
     outcome_index: int
     probability: float
     conditional_state: DensityMatrix  # post-measurement, pre-correction
@@ -123,48 +129,61 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile):
 
     The joint state after the dilation is rho_kl |k><l| (x) |e_k><e_l|, so
     outcome i leaves rho o (c_i c_i*) with c_i column i of
-    :func:`_term_amplitudes`: closed form, without the joint unitary. Outcome
-    i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action; conjugating
-    by U_i turns c_i into g_i = u^(i) o c_i. Kept outcome i's c_i and g_i are
-    scaled once by 1/sqrt(p_i), rows i and n + i of one batch, so every record
-    is rho o (b b*), with no division. The recovered state
-    sum_i rho o (g_i g_i*) = rho o (G G*) must reproduce rho within
-    ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`.
+    :func:`_term_amplitudes`: closed form, without the joint unitary. Kept
+    outcome i's conditional state is rho o (b_i b_i*), b_i = c_i / sqrt(p_i),
+    built by :func:`_record_states`. Outcome i heralds the Kraus
+    sqrt(p_i) U_i* of the Schrodinger action, and undoing it gives back rho
+    exactly, so every record's corrected state is one shared read-only state:
+    ``rho`` itself when its matrix is read-only, else one read-only copy of it,
+    which every output is built from. The recovered state is
+    :func:`_recovered_state` of the columns g_i = u^(i) o c_i.
     """
     if rho.dim != dec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
-    rho_m = rho.matrix
+    if rho.matrix.flags.writeable:  # later changes to the caller's array reach no output
+        rho = DensityMatrix(rho.dim, _read_only(rho.matrix.copy()))
     c = _term_amplitudes(dec)  # column i = c_i
-    g = dec.phase_vectors.T * c  # column i = g_i
-    probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
+    probs = (np.abs(c) ** 2).T @ np.diag(rho.matrix).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
-    p, n = probs[kept], kept.size
-    b = np.concatenate((c[:, kept].T, g[:, kept].T)) * np.tile(1.0 / np.sqrt(p), 2)[:, None]
-    states = _record_states(rho, b, tol)
+    p = probs[kept]
+    states = _record_states(rho, c.T[kept] * (1.0 / np.sqrt(p))[:, None], tol)
     records = [
-        CorrectionOutcomeRecord(int(i), float(p_i), cond, corr)
-        for i, p_i, cond, corr in zip(kept, p, states[:n], states[n:])
+        CorrectionOutcomeRecord(int(i), float(p_i), cond, rho)
+        for i, p_i, cond in zip(kept, p, states)
     ]
-    recovered = rho_m * (g @ g.conj().T)
-    residual = float(np.linalg.norm(recovered - rho_m))
-    if not residual <= RESIDUAL_TOL:
-        raise RecoveryFailure(residual)
-    return records, DensityMatrix.from_matrix(recovered, tol)
+    return records, _recovered_state(rho, dec.phase_vectors.T * c, tol)
+
+
+def _spectrum_bounds(rho: DensityMatrix, f, terms: int):
+    """Bounds on the Hermitian deviation and on max(0, -lam_min) of rho o P, for
+    P = sum of ``terms`` outer products b b* (an outer product of one row when
+    ``terms`` is 0) with max_k P_kk <= f, computed in floating point.
+
+    In exact arithmetic on the rounded rows, the deviation is at most f times
+    rho's and the least eigenvalue at least f min(0, lam_min(rho)) (Ostrowski:
+    rho + low I is PSD, so (rho + low I) o P is). Each entry of rho o P takes
+    two roundings of a product at most f norm(rho), a ``terms``-term sum adds
+    about ``terms`` eps f norm(rho) to each entry, not symmetrically, and each
+    eigensolve errs by about d eps times its matrix's norm: f (64 + 4 terms) d
+    eps norm(rho) covers them all. A caller compares each bound with half of
+    its tolerance; the other half covers the rounding of f.
+    """
+    rho_m = rho.matrix
+    dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
+    vals = rho._eigenvalues
+    low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
+    rounding = (64 + 4 * terms) * rho_m.shape[0] * np.finfo(float).eps * norm
+    return f * (dev + rounding), f * (low + rounding)
 
 
 def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> list[DensityMatrix]:
     """The record states rho o (b_i b_i*) of one input, one per row b_i of ``b``.
 
-    A record is D rho D* with D = diag(b_i). With F = max_k |b_k|^2, its
-    Hermitian deviation is at most F times rho's and its least eigenvalue at
-    least F min(0, lam_min(rho)) (Ostrowski), for the rounded b as it is. So
-    rho's carried spectrum certifies every record whose two bounds, widened
-    by rounding, stay within half of tol.herm and tol.psd, and whose trace
-    passes the very test of ``from_matrix``; any other record takes the full
-    check. Each entry b_k conj(b_l) rho_kl takes two roundings of a product
-    at most F norm(rho), and each eigensolve errs by about d eps times its
-    matrix's norm: F 64 d eps norm(rho) covers all three, and the other half
-    of each tolerance covers the rounding of F.
+    A record is D rho D* with D = diag(b_i), so with f = max_k |b_k|^2 rho's
+    carried spectrum bounds its Hermitian deviation and least eigenvalue
+    (:func:`_spectrum_bounds`). A record whose two bounds stay within half of
+    tol.herm and tol.psd, and whose trace passes the very test of
+    ``from_matrix``, is certified; any other record takes the full check.
 
     The batch of outer products is multiplied by rho in place, as a 2-d
     product, and flagged read-only; a certified record is a read-only row of
@@ -172,20 +191,15 @@ def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> 
     ``np.outer(b_i, b_i.conj()) * rho_m`` of one record at a time: the operand
     order and the 2-d product keep numpy on the same elementwise loops.
     """
-    rho_m = rho.matrix
-    dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
-    vals = rho._eigenvalues
-    low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
-    rounding = 64 * rho_m.shape[0] * np.finfo(float).eps * norm
     n, d = b.shape
     m = (b[:, :, None] * b.conj()[:, None, :]).reshape(n, d * d)
-    m *= rho_m.reshape(1, d * d)
+    m *= rho.matrix.reshape(1, d * d)
     m = m.reshape(n, d, d)
     m.flags.writeable = False
-    f = (np.abs(b) ** 2).max(axis=1)
+    herm, low = _spectrum_bounds(rho, (np.abs(b) ** 2).max(axis=1), 0)
     ok = (
-        (f * (dev + rounding) <= tol.herm / 2)
-        & (f * (low + rounding) <= tol.psd / 2)
+        (herm <= tol.herm / 2)
+        & (low <= tol.psd / 2)
         & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
     )
     # a certified record is a read-only row of this fresh batch, which no caller holds
@@ -193,6 +207,35 @@ def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> 
         DensityMatrix(d, m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
         for i in range(n)
     ]
+
+
+def _recovered_state(rho: DensityMatrix, g: np.ndarray, tol: ToleranceProfile) -> DensityMatrix:
+    """The recovered state sum_i rho o (g_i g_i*) = rho o (G G*), over its trace.
+
+    Column i of ``g`` is g_i. The trace is tr(rho) times the weight sum, up to
+    flatness, so dividing by it keeps a trace deviation of the state from
+    stacking on the decomposition's. The result must reproduce rho within
+    ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`. Its
+    Hermitian deviation and trace are checked directly, as ``from_matrix``
+    checks them. G G* is PSD with diagonal at most sum_i max_k |g_ik|^2, so
+    with that over the trace as f, :func:`_spectrum_bounds` certifies its
+    least eigenvalue without an eigensolve; a bound beyond half of tol.psd
+    takes the full check.
+    """
+    rho_m = rho.matrix
+    m = rho_m * (g @ g.conj().T)
+    t = m.trace().real
+    m /= t
+    residual = float(np.linalg.norm(m - rho_m))
+    if not residual <= RESIDUAL_TOL:
+        raise RecoveryFailure(residual)
+    _, low = _spectrum_bounds(rho, (np.abs(g) ** 2).max(axis=0).sum() / t, g.shape[1])
+    ok = (
+        abs(m - m.conj().T).max() <= tol.herm
+        and low <= tol.psd / 2
+        and abs(m.trace().real - 1.0) <= tol.tr
+    )
+    return DensityMatrix(rho.dim, _read_only(m)) if ok else DensityMatrix.from_matrix(m, tol)
 
 
 def run_correction(
@@ -205,10 +248,14 @@ def run_correction(
 
     Outcome i occurs with probability p_i regardless of the input (flat
     unitaries), heralds the Kraus sqrt(p_i) diag(u^(i))^dagger, and is
-    undone by conjugation with the inverse unitary. A decomposition that
+    undone by conjugation with the inverse unitary, which gives back rho: each
+    record's corrected state is the input state. A decomposition that
     :func:`verify_decomposition` rejects raises :class:`VerificationFailure`.
-    The weighted sum of corrected states must reproduce rho within
-    ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`.
+    The recovered state, the sum over outcomes computed from the decomposition
+    and divided by its trace, must reproduce rho within ``RESIDUAL_TOL``; a
+    larger residual raises :class:`RecoveryFailure`. The states returned are
+    certified from the input's carried spectrum, without an eigensolve, where
+    the bounds fit, and fully checked where they do not.
     """
     _require_accepted(ch.xi, dec, tol)
     return _correct(dec, rho, tol)

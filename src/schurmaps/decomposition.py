@@ -399,10 +399,8 @@ def verify_decomposition(
     Accepted: residual within ``RESIDUAL_TOL``, weights nonnegative, and the
     weight sum, the flatness and the diagonal of the reconstruction within
     ``tol.tr`` of 1, 0 and 1.
-    The last two bound the traces of the states a correction builds (for a
-    unit-trace input): a corrected state of term i has trace between the
-    least and the largest |u_ik|^2, the recovered state one between the least
-    and the largest diagonal entry. NaN fails.
+    The last two keep each heralded diag(u^(i)) unitary and the channel trace
+    preserving, to within ``tol.tr``. NaN fails.
     """
     if dec.dim != xi.dim:
         raise DimensionMismatch(f"decomposition dim {dec.dim} != xi dim {xi.dim}")

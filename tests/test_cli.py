@@ -180,6 +180,17 @@ class TestCorrect:
         )
         assert main(["correct", xp, rp, "--dec", "bad_dec.json"]) == 3
 
+    def test_trace_deviations_do_not_stack(self, workdir, capsys):
+        # a state of trace 1 + 9e-10 and weights summing to 1 + 9e-10, each accepted
+        # on its own: the recovered state is judged after division by its trace
+        dec = serialize.decomposition_to_dict(decompose_identity_xi(3))
+        dec["weights"] = [w * (1 + 9e-10) for w in dec["weights"]]
+        serialize.save_json("dec.json", dec)
+        xp = write_matrix(workdir / "xi.json", np.eye(3), "correlation")
+        rp = write_matrix(workdir / "rho.json", np.eye(3) / 3 * (1 + 9e-10), "state")
+        assert main(["--json", "correct", xp, rp, "--dec", "dec.json"]) == 0
+        assert json.loads(capsys.readouterr().out)["recovery_residual"] <= 1e-8
+
 
 class TestEraser:
     def test_d2_visibility_triple(self, workdir):
@@ -210,6 +221,21 @@ class TestEraser:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "too large" in lines[0], lines
         assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "callee, flags",
+        [("eraser_scenario", ["--d", "1000000"]), ("screen_pattern", ["--samples", "1000000000"])],
+    )
+    def test_out_of_memory_exits_2(self, workdir, capsys, monkeypatch, callee, flags):
+        # sizes numpy accepts but no machine holds; the allocation is stood in for
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, callee, allocate)
+        assert main(["eraser", "--d", "2"] + flags) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "Unable to allocate" in lines[0]
 
 
 class TestBounds:

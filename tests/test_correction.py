@@ -35,9 +35,14 @@ from schurmaps import (
     which_way_readout,
 )
 from schurmaps import SearchConfig, serialize
-from schurmaps.correction import CorrectionOutcomeRecord, _record_states, _term_amplitudes
+from schurmaps.correction import (
+    CorrectionOutcomeRecord,
+    _record_states,
+    _recovered_state,
+    _term_amplitudes,
+)
 from schurmaps.dilation import evolve_joint
-from schurmaps.numerics import NEGLIGIBLE
+from schurmaps.numerics import NEGLIGIBLE, RESIDUAL_TOL
 from conftest import (
     random_correlation,
     random_density,
@@ -118,28 +123,18 @@ def reference_measure_and_correct(c, heralded_phases, rho, tol):
 
 
 def records_bytes(records):
-    """Outcome indices, probabilities and record states, as comparable bytes."""
+    """Outcome indices, probabilities and conditional states, as comparable bytes."""
     out = []
     for r in records:
+        m = r.conditional_state.matrix
         out.append(repr((r.outcome_index, r.probability)))
-        for state in (r.conditional_state, r.corrected_state):
-            m = state.matrix
-            out.append((state.dim, m.shape, m.dtype.str, m.flags.writeable, m.tobytes()))
+        out.append((r.conditional_state.dim, m.shape, m.dtype.str, m.flags.writeable, m.tobytes()))
     return out
 
 
-def outcome_bytes(measure, *args):
-    """What a measurement returns, as comparable bytes, or the class of the error it raises."""
-    try:
-        records, recovered = measure(*args)
-    except SchurMapsError as exc:
-        return type(exc)
-    return [recovered.tobytes()] + records_bytes(records)
-
-
 def record_rows(c, heralded_phases, rho):
-    """The rows c_i / sqrt(p_i), then g_i / sqrt(p_i), of the kept outcomes, stacked
-    as a correction passes them to ``_record_states``."""
+    """The rows c_i / sqrt(p_i) of the kept outcomes, which a correction passes to
+    ``_record_states``, then the rows g_i / sqrt(p_i), records of the same kind."""
     g = heralded_phases.conj().T * c
     probs = (np.abs(c) ** 2).T @ np.diag(rho.matrix).real
     kept = probs >= NEGLIGIBLE
@@ -148,7 +143,7 @@ def record_rows(c, heralded_phases, rho):
 
 
 def states_bytes(build, rho, b, tol):
-    """The record states built from rows ``b``, as comparable bytes, or the error class."""
+    """The states built from ``b``, as comparable bytes, or the error class."""
     try:
         states = build(rho, b, tol)
     except SchurMapsError as exc:
@@ -223,6 +218,16 @@ D1_ONE_OUTCOME = (
 )
 
 
+# the least eigenvalue at -tol.psd and the trace at 1 - tol.tr: the recovered state,
+# rho over its trace, falls just past -tol.psd, and the full check must refuse it
+PSD_EDGE = (
+    np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    np.ones((2, 2), dtype=complex),
+    DensityMatrix.from_matrix(np.diag([1.0, -1e-9])),
+    DEFAULT_TOL,
+)
+
+
 class TestRecordCertificate:
     @settings(max_examples=400, deadline=None)
     @given(edge_inputs())
@@ -251,10 +256,18 @@ class TestRecordCertificate:
         heralded = scenario.correction_phases.conj()
         ones = np.ones((d, d), dtype=complex)
         for rho in (DensityMatrix.pure(np.ones(d)), random_pure(rng, d), random_density(rng, d)):
+            # conditional states to the bit; every corrected state is the input state,
+            # and the recovered state, over its trace, is within rounding of the reference's
             records, recovered = run_eraser(scenario, rho)
-            got = [recovered.matrix.tobytes()] + records_bytes(records)
-            expected = outcome_bytes(reference_measure_and_correct, c, heralded, rho, DEFAULT_TOL)
-            assert got == expected
+            expected, expected_recovered = reference_measure_and_correct(
+                c, heralded, rho, DEFAULT_TOL
+            )
+            assert records_bytes(records) == records_bytes(expected)
+            for r, e in zip(records, expected):
+                assert r.corrected_state is rho
+                assert np.max(np.abs(rho.matrix - e.corrected_state.matrix)) <= 1e-15
+            assert not recovered.matrix.flags.writeable
+            assert np.max(np.abs(recovered.matrix - expected_recovered)) <= 1e-14
             # which-way records are closed form: the reference's outcomes and
             # probabilities to the bit, exact one-hot states within rounding of its states
             records = which_way_readout(scenario, rho)
@@ -270,6 +283,53 @@ class TestRecordCertificate:
                 assert np.array_equal(m, one_hot)
                 assert np.max(np.abs(m - e.conditional_state.matrix)) <= 1e-15
                 assert r.corrected_state is r.conditional_state
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_inputs())
+    @example(D1_ONE_OUTCOME)
+    @example(PSD_EDGE)
+    def test_recovered_state_matches_full_check(self, inputs):
+        # same error class, or a byte-equal state that passes the full check; the
+        # drawn heralded phases mostly fail the recovery, those of c undo it
+        c, heralded, rho, tol = inputs
+
+        def reference(rho, g, tol):
+            m = rho.matrix * (g @ g.conj().T)
+            m /= m.trace().real
+            residual = float(np.linalg.norm(m - rho.matrix))
+            if not residual <= RESIDUAL_TOL:
+                raise RecoveryFailure(residual)
+            return [DensityMatrix.from_matrix(m, tol)]
+
+        def certified(rho, g, tol):
+            return [_recovered_state(rho, g, tol)]
+
+        for phases in (heralded, np.exp(1j * np.angle(c)).T):
+            g = phases.conj().T * c
+            got = states_bytes(certified, rho, g, tol)
+            assert got == states_bytes(reference, rho, g, tol)
+            if isinstance(got, list):
+                DensityMatrix.from_matrix(_recovered_state(rho, g, tol).matrix, tol)
+
+    def test_writeable_input_is_copied_once(self, rng):
+        # a directly built state on a caller's writeable array: every output is
+        # built from one read-only copy, so later changes to the array reach none
+        d = 4
+        dec = random_flat_decomposition(rng, d, 5)
+        ch = SchurChannel(validate_correlation(reconstruct_xi(dec)))
+        for run, args in ((run_eraser, (eraser_scenario(d),)), (run_correction, (ch, dec))):
+            m = random_density(rng, d).matrix.copy()
+            rho = DensityMatrix(d, m)
+            records, recovered = run(*args, rho)
+            shared = records[0].corrected_state
+            assert shared is not rho and not shared.matrix.flags.writeable
+            assert np.array_equal(shared.matrix, m)
+            assert all(r.corrected_state is shared for r in records)
+            before = records_bytes(records) + [shared.matrix.tobytes(), recovered.matrix.tobytes()]
+            m[0, 1] += 0.25
+            m[1, 0] += 0.25
+            after = records_bytes(records) + [shared.matrix.tobytes(), recovered.matrix.tobytes()]
+            assert after == before
 
     def test_batch_memory(self, rng):
         # at its peak a d = 32 eraser call holds at most one (outcomes x d^2) complex
@@ -288,8 +348,8 @@ class TestRecordCertificate:
         assert peak - current <= d * d * d * np.dtype(complex).itemsize
 
     def test_eigensolves_per_call(self, rng, monkeypatch):
-        # a validated state carries its spectrum, which certifies the records of a
-        # call; only the recovered state has its own eigensolve
+        # a validated state carries its spectrum, which certifies the records and
+        # the recovered state of a call: no eigensolve
         calls = []
         for name in ("eigvalsh", "eigh"):
             solve = getattr(np.linalg, name)
@@ -304,17 +364,17 @@ class TestRecordCertificate:
 
         scenario = eraser_scenario(16)
         rho = random_density(rng, 16)
-        assert count(run_eraser, scenario, rho) <= 1
+        assert count(run_eraser, scenario, rho) == 0
         assert count(which_way_readout, scenario, rho) == 0
         d = 4
         dec = random_flat_decomposition(rng, d, 5)
         ch = SchurChannel(validate_correlation(reconstruct_xi(dec)))
-        assert count(run_correction, ch, dec, random_density(rng, d)) <= 1
+        assert count(run_correction, ch, dec, random_density(rng, d)) == 0
 
         def request(m_xi, m_rho):
             # one small-stream benchmark request: 5 validations (xi, rho, E(rho),
-            # E^5(rho), the round trip), the recovered state, and E(rho) again and
-            # the entropy exchange in entropy_production_check
+            # E^5(rho), the round trip), and E(rho) again and the entropy exchange
+            # in entropy_production_check
             ch = SchurChannel(validate_correlation(m_xi))
             rho = DensityMatrix.from_matrix(m_rho)
             out = apply_schrodinger(ch, rho)
@@ -326,7 +386,7 @@ class TestRecordCertificate:
             serialize.density_from_dict(json.loads(text))
 
         m_rho = random_density(rng, d).matrix.copy()
-        assert count(request, reconstruct_xi(dec), m_rho) <= 8
+        assert count(request, reconstruct_xi(dec), m_rho) <= 7
 
 
 class TestDilationFromDecomposition:

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, evolve, decompose, correct, eraser, bounds.
-Exit codes: 0 success, 2 validation failure (including a size too large
-to allocate), 3 verification/recovery failure (including an exhausted
-decomposition search), 4 I/O or parse error. All randomness sits behind
---seed (default 0), so identical invocations produce identical files.
+Exit codes: 0 success, 2 validation failure (including any failed
+allocation, such as a size too large to allocate), 3 verification/recovery
+failure (including an exhausted decomposition search), 4 I/O or parse
+error. All randomness sits behind --seed (default 0), so identical
+invocations produce identical files.
 """
 
 import argparse
@@ -268,8 +269,11 @@ def main(argv=None) -> int:
     except (VerificationFailure, RecoveryFailure, NoDecompositionFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNVERIFIED
-    except (SchurMapsError, MemoryError) as exc:  # a size no machine holds is invalid input
+    except SchurMapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # any failed allocation: most often a size no machine holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

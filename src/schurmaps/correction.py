@@ -212,23 +212,24 @@ def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> 
 def _recovered_state(rho: DensityMatrix, g: np.ndarray, tol: ToleranceProfile) -> DensityMatrix:
     """The recovered state sum_i rho o (g_i g_i*) = rho o (G G*), over its trace.
 
-    Column i of ``g`` is g_i. The trace is tr(rho) times the weight sum, up to
+    Column i of ``g`` is g_i. The sum must reproduce rho within
+    ``RESIDUAL_TOL``, judged before the division, so that rho's own trace
+    deviation is no part of the residual; a larger residual raises
+    :class:`RecoveryFailure`. The trace is tr(rho) times the weight sum, up to
     flatness, so dividing by it keeps a trace deviation of the state from
-    stacking on the decomposition's. The result must reproduce rho within
-    ``RESIDUAL_TOL``; a larger residual raises :class:`RecoveryFailure`. Its
-    Hermitian deviation and trace are checked directly, as ``from_matrix``
-    checks them. G G* is PSD with diagonal at most sum_i max_k |g_ik|^2, so
-    with that over the trace as f, :func:`_spectrum_bounds` certifies its
-    least eigenvalue without an eigensolve; a bound beyond half of tol.psd
-    takes the full check.
+    stacking on the decomposition's. The Hermitian deviation and trace of the
+    result are checked directly, as ``from_matrix`` checks them. G G* is PSD
+    with diagonal at most sum_i max_k |g_ik|^2, so with that over the trace as
+    f, :func:`_spectrum_bounds` certifies its least eigenvalue without an
+    eigensolve; a bound beyond half of tol.psd takes the full check.
     """
     rho_m = rho.matrix
     m = rho_m * (g @ g.conj().T)
-    t = m.trace().real
-    m /= t
     residual = float(np.linalg.norm(m - rho_m))
     if not residual <= RESIDUAL_TOL:
         raise RecoveryFailure(residual)
+    t = m.trace().real
+    m /= t
     _, low = _spectrum_bounds(rho, (np.abs(g) ** 2).max(axis=0).sum() / t, g.shape[1])
     ok = (
         abs(m - m.conj().T).max() <= tol.herm
@@ -251,11 +252,11 @@ def run_correction(
     undone by conjugation with the inverse unitary, which gives back rho: each
     record's corrected state is the input state. A decomposition that
     :func:`verify_decomposition` rejects raises :class:`VerificationFailure`.
-    The recovered state, the sum over outcomes computed from the decomposition
-    and divided by its trace, must reproduce rho within ``RESIDUAL_TOL``; a
-    larger residual raises :class:`RecoveryFailure`. The states returned are
-    certified from the input's carried spectrum, without an eigensolve, where
-    the bounds fit, and fully checked where they do not.
+    The recovered state, the sum over outcomes computed from the decomposition,
+    must reproduce rho within ``RESIDUAL_TOL``; a larger residual raises
+    :class:`RecoveryFailure`. It is returned divided by its trace. The states
+    returned are certified from the input's carried spectrum, without an
+    eigensolve, where the bounds fit, and fully checked where they do not.
     """
     _require_accepted(ch.xi, dec, tol)
     return _correct(dec, rho, tol)

@@ -182,7 +182,8 @@ class TestCorrect:
 
     def test_trace_deviations_do_not_stack(self, workdir, capsys):
         # a state of trace 1 + 9e-10 and weights summing to 1 + 9e-10, each accepted
-        # on its own: the recovered state is judged after division by its trace
+        # on its own: the sum reproduces the state, and its quotient by its trace
+        # is a unit-trace state
         dec = serialize.decomposition_to_dict(decompose_identity_xi(3))
         dec["weights"] = [w * (1 + 9e-10) for w in dec["weights"]]
         serialize.save_json("dec.json", dec)
@@ -193,6 +194,14 @@ class TestCorrect:
 
 
 class TestEraser:
+    def test_state_trace_under_loose_profile(self, workdir):
+        # a pure state of trace 1 + 5e-7, accepted with tr = 1e-6: its trace
+        # deviation is no recovery residual
+        serialize.save_json("tol.json", {"tr": 1e-6})
+        psi = np.array([1.0, 1j]) / np.sqrt(2)
+        rp = write_matrix(workdir / "rho.json", np.outer(psi, psi.conj()) * (1 + 5e-7), "state")
+        assert main(["--tol", "tol.json", "--out", "er", "eraser", "--d", "2", "--state", rp]) == 0
+
     def test_d2_visibility_triple(self, workdir):
         assert main(["--out", "er", "eraser", "--d", "2"]) == 0
         ledger = serialize.load_json("er_ledger.json")
@@ -223,19 +232,21 @@ class TestEraser:
         assert list(workdir.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "callee, flags",
-        [("eraser_scenario", ["--d", "1000000"]), ("screen_pattern", ["--samples", "1000000000"])],
+        "callee, flags, message",
+        [
+            ("eraser_scenario", ["--d", "1000000"], "Unable to allocate 7.28 TiB for an array"),
+            ("screen_pattern", ["--samples", "1000000000"], "Unable to allocate 7.28 TiB for an array"),
+            ("eraser_scenario", [], ""),  # a bare MemoryError still prints a line that names it
+        ],
     )
-    def test_out_of_memory_exits_2(self, workdir, capsys, monkeypatch, callee, flags):
+    def test_out_of_memory_exits_2(self, workdir, capsys, monkeypatch, callee, flags, message):
         # sizes numpy accepts but no machine holds; the allocation is stood in for
         def allocate(*args):
-            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+            raise MemoryError(message)
 
         monkeypatch.setattr(cli, callee, allocate)
         assert main(["eraser", "--d", "2"] + flags) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), lines
-        assert "Unable to allocate" in lines[0]
+        assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {message}"]
 
 
 class TestBounds:

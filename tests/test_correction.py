@@ -294,12 +294,12 @@ class TestRecordCertificate:
         c, heralded, rho, tol = inputs
 
         def reference(rho, g, tol):
+            # the residual of the sum itself, as the correction loop has always judged it
             m = rho.matrix * (g @ g.conj().T)
-            m /= m.trace().real
             residual = float(np.linalg.norm(m - rho.matrix))
             if not residual <= RESIDUAL_TOL:
                 raise RecoveryFailure(residual)
-            return [DensityMatrix.from_matrix(m, tol)]
+            return [DensityMatrix.from_matrix(m / m.trace().real, tol)]
 
         def certified(rho, g, tol):
             return [_recovered_state(rho, g, tol)]
@@ -310,6 +310,21 @@ class TestRecordCertificate:
             assert got == states_bytes(reference, rho, g, tol)
             if isinstance(got, list):
                 DensityMatrix.from_matrix(_recovered_state(rho, g, tol).matrix, tol)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_input_trace_is_no_part_of_the_residual(self, rng, d):
+        # a state of trace 1 + 5e-7, accepted with tr = 1e-6: the sum reproduces it
+        # to rounding, so both loops return, and the recovered state has unit trace
+        tol = ToleranceProfile(tr=1e-6)
+        dec = random_flat_decomposition(rng, d, d + 1)
+        ch = SchurChannel(validate_correlation(reconstruct_xi(dec), tol))
+        for m in (random_pure(rng, d).matrix, random_density(rng, d).matrix):
+            rho = DensityMatrix.from_matrix(m * (1 + 5e-7), tol)
+            for run, args in ((run_eraser, (eraser_scenario(d),)), (run_correction, (ch, dec))):
+                records, recovered = run(*args, rho, tol)
+                assert all(r.corrected_state is rho for r in records)
+                assert abs(np.trace(recovered.matrix).real - 1.0) <= 1e-15
+                assert np.max(np.abs(recovered.matrix * (1 + 5e-7) - rho.matrix)) <= 1e-14
 
     def test_writeable_input_is_copied_once(self, rng):
         # a directly built state on a caller's writeable array: every output is

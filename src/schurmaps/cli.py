@@ -129,7 +129,8 @@ def cmd_correct(args, tol: ToleranceProfile) -> int:
     else:
         dec = decompose(xi, args.seed)
     records, recovered = run_correction(ch, dec, rho, tol)
-    residual = float(np.linalg.norm(recovered.matrix - rho.matrix))
+    # the recovered state has unit trace: its residual is against rho over its trace
+    residual = float(np.linalg.norm(recovered.matrix - rho.matrix / rho.matrix.trace().real))
     obj = {
         "outcomes": [
             {

@@ -63,9 +63,10 @@ class EnvPovm:
 @dataclass(frozen=True)
 class CorrectionOutcomeRecord:
     """One kept outcome of a correction: its probability, the state it leaves
-    (read-only, certified from the input's carried spectrum or fully checked)
-    and the state after the heralded unitary is undone. That is the input state
-    exactly, so the records of one call share one read-only state object."""
+    (read-only, a row of the call's one batch of states, certified with them
+    from the input's carried spectrum or fully checked) and the state after the
+    heralded unitary is undone. That is the input state exactly, so the records
+    of one call share one read-only state object."""
 
     outcome_index: int
     probability: float
@@ -131,12 +132,12 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile):
     outcome i leaves rho o (c_i c_i*) with c_i column i of
     :func:`_term_amplitudes`: closed form, without the joint unitary. Kept
     outcome i's conditional state is rho o (b_i b_i*), b_i = c_i / sqrt(p_i),
-    built by :func:`_record_states`. Outcome i heralds the Kraus
-    sqrt(p_i) U_i* of the Schrodinger action, and undoing it gives back rho
-    exactly, so every record's corrected state is one shared read-only state:
-    ``rho`` itself when its matrix is read-only, else one read-only copy of it,
-    which every output is built from. The recovered state is
-    :func:`_recovered_state` of the columns g_i = u^(i) o c_i.
+    and the recovered state is rho o (G G*), column i of G being
+    g_i = u^(i) o c_i: :func:`_states` builds and certifies them all at once.
+    Outcome i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action, and
+    undoing it gives back rho exactly, so every record's corrected state is one
+    shared read-only state: ``rho`` itself when its matrix is read-only, else
+    one read-only copy of it, which every output is built from.
     """
     if rho.dim != dec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
@@ -146,97 +147,75 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile):
     probs = (np.abs(c) ** 2).T @ np.diag(rho.matrix).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
     p = probs[kept]
-    states = _record_states(rho, c.T[kept] * (1.0 / np.sqrt(p))[:, None], tol)
+    b = c.T[kept] * (1.0 / np.sqrt(p))[:, None]
+    *states, recovered = _states(rho, b, dec.phase_vectors.T * c, tol)
     records = [
         CorrectionOutcomeRecord(int(i), float(p_i), cond, rho)
         for i, p_i, cond in zip(kept, p, states)
     ]
-    return records, _recovered_state(rho, dec.phase_vectors.T * c, tol)
+    return records, recovered
 
 
-def _spectrum_bounds(rho: DensityMatrix, f, terms: int):
-    """Bounds on the Hermitian deviation and on max(0, -lam_min) of rho o P, for
-    P = sum of ``terms`` outer products b b* (an outer product of one row when
-    ``terms`` is 0) with max_k P_kk <= f, computed in floating point.
+def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, tol: ToleranceProfile):
+    """The states of one correction, as one list: the records rho o (b_i b_i*),
+    one per row b_i of ``b``, then the recovered state rho o (G G*) over its
+    trace, G = ``g`` of T columns.
 
-    In exact arithmetic on the rounded rows, the deviation is at most f times
-    rho's and the least eigenvalue at least f min(0, lam_min(rho)) (Ostrowski:
-    rho + low I is PSD, so (rho + low I) o P is). Each entry of rho o P takes
-    two roundings of a product at most f norm(rho), a ``terms``-term sum adds
-    about ``terms`` eps f norm(rho) to each entry, not symmetrically, and each
-    eigensolve errs by about d eps times its matrix's norm: f (64 + 4 terms) d
-    eps norm(rho) covers them all. A caller compares each bound with half of
-    its tolerance; the other half covers the rounding of f.
-    """
-    rho_m = rho.matrix
-    dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
-    vals = rho._eigenvalues
-    low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
-    rounding = (64 + 4 * terms) * rho_m.shape[0] * np.finfo(float).eps * norm
-    return f * (dev + rounding), f * (low + rounding)
+    The recovered sum must reproduce rho within ``RESIDUAL_TOL``, judged before
+    the division, so that rho's own trace deviation is no part of the residual;
+    a larger residual raises :class:`RecoveryFailure` before any state is
+    built. Its trace is tr(rho) times the weight sum, up to flatness, so
+    dividing by it keeps a trace deviation of the state from stacking on the
+    decomposition's.
 
+    Each state is rho o P with P PSD and max_k P_kk <= f: f = max_k |b_k|^2
+    for a record, sum_i max_k |g_ik|^2 over the trace for the recovered
+    state. In exact arithmetic on the rounded operands, its Hermitian
+    deviation is then at most f times rho's, and its least eigenvalue at least
+    f min(0, lam_min(rho)) (Ostrowski: rho + low I is PSD, so (rho + low I) o P
+    is), so rho's carried spectrum bounds every state. Each entry takes two
+    roundings of a product at most f norm(rho), a T-term sum of G G* adds about
+    T eps f norm(rho) to each entry, not symmetrically, and each eigensolve
+    errs by about d eps times its matrix's norm: f (64 + 4 T) d eps norm(rho)
+    covers them all. A state whose two bounds stay within half of tol.herm and
+    tol.psd (the other half covers the rounding of f), and whose trace passes
+    the very test of ``from_matrix``, is certified; any other state takes the
+    full check.
 
-def _record_states(rho: DensityMatrix, b: np.ndarray, tol: ToleranceProfile) -> list[DensityMatrix]:
-    """The record states rho o (b_i b_i*) of one input, one per row b_i of ``b``.
-
-    A record is D rho D* with D = diag(b_i), so with f = max_k |b_k|^2 rho's
-    carried spectrum bounds its Hermitian deviation and least eigenvalue
-    (:func:`_spectrum_bounds`). A record whose two bounds stay within half of
-    tol.herm and tol.psd, and whose trace passes the very test of
-    ``from_matrix``, is certified; any other record takes the full check.
-
-    The batch of outer products is multiplied by rho in place, as a 2-d
-    product, and flagged read-only; a certified record is a read-only row of
-    it, built directly. Each entry is, to the last bit,
+    The batch of the outer products and G G* is multiplied by rho in place, as
+    a 2-d product, and flagged read-only; a certified state is a read-only row
+    of it, built directly. Each record is, to the last bit,
     ``np.outer(b_i, b_i.conj()) * rho_m`` of one record at a time: the operand
     order and the 2-d product keep numpy on the same elementwise loops.
     """
     n, d = b.shape
-    m = (b[:, :, None] * b.conj()[:, None, :]).reshape(n, d * d)
-    m *= rho.matrix.reshape(1, d * d)
-    m = m.reshape(n, d, d)
-    m.flags.writeable = False
-    herm, low = _spectrum_bounds(rho, (np.abs(b) ** 2).max(axis=1), 0)
-    ok = (
-        (herm <= tol.herm / 2)
-        & (low <= tol.psd / 2)
-        & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
-    )
-    # a certified record is a read-only row of this fresh batch, which no caller holds
-    return [
-        DensityMatrix(d, m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
-        for i in range(n)
-    ]
-
-
-def _recovered_state(rho: DensityMatrix, g: np.ndarray, tol: ToleranceProfile) -> DensityMatrix:
-    """The recovered state sum_i rho o (g_i g_i*) = rho o (G G*), over its trace.
-
-    Column i of ``g`` is g_i. The sum must reproduce rho within
-    ``RESIDUAL_TOL``, judged before the division, so that rho's own trace
-    deviation is no part of the residual; a larger residual raises
-    :class:`RecoveryFailure`. The trace is tr(rho) times the weight sum, up to
-    flatness, so dividing by it keeps a trace deviation of the state from
-    stacking on the decomposition's. The Hermitian deviation and trace of the
-    result are checked directly, as ``from_matrix`` checks them. G G* is PSD
-    with diagonal at most sum_i max_k |g_ik|^2, so with that over the trace as
-    f, :func:`_spectrum_bounds` certifies its least eigenvalue without an
-    eigensolve; a bound beyond half of tol.psd takes the full check.
-    """
     rho_m = rho.matrix
-    m = rho_m * (g @ g.conj().T)
-    residual = float(np.linalg.norm(m - rho_m))
+    m = np.empty((n + 1, d, d), dtype=complex)
+    np.multiply(b[:, :, None], b.conj()[:, None, :], out=m[:n])
+    m[n] = g @ g.conj().T
+    batch = m.reshape(n + 1, d * d)  # a view of m
+    batch *= rho_m.reshape(1, d * d)
+    residual = float(np.linalg.norm(m[n] - rho_m))
     if not residual <= RESIDUAL_TOL:
         raise RecoveryFailure(residual)
-    t = m.trace().real
-    m /= t
-    _, low = _spectrum_bounds(rho, (np.abs(g) ** 2).max(axis=0).sum() / t, g.shape[1])
+    t = m[n].trace().real
+    m[n] /= t
+    m.flags.writeable = False
+    dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
+    vals = rho._eigenvalues
+    low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
+    rounding = (64 + 4 * g.shape[1]) * d * np.finfo(float).eps * norm
+    f = np.append((np.abs(b) ** 2).max(axis=1), (np.abs(g) ** 2).max(axis=0).sum() / t)
     ok = (
-        abs(m - m.conj().T).max() <= tol.herm
-        and low <= tol.psd / 2
-        and abs(m.trace().real - 1.0) <= tol.tr
+        (f * (dev + rounding) <= tol.herm / 2)
+        & (f * (low + rounding) <= tol.psd / 2)
+        & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
     )
-    return DensityMatrix(rho.dim, _read_only(m)) if ok else DensityMatrix.from_matrix(m, tol)
+    # a certified state is a read-only row of this fresh batch, which no caller holds
+    return [
+        DensityMatrix(d, m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
+        for i in range(n + 1)
+    ]
 
 
 def run_correction(
@@ -254,9 +233,11 @@ def run_correction(
     :func:`verify_decomposition` rejects raises :class:`VerificationFailure`.
     The recovered state, the sum over outcomes computed from the decomposition,
     must reproduce rho within ``RESIDUAL_TOL``; a larger residual raises
-    :class:`RecoveryFailure`. It is returned divided by its trace. The states
-    returned are certified from the input's carried spectrum, without an
-    eigensolve, where the bounds fit, and fully checked where they do not.
+    :class:`RecoveryFailure` before any record is built. It is returned
+    divided by its trace. The conditional and recovered states are built as
+    one batch and certified in one pass from the input's carried spectrum,
+    without an eigensolve, where the bounds fit, and fully checked where they
+    do not.
     """
     _require_accepted(ch.xi, dec, tol)
     return _correct(dec, rho, tol)

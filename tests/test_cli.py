@@ -192,6 +192,16 @@ class TestCorrect:
         assert main(["--json", "correct", xp, rp, "--dec", "dec.json"]) == 0
         assert json.loads(capsys.readouterr().out)["recovery_residual"] <= 1e-8
 
+    def test_residual_is_not_the_input_trace_deviation(self, workdir, capsys):
+        # a pure state of trace 1 + 5e-7, accepted with tr = 1e-6, and xi = I: the
+        # recovered state has unit trace, and reproduces the state over its trace
+        serialize.save_json("tol.json", {"tr": 1e-6})
+        psi = np.array([1.0, 1j, -1.0]) / np.sqrt(3)
+        xp = write_matrix(workdir / "xi.json", np.eye(3), "correlation")
+        rp = write_matrix(workdir / "rho.json", np.outer(psi, psi.conj()) * (1 + 5e-7), "state")
+        assert main(["--tol", "tol.json", "--json", "correct", xp, rp]) == 0
+        assert json.loads(capsys.readouterr().out)["recovery_residual"] <= 1e-12
+
 
 class TestEraser:
     def test_state_trace_under_loose_profile(self, workdir):

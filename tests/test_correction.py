@@ -35,12 +35,7 @@ from schurmaps import (
     which_way_readout,
 )
 from schurmaps import SearchConfig, serialize
-from schurmaps.correction import (
-    CorrectionOutcomeRecord,
-    _record_states,
-    _recovered_state,
-    _term_amplitudes,
-)
+from schurmaps.correction import CorrectionOutcomeRecord, _states, _term_amplitudes
 from schurmaps.dilation import evolve_joint
 from schurmaps.numerics import NEGLIGIBLE, RESIDUAL_TOL
 from conftest import (
@@ -134,7 +129,7 @@ def records_bytes(records):
 
 def record_rows(c, heralded_phases, rho):
     """The rows c_i / sqrt(p_i) of the kept outcomes, which a correction passes to
-    ``_record_states``, then the rows g_i / sqrt(p_i), records of the same kind."""
+    ``_states``, then the rows g_i / sqrt(p_i), records of the same kind."""
     g = heralded_phases.conj().T * c
     probs = (np.abs(c) ** 2).T @ np.diag(rho.matrix).real
     kept = probs >= NEGLIGIBLE
@@ -142,14 +137,27 @@ def record_rows(c, heralded_phases, rho):
     return np.concatenate((c[:, kept].T, g[:, kept].T)) * scale
 
 
-def states_bytes(build, rho, b, tol):
-    """The states built from ``b``, as comparable bytes, or the error class."""
+def states_bytes(build, *args):
+    """The states ``build(*args)`` returns, as comparable bytes, or the error class."""
     try:
-        states = build(rho, b, tol)
+        states = build(*args)
     except SchurMapsError as exc:
         return type(exc)
     return [(s.dim, s.matrix.shape, s.matrix.dtype.str, s.matrix.flags.writeable,
              s.matrix.tobytes()) for s in states]
+
+
+def reference_states(rho, b, g, tol):
+    """The states of ``_states`` through the full ``from_matrix`` check: the
+    residual of the unnormalized sum first, as the correction loop has always
+    judged it, then each record, then the sum over its trace."""
+    rho_m = rho.matrix
+    recovered = (g @ g.conj().T) * rho_m  # P o rho, the operand order of the batch
+    residual = float(np.linalg.norm(recovered - rho_m))
+    if not residual <= RESIDUAL_TOL:
+        raise RecoveryFailure(residual)
+    states = [np.outer(r, r.conj()) * rho_m for r in b] + [recovered / recovered.trace().real]
+    return [DensityMatrix.from_matrix(m, tol) for m in states]
 
 
 EDGE_TOLS = [
@@ -232,20 +240,34 @@ class TestRecordCertificate:
     @settings(max_examples=400, deadline=None)
     @given(edge_inputs())
     @example(D1_ONE_OUTCOME)
-    def test_matches_full_check_on_every_record(self, inputs):
-        # same error class, or byte-equal records; and every record, those built
-        # without their own eigensolve among them, passes the full check
+    @example(PSD_EDGE)
+    def test_matches_full_check_on_every_state(self, inputs):
+        # same error class, or byte-equal states, each of which passes the full
+        # check. The drawn heralded phases mostly fail the recovery and those of c
+        # undo it; one column of ones (G G* = J) recovers every input, so the
+        # records of every draw are judged
         c, heralded, rho, tol = inputs
         b = record_rows(c, heralded, rho)
+        undo = np.exp(1j * np.angle(c)).T
+        for g in (heralded.conj().T * c, undo.conj().T * c, np.ones((rho.dim, 1))):
+            got = states_bytes(_states, rho, b, g, tol)
+            assert got == states_bytes(reference_states, rho, b, g, tol)
+            if isinstance(got, list):
+                for state in _states(rho, b, g, tol):
+                    DensityMatrix.from_matrix(state.matrix, tol)
 
-        def reference(rho, b, tol):
-            return [DensityMatrix.from_matrix(np.outer(r, r.conj()) * rho.matrix, tol) for r in b]
-
-        got = states_bytes(_record_states, rho, b, tol)
-        assert got == states_bytes(reference, rho, b, tol)
-        if isinstance(got, list):
-            for state in _record_states(rho, b, tol):
-                DensityMatrix.from_matrix(state.matrix, tol)
+    @settings(max_examples=100, deadline=None)
+    @given(edge_inputs())
+    def test_recovery_is_judged_first(self, inputs):
+        # records of trace 4, which the full check refuses, and a sum of 4 rho,
+        # which fails the recovery: the recovery's failure is raised
+        c, heralded, rho, tol = inputs
+        b = 2 * record_rows(c, heralded, rho)
+        g = 2 * np.ones((rho.dim, 1))
+        with pytest.raises(SchurMapsError):
+            DensityMatrix.from_matrix(np.outer(b[0], b[0].conj()) * rho.matrix, tol)
+        with pytest.raises(RecoveryFailure):
+            _states(rho, b, g, tol)
 
     @pytest.mark.parametrize("d", [12, 16, 24, 32])
     def test_benchmark_sizes_match_reference(self, rng, d):
@@ -284,33 +306,6 @@ class TestRecordCertificate:
                 assert np.max(np.abs(m - e.conditional_state.matrix)) <= 1e-15
                 assert r.corrected_state is r.conditional_state
 
-    @settings(max_examples=400, deadline=None)
-    @given(edge_inputs())
-    @example(D1_ONE_OUTCOME)
-    @example(PSD_EDGE)
-    def test_recovered_state_matches_full_check(self, inputs):
-        # same error class, or a byte-equal state that passes the full check; the
-        # drawn heralded phases mostly fail the recovery, those of c undo it
-        c, heralded, rho, tol = inputs
-
-        def reference(rho, g, tol):
-            # the residual of the sum itself, as the correction loop has always judged it
-            m = rho.matrix * (g @ g.conj().T)
-            residual = float(np.linalg.norm(m - rho.matrix))
-            if not residual <= RESIDUAL_TOL:
-                raise RecoveryFailure(residual)
-            return [DensityMatrix.from_matrix(m / m.trace().real, tol)]
-
-        def certified(rho, g, tol):
-            return [_recovered_state(rho, g, tol)]
-
-        for phases in (heralded, np.exp(1j * np.angle(c)).T):
-            g = phases.conj().T * c
-            got = states_bytes(certified, rho, g, tol)
-            assert got == states_bytes(reference, rho, g, tol)
-            if isinstance(got, list):
-                DensityMatrix.from_matrix(_recovered_state(rho, g, tol).matrix, tol)
-
     @pytest.mark.parametrize("d", [2, 5])
     def test_input_trace_is_no_part_of_the_residual(self, rng, d):
         # a state of trace 1 + 5e-7, accepted with tr = 1e-6: the sum reproduces it
@@ -348,7 +343,8 @@ class TestRecordCertificate:
 
     def test_batch_memory(self, rng):
         # at its peak a d = 32 eraser call holds at most one (outcomes x d^2) complex
-        # buffer beyond the records and recovered state it returns
+        # buffer beyond the batch it returns, whose rows are the records' states and
+        # the recovered state
         d = 32
         scenario = eraser_scenario(d)
         rho = random_density(rng, d)

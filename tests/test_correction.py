@@ -237,24 +237,36 @@ PSD_EDGE = (
 
 
 class TestRecordCertificate:
+    @staticmethod
+    def assert_matches_full_check(rho, b, g, tol):
+        # same error class, or byte-equal states, each of which passes the full check
+        got = states_bytes(_states, rho, b, g, tol)
+        assert got == states_bytes(reference_states, rho, b, g, tol)
+        if isinstance(got, list):
+            for state in _states(rho, b, g, tol):
+                DensityMatrix.from_matrix(state.matrix, tol)
+
     @settings(max_examples=400, deadline=None)
     @given(edge_inputs())
     @example(D1_ONE_OUTCOME)
     @example(PSD_EDGE)
-    def test_matches_full_check_on_every_state(self, inputs):
-        # same error class, or byte-equal states, each of which passes the full
-        # check. The drawn heralded phases mostly fail the recovery and those of c
-        # undo it; one column of ones (G G* = J) recovers every input, so the
-        # records of every draw are judged
+    def test_matches_full_check_on_every_record(self, inputs):
+        # one column of ones (G G* = J) recovers every input, so the records of
+        # every draw are judged
         c, heralded, rho, tol = inputs
         b = record_rows(c, heralded, rho)
-        undo = np.exp(1j * np.angle(c)).T
-        for g in (heralded.conj().T * c, undo.conj().T * c, np.ones((rho.dim, 1))):
-            got = states_bytes(_states, rho, b, g, tol)
-            assert got == states_bytes(reference_states, rho, b, g, tol)
-            if isinstance(got, list):
-                for state in _states(rho, b, g, tol):
-                    DensityMatrix.from_matrix(state.matrix, tol)
+        self.assert_matches_full_check(rho, b, np.ones((rho.dim, 1)), tol)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_inputs())
+    @example(D1_ONE_OUTCOME)
+    @example(PSD_EDGE)
+    def test_recovered_state_matches_full_check(self, inputs):
+        # the drawn heralded phases mostly fail the recovery, those of c undo it
+        c, heralded, rho, tol = inputs
+        b = record_rows(c, heralded, rho)
+        for phases in (heralded, np.exp(1j * np.angle(c)).T):
+            self.assert_matches_full_check(rho, b, phases.conj().T * c, tol)
 
     @settings(max_examples=100, deadline=None)
     @given(edge_inputs())

@@ -8,9 +8,12 @@ an exact descent through the faces of the convex set finds one: by Li-Tam,
 a qutrit correlation matrix is extreme only at rank one, where it is a flat
 u u*, so every face of higher rank can be split in two faces of lower rank
 until only flat vectors are left. For d >= 4 a seeded numerical search takes
-over. An extreme correlation matrix of rank >= 2 (possible only for d >= 4)
-has no flat decomposition; the Li-Tam test of :func:`extremality_test`
-certifies it, and the search refuses it.
+over: Levenberg-Marquardt on the residual, with as many terms as the
+Caratheodory bound of the face of xi allows (d^2 - d + 1 at full rank,
+fewer below it). An extreme correlation matrix of rank >= 2 (possible only
+for d >= 4) has no flat decomposition; the Li-Tam count that sizes the
+search certifies it, as in :func:`extremality_test`, and the search
+refuses it.
 """
 
 import enum
@@ -84,7 +87,11 @@ class FlatDecomposition:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the numerical flat-vector search: integers, both counts >= 1, seed >= 0."""
+    """Knobs for the numerical flat-vector search: integers, both counts >= 1, seed >= 0.
+
+    ``restarts`` counts the random starting points, ``max_iters`` the
+    Levenberg-Marquardt iterations (linear solves) allowed from each.
+    """
 
     restarts: int = 32
     max_iters: int = 5000
@@ -159,9 +166,6 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
     return FlatDecomposition(dim=d, weights=np.full(d, 1.0 / d), phase_vectors=phases)
 
 
-_LBFGS_MEMORY = 10  # steps the search's L-BFGS remembers, scipy's default
-
-
 def _unpack(x, m, d):
     """Flat vectors (rows) and weights from the search parameters.
 
@@ -176,100 +180,119 @@ def _unpack(x, m, d):
     return u, es / es.sum()
 
 
-def _objective(x: np.ndarray, xi: np.ndarray, m: int, d: int):
-    """Squared Frobenius residual and its analytic gradient in the parameters
-    of :func:`_unpack`."""
+def _edges(d):
+    """Index arrays of the R = d(d-1)/2 entries k < l above the diagonal, and
+    the (2R, d - 1) incidence e_k - e_l of the real and then the imaginary
+    part of each entry on the free angles 1..d-1."""
+    iu = np.triu_indices(d, 1)
+    inc = np.zeros((iu[0].size, d))
+    inc[np.arange(iu[0].size), iu[0]] = 1.0
+    inc[np.arange(iu[0].size), iu[1]] = -1.0
+    return iu, np.vstack([inc[:, 1:], inc[:, 1:]])
+
+
+def _residual(x, target, m, d, iu):
+    """(p, w, r) at the parameters x of :func:`_unpack`: the weights p, the
+    entries w_i = [Re, Im] of u_ik conj(u_il) above the diagonal for each
+    flat vector u_i, and the residual r = target - p @ w of the same real
+    layout. The diagonal of sum_i p_i u_i u_i* is 1 by construction, so r is
+    all of the residual."""
     u, p = _unpack(x, m, d)
-    r = xi - _mix(p, u)
-    h = u.conj() * (u @ r.T)  # h[i, k] = conj(u_ik) (r u_i)_k since r is Hermitian
-    grad_theta = -4.0 * p[:, None] * h.imag[:, 1:]
-    grad_p = -2.0 * h.real.sum(axis=1)
-    grad_s = p * (grad_p - p @ grad_p)
-    return float(np.vdot(r, r).real), np.concatenate([grad_theta.ravel(), grad_s])
+    w = u[:, iu[0]] * u[:, iu[1]].conj()
+    w = np.hstack([w.real, w.imag])
+    return p, w, target - p @ w
+
+
+def _gauss_newton(p, w, kernel, inc):
+    """J J^T and z -> J^T z for the Jacobian J of the residual r of
+    :func:`_residual` in the parameters of :func:`_unpack`, without forming J.
+
+    The column of J for the angle theta_ij is a_i o inc[:, j], with
+    a_i = p_i [Im w_i, -Re w_i] (w_i turns with its phases), and for the
+    score of term i it is -b_i, b_i = p_i (w_i - p @ w) (the softmax
+    derivative). So J J^T = (a^T a) o K + b^T b with K = inc inc^T, and J^T z
+    takes one (m, 2R) @ (2R, d - 1) product for the angles and one
+    matrix-vector product for the scores.
+    """
+    n = w.shape[1] // 2
+    a = p[:, None] * np.hstack([w[:, n:], -w[:, :n]])
+    b = p[:, None] * (w - p @ w)
+    jjt = (a.T @ a) * kernel + b.T @ b
+
+    def pull(z):
+        return np.concatenate([((a * z) @ inc).ravel(), -(b @ z)])
+
+    return jjt, pull
 
 
 def _polish(x0, xi, m, d, max_iters):
-    """Minimize :func:`_objective` from x0 by L-BFGS; returns (x, f).
+    """Drive the residual of :func:`_residual` to zero from x0 by
+    Levenberg-Marquardt; returns (x, f) with f the squared Frobenius residual.
 
-    Directions come from the two-loop recursion (Nocedal 1980) over the last
-    ``_LBFGS_MEMORY`` steps; with none stored, from the Polyak step
-    -g f / |g|^2 (the zero of f's linear model), which sizes the first step,
-    and the first after pruning, to the distance from a zero residual. The
-    step length is bisected, or doubled while the slope stays steep, until
-    it meets the strong Wolfe conditions with c1 = 1e-4 and c2 = 0.5; the
-    line search, more exact than at the usual c2 = 0.9, lets more restarts
-    converge on rank-deficient xi. Stops after ``max_iters`` iterations, at
-    max |g| <= 1e-14, after a step that lowers f by at most
-    1e-18 max(|f|, |f_new|, 1), or when 20 trial steps fail.
+    Each iteration takes the minimum-norm damped Gauss-Newton step
+    -J^T (J J^T + mu I)^-1 r, solved in the 2R-dimensional residual space
+    (:func:`_gauss_newton`). It is kept when it lowers f, which divides mu by
+    3, and is otherwise dropped, which multiplies mu by 4; mu starts at 1e-3
+    times the mean diagonal of J J^T. Stops after ``max_iters`` iterations,
+    at f <= 1e-26, when f has not halved over 50 iterations, or when mu
+    exceeds 1e15 times that mean diagonal (no step lowers f any more).
     """
+    iu, inc = _edges(d)
+    kernel = inc @ inc.T
+    target = np.concatenate([xi[iu].real, xi[iu].imag])
+    eye = np.eye(target.size)
     x = x0
-    f, g = _objective(x, xi, m, d)
-    steps = []  # (s, y, 1 / (s . y)) of the last _LBFGS_MEMORY steps, oldest first
-    for _ in range(max_iters):
-        if np.max(np.abs(g)) <= 1e-14:
-            break
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(steps):
-            alphas.append(rho * (s @ q))
-            q -= alphas[-1] * y
-        if steps:
-            _, y, rho = steps[-1]
-            q /= rho * (y @ y)  # H0 = (s . y) / (y . y) I of the newest step
-        else:
-            q *= f / (g @ g)
-        for (s, y, rho), a in zip(steps, reversed(alphas)):
-            q += (a - rho * (y @ q)) * s
-        slope = -(g @ q)
-        if not slope < 0 and steps:  # only rounding turns the direction uphill
-            steps.clear()
-            continue
-        t, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(20):
-            x_new = x - t * q
-            f_new, g_new = _objective(x_new, xi, m, d)
-            slope_new = -(g_new @ q)
-            if not f_new <= f + 1e-4 * t * slope or slope_new > -0.5 * slope:
-                hi = t
-            elif slope_new < 0.5 * slope:
-                lo = t
-            else:
+    p, w, r = _residual(x, target, m, d, iu)
+    f = 2.0 * (r @ r)
+    mu, jjt, checkpoint = None, None, np.inf
+    for it in range(max_iters):
+        if it % 50 == 0:
+            if not f <= checkpoint / 2.0:
                 break
-            t = 2.0 * t if hi == np.inf else (lo + hi) / 2.0
+            checkpoint = f
+        if f <= 1e-26:
+            break
+        if jjt is None:
+            jjt, pull = _gauss_newton(p, w, kernel, inc)
+            scale = np.trace(jjt) / target.size
+            if mu is None:
+                mu = 1e-3 * scale
+        if not mu <= 1e15 * scale:
+            break
+        x_new = x - pull(np.linalg.solve(jjt + mu * eye, r))
+        p_new, w_new, r_new = _residual(x_new, target, m, d, iu)
+        f_new = 2.0 * (r_new @ r_new)
+        if f_new < f:
+            x, p, w, r, f = x_new, p_new, w_new, r_new, f_new
+            jjt, mu = None, mu / 3.0
         else:
-            break
-        small = f - f_new <= 1e-18 * max(abs(f), abs(f_new), 1.0)
-        s, y = x_new - x, g_new - g
-        sy = s @ y
-        if sy > 0:
-            steps = steps[1 - _LBFGS_MEMORY :] + [(s, y, 1.0 / sy)]
-        x, f, g = x_new, f_new, g_new
-        if small:
-            break
+            mu *= 4.0
     return x, f
 
 
 def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) -> FlatDecomposition:
     """Seeded numerical search for a flat decomposition of a correlation matrix.
 
-    Minimizes the squared Frobenius residual over phase angles and softmax
-    weights by L-BFGS (:func:`_polish`, with analytic gradients), restarting
-    from fresh random points until the residual meets ``RESIDUAL_TOL``, with
-    d^2 - d + 1 terms (the Caratheodory bound). Terms with weight below 1e-6
-    are pruned and the survivors re-polished. Deterministic under a fixed
-    seed. Raises :class:`NoDecompositionFound` (carrying the best residual)
-    when every restart fails -- an expected outcome for some d >= 4 inputs --
-    and at once, before any restart, when :func:`extremality_test` certifies
-    xi extreme with rank >= 2: such an xi is its own only decomposition into
-    correlation matrices, so no mixture of flat rank-one matrices equals it.
+    Drives the residual over phase angles and softmax weights to zero by
+    Levenberg-Marquardt (:func:`_polish`), restarting from fresh random
+    points until the Frobenius residual meets ``RESIDUAL_TOL``. It searches
+    with m = r^2 - s + 1 terms, the Caratheodory bound of the face of xi
+    (:func:`_face`): every flat u u* of a decomposition lies in that face, of
+    dimension r^2 - s. At full rank m = d^2 - d + 1. Deterministic under a
+    fixed seed. Raises :class:`NoDecompositionFound` (carrying the best
+    residual) when every restart fails -- an expected outcome for some d >= 4
+    inputs -- and at once, before any restart, when the face is the point xi
+    with rank >= 2 (Li-Tam, as in :func:`extremality_test`): such an xi is
+    its own only decomposition into correlation matrices, so no mixture of
+    flat rank-one matrices equals it.
     """
     d = xi.dim
     if d < 2:
         raise BadDimension(f"need d >= 2, got {d}")
-    ext = extremality_test(xi)
-    if ext.verdict is ExtremalityVerdict.EXTREMAL and ext.rank >= 2:
-        raise NoDecompositionFound(np.inf, 0, extreme_rank=ext.rank)
-    m = d * d - d + 1
+    r, s = _face(xi)
+    if s >= r * r and r >= 2:
+        raise NoDecompositionFound(np.inf, 0, extreme_rank=r)
+    m = r * r - s + 1
     target = xi.matrix
     best_residual = np.inf
     for restart in range(config.restarts):
@@ -281,43 +304,58 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
             ]
         )
         x, f = _polish(x0, target, m, d, config.max_iters)
-        u, p = _unpack(x, m, d)
-        keep = p >= 1e-6
-        if not np.all(keep) and np.any(keep):
-            mk = int(keep.sum())
-            n_theta_kept = np.angle(u[keep])  # first column is 0 by construction
-            s_kept = np.log(p[keep])
-            x0p = np.concatenate([n_theta_kept[:, 1:].ravel(), s_kept])
-            x, f = _polish(x0p, target, mk, d, config.max_iters)
-            u, p = _unpack(x, mk, d)
         residual = np.sqrt(max(f, 0.0))
-        if residual < best_residual:
-            best_residual = residual
+        best_residual = min(best_residual, residual)
         if residual <= RESIDUAL_TOL:
+            u, p = _unpack(x, m, d)
             order = np.argsort(-p, kind="stable")
             return FlatDecomposition(dim=d, weights=p[order], phase_vectors=u[order])
     raise NoDecompositionFound(best_residual, config.restarts)
 
 
-def _null_direction(vecs: np.ndarray):
-    """A unit Hermitian r x r matrix H with e_k* H e_k = 0 for every row e_k of
-    ``vecs`` (d x r), or None when the outer products e_k e_k* span all r^2
-    Hermitian matrices (the Li-Tam count).
-
-    One SVD of the outer products' stacked real and imaginary parts gives
-    both: the singular values above ``RANK_THRESHOLD`` times the largest
-    count the dimension of the span, and the right singular vectors beyond
-    them encode matrices X = X_re + i X_im orthogonal to every e_k e_k*.
-    Since each e_k e_k* is Hermitian, so is the Hermitian part of X; the
-    largest of those parts, normalized, is H.
+def _span(vecs: np.ndarray):
+    """(s, vt) for the outer products e_k e_k* of the rows of ``vecs`` (d x r),
+    stacked as the real rows [Re | Im] of a d x 2r^2 matrix: s, the real
+    dimension of their span, counts its singular values above
+    ``RANK_THRESHOLD`` times the largest, and the right singular vectors vt
+    beyond the first s encode matrices X = X_re + i X_im orthogonal to every
+    e_k e_k*.
     """
     d, r = vecs.shape
     outer = np.einsum("ka,kb->kab", vecs, vecs.conj()).reshape(d, r * r)
     _, sv, vt = np.linalg.svd(np.hstack([outer.real, outer.imag]))
-    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-    if rank >= r * r:
+    return int(np.sum(sv > RANK_THRESHOLD * sv[0])), vt
+
+
+def _face(xi: CorrelationMatrix):
+    """(r, s): the rank r of xi and the Li-Tam count s, the real dimension of
+    the span of e_k e_k* over its Kolmogorov vectors e_k in C^r.
+
+    The face of xi in the convex set of correlation matrices holds the Gram
+    matrices <e_k|(I + H)|e_l> with I + H >= 0 and e_k* H e_k = 0 for every
+    k, so it has dimension r^2 - s, and xi is extreme exactly when s = r^2.
+    At full rank the d vectors are independent, so are their outer products,
+    and s = d without an SVD.
+    """
+    vecs = kolmogorov_vectors(xi)
+    d, r = vecs.shape
+    return r, d if r == d else _span(vecs)[0]
+
+
+def _null_direction(vecs: np.ndarray):
+    """A unit Hermitian r x r matrix H with e_k* H e_k = 0 for every row e_k of
+    ``vecs`` (d x r), or None when the outer products e_k e_k* span all r^2
+    Hermitian matrices (the Li-Tam count of :func:`_span`).
+
+    Since each e_k e_k* is Hermitian, so is the Hermitian part of every
+    matrix orthogonal to all of them; the largest of those parts over the
+    null vectors of :func:`_span`, normalized, is H.
+    """
+    r = vecs.shape[1]
+    s, vt = _span(vecs)
+    if s >= r * r:
         return None
-    x = (vt[rank:, : r * r] + 1j * vt[rank:, r * r :]).reshape(-1, r, r)
+    x = (vt[s:, : r * r] + 1j * vt[s:, r * r :]).reshape(-1, r, r)
     herm = x + x.conj().transpose(0, 2, 1)
     h = herm[np.argmax(np.linalg.norm(herm, axis=(1, 2)))]
     return h / np.linalg.norm(h)
@@ -438,13 +476,10 @@ def extremality_test(xi: CorrelationMatrix) -> ExtremalityResult:
 
     xi is the Gram matrix of its Kolmogorov vectors e_k in C^r, r = rank(xi).
     It is extreme exactly when the d outer products e_k e_k* span all r x r
-    Hermitian matrices, i.e. their real span has dimension r^2. That needs
-    r^2 <= d, so a larger rank is settled without an SVD; otherwise
-    :func:`_null_direction` counts the dimension of the span. For d <= 3
-    this is the rank-one rule.
+    Hermitian matrices, i.e. their real span has dimension r^2, which
+    :func:`_face` counts. That needs r^2 <= d, so full rank with d >= 2 is
+    settled without an SVD. For d <= 3 this is the rank-one rule.
     """
-    vecs = kolmogorov_vectors(xi)
-    d, r = vecs.shape
-    extreme = r * r <= d and _null_direction(vecs) is None
-    verdict = ExtremalityVerdict.EXTREMAL if extreme else ExtremalityVerdict.NOT_EXTREMAL
+    r, s = _face(xi)
+    verdict = ExtremalityVerdict.EXTREMAL if s >= r * r else ExtremalityVerdict.NOT_EXTREMAL
     return ExtremalityResult(verdict=verdict, rank=r)

@@ -25,7 +25,6 @@ from schurmaps import (
     von_neumann_entropy,
 )
 from schurmaps import decomposition
-from schurmaps.decomposition import _objective
 from schurmaps.infometrics import shannon_entropy
 from conftest import random_correlation, random_density, random_flat_decomposition
 
@@ -180,8 +179,9 @@ class TestFlatSearch:
         assert exc.value.restarts == 1
 
     def test_rank_two_input_is_pruned_to_two_terms(self):
-        # the search polishes 13 terms; it returns 2 only through the block that
-        # prunes weights below 1e-6 and polishes the survivors again
+        # the search is sized by the face of xi: two flat vectors at d = 4 span a
+        # rank-2 xi whose four Kolmogorov outer products span s = 3 dimensions, so
+        # it polishes r^2 - s + 1 = 2 terms, not d^2 - d + 1 = 13
         u = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, size=(2, 4)))
         xi = validate_correlation((u.T * np.array([0.6, 0.4])) @ u.conj())
         dec = flat_search(xi, SearchConfig(restarts=4, max_iters=1000))
@@ -201,19 +201,78 @@ class TestFlatSearch:
         assert exc.value.restarts == 0
         assert exc.value.extreme_rank == 2
 
-    def test_analytic_gradient_matches_finite_differences(self, rng):
-        # oracle for the search objective: central finite differences
-        d, m = 3, 4
-        xi = random_correlation(rng, d).matrix
-        x = rng.normal(size=m * (d - 1) + m)
-        f, grad = _objective(x, xi, m, d)
-        eps = 1e-6
-        for j in range(x.size):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += eps
-            xm[j] -= eps
-            fd = (_objective(xp, xi, m, d)[0] - _objective(xm, xi, m, d)[0]) / (2 * eps)
-            assert abs(fd - grad[j]) < 1e-5
+    def test_gauss_newton_matches_finite_differences(self, rng):
+        # oracle: the central-difference Jacobian J of the real residual
+        # [Re r, Im r], r the entries k < l of xi - sum_i p_i u_i u_i*
+        def residual(x, xi, m, d):
+            u, p = decomposition._unpack(x, m, d)
+            r = (xi - (u.T * p) @ u.conj())[np.triu_indices(d, 1)]
+            return np.concatenate([r.real, r.imag])
+
+        rank_two = validate_correlation(reconstruct_xi(random_flat_decomposition(rng, 4, 2)))
+        for xi in (random_correlation(rng, 3), random_correlation(rng, 4), rank_two):
+            d = xi.dim
+            r, s = decomposition._face(xi)
+            m = r * r - s + 1
+            x = rng.normal(size=m * d)
+            iu, inc = decomposition._edges(d)
+            target = np.concatenate([xi.matrix[iu].real, xi.matrix[iu].imag])
+            p, w, res = decomposition._residual(x, target, m, d, iu)
+            jjt, pull = decomposition._gauss_newton(p, w, inc @ inc.T, inc)
+            eps = 1e-6
+            jac = np.stack(
+                [
+                    (residual(x + eps * e, xi.matrix, m, d) - residual(x - eps * e, xi.matrix, m, d))
+                    / (2 * eps)
+                    for e in np.eye(x.size)
+                ],
+                axis=1,
+            )
+            z = rng.normal(size=jac.shape[0])
+            assert np.max(np.abs(res - residual(x, xi.matrix, m, d))) < 1e-14
+            assert np.max(np.abs(jjt - jac @ jac.T)) < 1e-8
+            assert np.max(np.abs(pull(z) - jac.T @ z)) < 1e-8
+
+    def test_rank_deficient_mixture_decomposes_within_its_face_bound(self):
+        # rank 3 at d = 4: four Kolmogorov outer products in C^3 span s = 4, so the
+        # face bound is r^2 - s + 1 = 6 terms
+        theta = np.array([(0, 0.4, 1.9, -2.2), (0, 2.5, -1.2, 0.8), (0, -0.7, 0.3, 2.9)])
+        u = np.exp(1j * theta)
+        xi = validate_correlation((u.T * np.array([0.5, 0.3, 0.2])) @ u.conj())
+        dec = flat_search(xi, SearchConfig(restarts=4, max_iters=1000))
+        assert verify_decomposition(xi, dec).accepted
+        assert dec.terms <= 6
+
+    def test_iterations_per_search(self, monkeypatch):
+        # one linear solve per Levenberg-Marquardt iteration: the first restart
+        # decomposes full-rank mixtures inside the decomposable set in at most 25
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        for d in (6, 8, 10):
+            rng = np.random.default_rng(d)
+            for _ in range(3):
+                lam = rng.uniform(0.3, 0.6)
+                mix = reconstruct_xi(random_flat_decomposition(rng, d, 3))
+                xi = validate_correlation(lam * np.eye(d) + (1 - lam) * mix)
+                calls.clear()
+                dec = flat_search(xi, SearchConfig(restarts=1, max_iters=1000))
+                assert verify_decomposition(xi, dec).accepted
+                assert dec.terms == d * d - d + 1
+                assert len(calls) <= 25
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), k=st.integers(1, 3))
+    def test_rank_deficient_mixtures_take_at_most_the_face_bound(self, seed, d, k):
+        # mixtures of 4 or 5 flat vectors at d = 5, 6 are left out: the flat
+        # vectors of their faces form thin sets, and the search misses some of
+        # those inputs under the default config
+        dec = random_flat_decomposition(np.random.default_rng(seed), d, min(k, d))
+        xi = validate_correlation(reconstruct_xi(dec))
+        r, s = decomposition._face(xi)
+        found = flat_search(xi)
+        assert verify_decomposition(xi, found).accepted
+        assert found.terms <= r * r - s + 1
 
     def test_channel_equivalence(self, rng):
         # mixture of diagonal-unitary conjugations equals the Schur channel
@@ -363,6 +422,26 @@ class TestExtremality:
                 res = extremality_test(validate_correlation(gram(random_vectors(rng, d, r))[0]))
                 assert res.rank == r
                 assert (res.verdict == ExtremalityVerdict.EXTREMAL) == (r * r <= d)
+
+    def test_face_count_at_full_rank(self, rng, monkeypatch):
+        # full rank: s = d without an SVD, so the search keeps d^2 - d + 1 terms
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for d in range(2, 9):
+            assert decomposition._face(random_correlation(rng, d)) == (d, d)
+            assert decomposition._face(validate_correlation(np.eye(d))) == (d, d)
+
+    def test_one_term_exactly_when_extremal(self, rng):
+        cases = [gram(random_vectors(rng, d, r))[0] for d in range(1, 9) for r in (1, 2, 3) if r <= d]
+        cases += [gram(rng.normal(size=(d, 2)) + 0j)[0] for d in (4, 6)]
+        cases += [reconstruct_xi(random_flat_decomposition(rng, d, k)) for d in (4, 6) for k in (1, 2, 3)]
+        for m in cases:
+            xi = validate_correlation(m)
+            r, s = decomposition._face(xi)
+            extremal = extremality_test(xi).verdict == ExtremalityVerdict.EXTREMAL
+            assert (r * r - s + 1 == 1) == extremal
 
     def test_verdict_agrees_with_null_space_witness(self, rng):
         cases = [gram(random_vectors(rng, d, r)) for d in range(2, 9) for r in (2, 3) if r <= d]

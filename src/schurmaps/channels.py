@@ -48,12 +48,17 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Validated quantum state: Hermitian, PSD, unit trace. Every function that takes
     one trusts it; built directly rather than by :meth:`from_matrix`, it skips
-    validation and is trusted unchecked."""
+    validation and is trusted unchecked.
+
+    It carries the profile it was validated under (``DEFAULT_TOL`` when built
+    directly or by :meth:`pure`), and every state the library builds from it
+    is judged under, and carries, that profile."""
 
     dim: int
     matrix: np.ndarray
-    # not an init field, so dataclasses.replace never carries it to another matrix
+    # not init fields, so dataclasses.replace never carries them to another matrix
     _eigvals: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
 
     @property
     def _eigenvalues(self) -> np.ndarray:
@@ -66,11 +71,12 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
-        """Validate ``m`` as a state; the state holds a read-only copy of it and
-        carries the eigenvalues the validation solved."""
+        """Validate ``m`` as a state under ``tol``; the state holds a read-only copy
+        of it and carries ``tol`` and the eigenvalues the validation solved."""
         mm, vals = _state_eigenvalues(m, tol)
         state = cls(dim=mm.shape[0], matrix=_read_only(mm))
         object.__setattr__(state, "_eigvals", _read_only(vals))
+        object.__setattr__(state, "_tol", tol)
         return state
 
     @classmethod
@@ -88,10 +94,21 @@ class DensityMatrix:
 class CorrelationMatrix:
     """PSD matrix with exactly-unit diagonal; the channel's full description. Every
     function that takes one trusts it; built directly rather than by
-    :func:`validate_correlation`, it skips validation and is trusted unchecked."""
+    :func:`validate_correlation`, it skips validation and is trusted unchecked.
+
+    It carries the profile it was validated under (``DEFAULT_TOL`` when built
+    directly), under which a decomposition of it is judged."""
 
     dim: int
     matrix: np.ndarray
+    _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
+
+
+def _carry(obj, source):
+    """``obj``, just built from the validated ``source`` and held by no caller,
+    carrying the profile of ``source``."""
+    object.__setattr__(obj, "_tol", source._tol)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,7 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
 
     Diagonal entries within ``tol.tr`` of 1 are snapped to exactly 1 so the
     unit-diagonal invariant holds exactly downstream. The result holds a
-    read-only copy.
+    read-only copy and carries ``tol``.
     """
     mm = _hermitian_copy(m, tol)
     for k, v in enumerate(np.diag(mm)):
@@ -126,7 +143,9 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
             raise BadDiagonal(k, v)
     np.fill_diagonal(mm, 1.0)
     _psd_eigenvalues(mm, tol)
-    return CorrelationMatrix(dim=mm.shape[0], matrix=_read_only(mm))
+    xi = CorrelationMatrix(dim=mm.shape[0], matrix=_read_only(mm))
+    object.__setattr__(xi, "_tol", tol)
+    return xi
 
 
 def apply_heisenberg(ch: SchurChannel, obs) -> np.ndarray:
@@ -134,30 +153,29 @@ def apply_heisenberg(ch: SchurChannel, obs) -> np.ndarray:
     return schur_product(ch.xi.matrix, obs)
 
 
-def apply_schrodinger(
-    ch: SchurChannel, rho: DensityMatrix, tol: ToleranceProfile = DEFAULT_TOL
-) -> DensityMatrix:
+def apply_schrodinger(ch: SchurChannel, rho: DensityMatrix) -> DensityMatrix:
     """Schrodinger-picture action on a state: xi^T o rho (transpose taken in
-    the decoherence basis, never omitted): :func:`iterate` once."""
-    return iterate(ch, rho, 1, tol)
+    the decoherence basis, never omitted): :func:`iterate` once, so validated
+    under, and carrying, the profile of ``rho``."""
+    return iterate(ch, rho, 1)
 
 
-def iterate(
-    ch: SchurChannel, rho: DensityMatrix, n: int, tol: ToleranceProfile = DEFAULT_TOL
-) -> DensityMatrix:
+def iterate(ch: SchurChannel, rho: DensityMatrix, n: int) -> DensityMatrix:
     """n-fold application of the channel to a state.
 
     Implemented as a single Schur product with the elementwise n-th power of
     xi^T, which is exactly equivalent for Schur maps and stabler for large n.
+    The result is validated under, and carries, the profile of ``rho``.
     """
     powered = np.power(ch.xi.matrix.T, _integer(n, 0, "iteration count"))
-    return DensityMatrix.from_matrix(schur_product(powered, rho.matrix), tol)
+    return DensityMatrix.from_matrix(schur_product(powered, rho.matrix), rho._tol)
 
 
 def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:
-    """Diagonal truncation of the state, the fixed point of complete decoherence (read-only)."""
+    """Diagonal truncation of the state, the fixed point of complete decoherence
+    (read-only, carrying the profile of ``rho``)."""
     diagonal = np.diag(np.diag(rho.matrix)).astype(complex)
-    return DensityMatrix(dim=rho.dim, matrix=_read_only(diagonal))
+    return _carry(DensityMatrix(dim=rho.dim, matrix=_read_only(diagonal)), rho)
 
 
 def choi_operator(ch: SchurChannel) -> np.ndarray:

@@ -80,7 +80,7 @@ def cmd_evolve(args, tol: ToleranceProfile) -> int:
     ch = SchurChannel(xi)
     prefix = args.out or "evolve"
     k, l = np.triu_indices(xi.dim, 1)
-    final = iterate(ch, rho, args.n, tol)  # rejects a negative n before any file is written
+    final = iterate(ch, rho, args.n)  # rejects a negative n before any file is written
     serialize.save_json(prefix + "_state.json", serialize.matrix_to_dict(final.matrix, "state"))
     csv_path = prefix + "_decay.csv"
     # |rho_kl(n)| of the written entries, read from the products iterate validates,
@@ -99,7 +99,7 @@ def cmd_evolve(args, tol: ToleranceProfile) -> int:
 def cmd_decompose(args, tol: ToleranceProfile) -> int:
     xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     dec = decompose(xi, args.seed)
-    report = verify_decomposition(xi, dec, tol)
+    report = verify_decomposition(xi, dec)
     obj = {
         "decomposition": serialize.decomposition_to_dict(dec),
         "verification": vars(report),
@@ -128,7 +128,7 @@ def cmd_correct(args, tol: ToleranceProfile) -> int:
         dec = serialize.decomposition_from_dict(serialize.load_json(args.dec))
     else:
         dec = decompose(xi, args.seed)
-    records, recovered = run_correction(ch, dec, rho, tol)
+    records, recovered = run_correction(ch, dec, rho)
     # the recovered state has unit trace: its residual is against rho over its trace
     residual = float(np.linalg.norm(recovered.matrix - rho.matrix / rho.matrix.trace().real))
     obj = {
@@ -161,7 +161,7 @@ def cmd_eraser(args, tol: ToleranceProfile) -> int:
         rho = serialize.density_from_dict(serialize.load_json(args.state), tol)
     else:
         rho = DensityMatrix.pure(np.ones(args.d))
-    records, recovered = run_eraser(scenario, rho, tol)
+    records, recovered = run_eraser(scenario, rho)
     screens = {"input": rho, "decohered": asymptotic_state(rho), "corrected": recovered}
     patterns = {name: screen_pattern(s, args.samples) for name, s in screens.items()}
     prefix = args.out or "eraser"
@@ -192,7 +192,7 @@ def cmd_bounds(args, tol: ToleranceProfile) -> int:
     dec = None
     if args.dec:
         dec = serialize.decomposition_from_dict(serialize.load_json(args.dec))
-    report = bounds_report(ch, dec, tol=tol)
+    report = bounds_report(ch, dec)
     obj = {
         "entropy_base": 2,
         "s_xi_over_d_bits": report.s_xi_over_d,

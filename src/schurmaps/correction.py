@@ -16,6 +16,7 @@ from .channels import (
     CorrelationMatrix,
     DensityMatrix,
     SchurChannel,
+    _carry,
     _read_only,
     validate_correlation,
 )
@@ -117,14 +118,17 @@ def dilation_from_decomposition(
     matrix <e_k|e_l> reproduces xi and measuring the environment in the
     computational basis heralds the Kraus operator
     sqrt(p_i) diag(u^(i))^dagger of the Schrodinger action. The
-    decomposition is verified against its own reconstruction of xi; each
-    ket, of squared norm within ``tol.tr`` of 1, is divided by its norm.
+    decomposition is verified under ``tol`` against its own reconstruction of
+    xi, which has no validated matrix to carry a profile; each ket, of squared
+    norm within ``tol.tr`` of 1, is divided by its norm.
     """
-    _require_accepted(CorrelationMatrix(dec.dim, reconstruct_xi(dec)), dec, tol)
+    xi = CorrelationMatrix(dec.dim, reconstruct_xi(dec))
+    object.__setattr__(xi, "_tol", tol)
+    _require_accepted(xi, dec)
     return _unit_dilation(_term_amplitudes(dec))
 
 
-def _correct(dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile):
+def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     """Measure the environment of :func:`dilation_from_decomposition` in its
     computational basis and undo the heralded unitary; returns (records, recovered).
 
@@ -137,18 +141,19 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile):
     Outcome i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action, and
     undoing it gives back rho exactly, so every record's corrected state is one
     shared read-only state: ``rho`` itself when its matrix is read-only, else
-    one read-only copy of it, which every output is built from.
+    one read-only copy of it, which every output is built from. Every state is
+    judged under, and carries, the profile of ``rho``.
     """
     if rho.dim != dec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
     if rho.matrix.flags.writeable:  # later changes to the caller's array reach no output
-        rho = DensityMatrix(rho.dim, _read_only(rho.matrix.copy()))
+        rho = _carry(DensityMatrix(rho.dim, _read_only(rho.matrix.copy())), rho)
     c = _term_amplitudes(dec)  # column i = c_i
     probs = (np.abs(c) ** 2).T @ np.diag(rho.matrix).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
     p = probs[kept]
     b = c.T[kept] * (1.0 / np.sqrt(p))[:, None]
-    *states, recovered = _states(rho, b, dec.phase_vectors.T * c, tol)
+    *states, recovered = _states(rho, b, dec.phase_vectors.T * c)
     records = [
         CorrectionOutcomeRecord(int(i), float(p_i), cond, rho)
         for i, p_i, cond in zip(kept, p, states)
@@ -156,7 +161,7 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile):
     return records, recovered
 
 
-def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, tol: ToleranceProfile):
+def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray):
     """The states of one correction, as one list: the records rho o (b_i b_i*),
     one per row b_i of ``b``, then the recovered state rho o (G G*) over its
     trace, G = ``g`` of T columns.
@@ -180,7 +185,7 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, tol: ToleranceProf
     covers them all. A state whose two bounds stay within half of tol.herm and
     tol.psd (the other half covers the rounding of f), and whose trace passes
     the very test of ``from_matrix``, is certified; any other state takes the
-    full check.
+    full check. ``tol`` is the profile of ``rho``, which every state carries.
 
     The batch of the outer products and G G* is multiplied by rho in place, as
     a 2-d product, and flagged read-only; a certified state is a read-only row
@@ -189,7 +194,7 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, tol: ToleranceProf
     order and the 2-d product keep numpy on the same elementwise loops.
     """
     n, d = b.shape
-    rho_m = rho.matrix
+    rho_m, tol = rho.matrix, rho._tol
     m = np.empty((n + 1, d, d), dtype=complex)
     np.multiply(b[:, :, None], b.conj()[:, None, :], out=m[:n])
     m[n] = g @ g.conj().T
@@ -213,34 +218,30 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, tol: ToleranceProf
     )
     # a certified state is a read-only row of this fresh batch, which no caller holds
     return [
-        DensityMatrix(d, m[i]) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
+        _carry(DensityMatrix(d, m[i]), rho) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
         for i in range(n + 1)
     ]
 
 
-def run_correction(
-    ch: SchurChannel,
-    dec: FlatDecomposition,
-    rho: DensityMatrix,
-    tol: ToleranceProfile = DEFAULT_TOL,
-):
+def run_correction(ch: SchurChannel, dec: FlatDecomposition, rho: DensityMatrix):
     """Full correction loop in the decomposition frame.
 
     Outcome i occurs with probability p_i regardless of the input (flat
     unitaries), heralds the Kraus sqrt(p_i) diag(u^(i))^dagger, and is
     undone by conjugation with the inverse unitary, which gives back rho: each
     record's corrected state is the input state. A decomposition that
-    :func:`verify_decomposition` rejects raises :class:`VerificationFailure`.
+    :func:`verify_decomposition` rejects (under the profile of ``ch.xi``)
+    raises :class:`VerificationFailure`.
     The recovered state, the sum over outcomes computed from the decomposition,
     must reproduce rho within ``RESIDUAL_TOL``; a larger residual raises
     :class:`RecoveryFailure` before any record is built. It is returned
     divided by its trace. The conditional and recovered states are built as
     one batch and certified in one pass from the input's carried spectrum,
     without an eigensolve, where the bounds fit, and fully checked where they
-    do not.
+    do not, under the profile of ``rho``, which every state carries.
     """
-    _require_accepted(ch.xi, dec, tol)
-    return _correct(dec, rho, tol)
+    _require_accepted(ch.xi, dec)
+    return _correct(dec, rho)
 
 
 def eraser_scenario(d: int) -> EraserScenario:
@@ -269,20 +270,17 @@ def eraser_scenario(d: int) -> EraserScenario:
     )
 
 
-def run_eraser(
-    scenario: EraserScenario,
-    rho: DensityMatrix,
-    tol: ToleranceProfile = DEFAULT_TOL,
-):
+def run_eraser(scenario: EraserScenario, rho: DensityMatrix):
     """Run the eraser on a state: Fourier measurement, then Z_j correction.
 
     With register kets e_k = |k>, outcome j's amplitudes <e~_j|e_k> are
     (1/sqrt d) conj(Z_j)_kk, those of outcome j of the clock decomposition's
     environment read in the computational basis. So this is the correction
-    loop of :func:`run_correction` in the clock frame.
+    loop of :func:`run_correction` in the clock frame, judged under the profile
+    of ``rho``.
     """
     d = scenario.dim
-    return _correct(FlatDecomposition(d, np.full(d, 1 / d), scenario.correction_phases), rho, tol)
+    return _correct(FlatDecomposition(d, np.full(d, 1 / d), scenario.correction_phases), rho)
 
 
 def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
@@ -293,7 +291,7 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
     form: the probe registers the path (e_k = |k>), so the records are the
     exact one-hot states, one read-only batch, and nothing is simulated.
     Nothing is undone, so each record holds one state object as both its
-    conditional and its corrected state.
+    conditional and its corrected state, carrying the profile of ``rho``.
     """
     d = scenario.dim
     if rho.dim != d:
@@ -305,7 +303,8 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
     states.flags.writeable = False
     records = []
     for k, m in zip(kept, states):
-        state = DensityMatrix(d, m)  # a read-only row of a fresh batch that no caller holds
+        # a read-only row of a fresh batch that no caller holds
+        state = _carry(DensityMatrix(d, m), rho)
         records.append(CorrectionOutcomeRecord(int(k), float(probs[k]), state, state))
     return records
 

@@ -31,11 +31,9 @@ from .errors import (
     VerificationFailure,
 )
 from .numerics import (
-    DEFAULT_TOL,
     NEGLIGIBLE,
     RANK_THRESHOLD,
     RESIDUAL_TOL,
-    ToleranceProfile,
     _entropy_bits,
     _integer,
     _spectrum,
@@ -64,8 +62,8 @@ class FlatDecomposition:
     ``phase_vectors`` has one flat vector per row; row i encodes the diagonal
     unitary diag(phase_vectors[i]) applied with probability ``weights[i]``.
     The first entry of every phase vector is normalized to 1. Built with
-    ``weights`` not 1-d, or ``phase_vectors`` not of shape (terms, ``dim``),
-    it raises :class:`ShapeMismatch`.
+    ``weights`` not 1-d or empty, or ``phase_vectors`` not of shape (terms,
+    ``dim``), it raises :class:`ShapeMismatch`.
     """
 
     dim: int
@@ -74,7 +72,7 @@ class FlatDecomposition:
 
     def __post_init__(self):
         w, u = np.shape(self.weights), np.shape(self.phase_vectors)
-        if len(w) != 1 or u != (w[0], self.dim):
+        if len(w) != 1 or not w[0] or u != (w[0], self.dim):
             raise ShapeMismatch(
                 f"weights of shape {w} and phase vectors of shape {u} "
                 f"do not make a decomposition of dim {self.dim}"
@@ -123,14 +121,11 @@ class ExtremalityResult:
     rank: int
 
 
-def _mix(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_i p_i u_i u_i* for weights p and vectors u (rows), as one matrix product."""
-    return (u.T * p) @ u.conj()
-
-
 def reconstruct_xi(dec: FlatDecomposition) -> np.ndarray:
-    """sum_i p_i u_i u_i*, the correlation matrix the decomposition encodes."""
-    return _mix(dec.weights, dec.phase_vectors)
+    """sum_i p_i u_i u_i*, the correlation matrix the decomposition encodes, as one
+    matrix product."""
+    u = dec.phase_vectors
+    return (u.T * dec.weights) @ u.conj()
 
 
 def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
@@ -424,9 +419,7 @@ def decompose(xi: CorrelationMatrix, seed=0) -> FlatDecomposition:
     return flat_search(xi, SearchConfig(seed=seed))
 
 
-def verify_decomposition(
-    xi: CorrelationMatrix, dec: FlatDecomposition, tol: ToleranceProfile = DEFAULT_TOL
-) -> VerificationReport:
+def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> VerificationReport:
     """Check a decomposition against a correlation matrix.
 
     Reports the reconstruction residual, flatness and weight-sum deviations,
@@ -436,10 +429,11 @@ def verify_decomposition(
     case of the information lower bound). Flatness is max | |u_ik|^2 - 1 |.
     Accepted: residual within ``RESIDUAL_TOL``, weights nonnegative, and the
     weight sum, the flatness and the diagonal of the reconstruction within
-    ``tol.tr`` of 1, 0 and 1.
+    ``tol.tr`` of 1, 0 and 1, ``tol`` being the profile ``xi`` carries.
     The last two keep each heralded diag(u^(i)) unitary and the channel trace
     preserving, to within ``tol.tr``. NaN fails.
     """
+    tol = xi._tol
     if dec.dim != xi.dim:
         raise DimensionMismatch(f"decomposition dim {dec.dim} != xi dim {xi.dim}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf or NaN fails below
@@ -463,9 +457,9 @@ def verify_decomposition(
     )
 
 
-def _require_accepted(xi, dec, tol) -> VerificationReport:
+def _require_accepted(xi, dec) -> VerificationReport:
     """The report of an accepted decomposition, or :class:`VerificationFailure`."""
-    report = verify_decomposition(xi, dec, tol)
+    report = verify_decomposition(xi, dec)
     if not report.accepted:
         raise VerificationFailure(f"decomposition rejected: {report}")
     return report

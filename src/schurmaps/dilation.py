@@ -12,7 +12,7 @@ import numpy as np
 
 from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _read_only
 from .errors import DimensionMismatch, NotState, ShapeMismatch
-from .numerics import DEFAULT_TOL, RANK_THRESHOLD, ToleranceProfile, _numbers, _spectrum
+from .numerics import DEFAULT_TOL, RANK_THRESHOLD, _numbers, _spectrum
 
 __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_state"]
 
@@ -118,15 +118,14 @@ def evolve_joint(dil: Dilation, rho: DensityMatrix) -> np.ndarray:
     return u @ np.kron(rho.matrix, e0) @ u.conj().T
 
 
-def environment_state(
-    dil: Dilation, rho: DensityMatrix, tol: ToleranceProfile = DEFAULT_TOL
-) -> DensityMatrix:
+def environment_state(dil: Dilation, rho: DensityMatrix) -> DensityMatrix:
     """Reduced environment state after the interaction: sum_k rho_kk |e_k><e_k|.
 
-    Closed form from the environment kets; the joint unitary is not built.
+    Closed form from the environment kets; the joint unitary is not built. It
+    is validated under, and carries, the profile of ``rho``.
     """
     if rho.dim != dil.dim_sys:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dil.dim_sys}")
     weights = np.diag(rho.matrix).real
     env = dil.env_vectors
-    return DensityMatrix.from_matrix((env.T * weights) @ env.conj(), tol)
+    return DensityMatrix.from_matrix((env.T * weights) @ env.conj(), rho._tol)

@@ -11,7 +11,7 @@ import numpy as np
 from .channels import DensityMatrix, SchurChannel, apply_schrodinger
 from .decomposition import FlatDecomposition, _require_accepted
 from .dilation import kolmogorov_vectors
-from .errors import DimensionMismatch, NotDistribution
+from .errors import DimensionMismatch, NotDistribution, VerificationFailure
 from .numerics import (
     DEFAULT_TOL,
     ENTROPY_SLACK,
@@ -74,21 +74,22 @@ def entropy_exchange(ch: SchurChannel, rho: DensityMatrix) -> float:
     return _entropy_bits(_eigenvalues(sq[:, None] * ch.xi.matrix * sq[None, :]))
 
 
-def entropy_exchange_from_decomposition(
-    dec: FlatDecomposition, rho: DensityMatrix, tol: ToleranceProfile = DEFAULT_TOL
-) -> float:
+def entropy_exchange_from_decomposition(dec: FlatDecomposition, rho: DensityMatrix) -> float:
     """Entropy exchange from a random-unitary decomposition.
 
     Builds W_ij = sqrt(p_i p_j) Tr[U_i rho U_j*] (an m x m state for flat
-    diagonal unitaries) and returns its entropy.
+    diagonal unitaries), validates it under the profile of ``rho`` and returns
+    its entropy. A negative or NaN weight raises :class:`VerificationFailure`.
     """
     if rho.dim != dec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != decomposition dim {dec.dim}")
+    if not np.all(dec.weights >= 0):
+        raise VerificationFailure(f"weights must be nonnegative, smallest is {dec.weights.min()}")
     diag = np.diag(rho.matrix)
     overlaps = np.einsum("ik,jk,k->ij", dec.phase_vectors, dec.phase_vectors.conj(), diag)
     sq = np.sqrt(dec.weights)
     w = sq[:, None] * overlaps * sq[None, :]
-    return von_neumann_entropy(w, tol)
+    return von_neumann_entropy(w, rho._tol)
 
 
 def shannon_entropy(p, tol: ToleranceProfile = DEFAULT_TOL) -> float:
@@ -101,23 +102,21 @@ def shannon_entropy(p, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     return _entropy_bits(v)
 
 
-def bounds_report(
-    ch: SchurChannel,
-    dec: Optional[FlatDecomposition] = None,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> BoundsReport:
+def bounds_report(ch: SchurChannel, dec: Optional[FlatDecomposition] = None) -> BoundsReport:
     """Information-flow bounds for a channel, optionally against a decomposition.
 
     S(xi/d) lower-bounds the weight entropy of any flat decomposition; the
     upper bound 2 log2 rank(xi) constrains only the minimum over
-    decompositions and is reported informationally.
+    decompositions and is reported informationally. A decomposition that
+    :func:`verify_decomposition` rejects (under the profile of ``ch.xi``)
+    raises :class:`VerificationFailure`.
     """
     s_low = _entropy_bits(_eigenvalues(ch.xi.matrix / ch.dim))
     rank = kolmogorov_vectors(ch.xi).shape[1]
     two_log_rank = 2.0 * float(np.log2(rank))
     h_p = lower_ok = upper_ok = None
     if dec is not None:
-        h_p = _require_accepted(ch.xi, dec, tol).shannon_entropy_bits
+        h_p = _require_accepted(ch.xi, dec).shannon_entropy_bits
         lower_ok = bool(s_low <= h_p + ENTROPY_SLACK)
         upper_ok = bool(h_p <= two_log_rank + ENTROPY_SLACK)
     return BoundsReport(
@@ -131,14 +130,13 @@ def bounds_report(
     )
 
 
-def entropy_production_check(
-    ch: SchurChannel, rho: DensityMatrix, tol: ToleranceProfile = DEFAULT_TOL
-) -> EntropyProductionReport:
-    """Check |S(E(rho)) - S(rho)| <= S_ex(rho); E(rho) is validated under ``tol``."""
+def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyProductionReport:
+    """Check |S(E(rho)) - S(rho)| <= S_ex(rho); E(rho) is validated under the
+    profile of ``rho``."""
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
     s_in = _entropy_bits(rho._eigenvalues)
-    s_out = _entropy_bits(apply_schrodinger(ch, rho, tol)._eigenvalues)
+    s_out = _entropy_bits(apply_schrodinger(ch, rho)._eigenvalues)
     s_ex = entropy_exchange(ch, rho)
     return EntropyProductionReport(
         entropy_in=s_in,

@@ -79,8 +79,11 @@ class HermitianEigenResult:
 
 
 def _integer(value, least: int, what: str, error=BadCount) -> int:
-    """``value`` as an int if ``operator.index`` takes it and it is >= ``least``, else ``error``."""
+    """``value`` as an int if ``operator.index`` takes it and it is >= ``least``, else
+    ``error``; a bool is no count, though ``operator.index`` takes it."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None

@@ -129,7 +129,7 @@ class TestIterate:
         with pytest.raises(SchurMapsError):
             iterate(ch, random_density(rng, 2), -1)
 
-    @pytest.mark.parametrize("n", [2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3", None, True])
     def test_non_integral_count_rejected(self, rng, n):
         ch = SchurChannel(random_correlation(rng, 2))
         with pytest.raises(SchurMapsError):

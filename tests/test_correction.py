@@ -240,10 +240,10 @@ class TestRecordCertificate:
     @staticmethod
     def assert_matches_full_check(rho, b, g, tol):
         # same error class, or byte-equal states, each of which passes the full check
-        got = states_bytes(_states, rho, b, g, tol)
+        got = states_bytes(_states, rho, b, g)
         assert got == states_bytes(reference_states, rho, b, g, tol)
         if isinstance(got, list):
-            for state in _states(rho, b, g, tol):
+            for state in _states(rho, b, g):
                 DensityMatrix.from_matrix(state.matrix, tol)
 
     @settings(max_examples=400, deadline=None)
@@ -279,7 +279,7 @@ class TestRecordCertificate:
         with pytest.raises(SchurMapsError):
             DensityMatrix.from_matrix(np.outer(b[0], b[0].conj()) * rho.matrix, tol)
         with pytest.raises(RecoveryFailure):
-            _states(rho, b, g, tol)
+            _states(rho, b, g)
 
     @pytest.mark.parametrize("d", [12, 16, 24, 32])
     def test_benchmark_sizes_match_reference(self, rng, d):
@@ -328,7 +328,7 @@ class TestRecordCertificate:
         for m in (random_pure(rng, d).matrix, random_density(rng, d).matrix):
             rho = DensityMatrix.from_matrix(m * (1 + 5e-7), tol)
             for run, args in ((run_eraser, (eraser_scenario(d),)), (run_correction, (ch, dec))):
-                records, recovered = run(*args, rho, tol)
+                records, recovered = run(*args, rho)
                 assert all(r.corrected_state is rho for r in records)
                 assert abs(np.trace(recovered.matrix).real - 1.0) <= 1e-15
                 assert np.max(np.abs(recovered.matrix * (1 + 5e-7) - rho.matrix)) <= 1e-14

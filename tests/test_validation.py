@@ -1,11 +1,14 @@
 """Validation at the library's boundaries: non-finite input, aliasing,
 settings, and the single acceptance predicate for decompositions."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schurmaps
 from schurmaps import (
     DEFAULT_TOL,
     BadCount,
@@ -24,6 +27,7 @@ from schurmaps import (
     ShapeMismatch,
     ToleranceProfile,
     VerificationFailure,
+    apply_schrodinger,
     asymptotic_state,
     bounds_report,
     build_dilation,
@@ -33,20 +37,25 @@ from schurmaps import (
     entropy_exchange,
     entropy_exchange_from_decomposition,
     entropy_production_check,
+    environment_state,
+    eraser_scenario,
     extremality_test,
     flat_search,
     hermitian_eig,
+    iterate,
     kolmogorov_vectors,
     majorization_check,
     partial_trace_env,
     partial_trace_sys,
     run_correction,
+    run_eraser,
     schur_product,
     serialize,
     shannon_entropy,
     validate_correlation,
     verify_decomposition,
     von_neumann_entropy,
+    which_way_readout,
 )
 from conftest import random_correlation, random_density
 
@@ -157,6 +166,7 @@ CLOCK3 = decompose_identity_xi(3)
         pytest.param(np.full(4, 0.25), np.ones((4, 4)), id="phase-width-4"),
         pytest.param(np.full(2, 0.5), np.ones((3, 3)), id="2-weights-3-rows"),
         pytest.param(CLOCK3.weights[None, :], CLOCK3.phase_vectors, id="2-d-weights"),
+        pytest.param(np.zeros(0), np.zeros((0, 3)), id="zero-terms"),
     ],
 )
 def test_malformed_decomposition_raises_shape_mismatch(entry, weights, phases):
@@ -216,6 +226,8 @@ class TestSettings:
             {"max_iters": None},
             {"seed": -1},
             {"seed": 1.0},
+            {"restarts": True},
+            {"seed": False},
         ],
     )
     def test_search_counts_must_be_positive(self, kwargs):
@@ -241,22 +253,23 @@ class TestOneAcceptancePredicate:
         assert verify_decomposition(xi, scaled_clock(3, 1 + 5e-10)).accepted
         assert not verify_decomposition(xi, scaled_clock(3, 1 + 3e-9)).accepted
         loose = ToleranceProfile(tr=1e-8)
-        assert verify_decomposition(xi, scaled_clock(3, 1 + 3e-9), loose).accepted
+        xi = validate_correlation(np.eye(3), loose)
+        assert verify_decomposition(xi, scaled_clock(3, 1 + 3e-9)).accepted
 
     @staticmethod
     def assert_callers_agree(dec, accepted, tol=DEFAULT_TOL):
         """Verification, correction and dilation all accept ``dec`` under ``tol``, or all
         reject it up front."""
-        ch = SchurChannel(validate_correlation(np.eye(3)))
+        ch = SchurChannel(validate_correlation(np.eye(3), tol))
         rho = DensityMatrix.pure(np.ones(3))
-        assert verify_decomposition(ch.xi, dec, tol).accepted == accepted
+        assert verify_decomposition(ch.xi, dec).accepted == accepted
         if accepted:
-            run_correction(ch, dec, rho, tol)
+            run_correction(ch, dec, rho)
             kets = dilation_from_decomposition(dec, tol).env_vectors
             assert np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) <= 1e-14
             return
         with pytest.raises(VerificationFailure):
-            run_correction(ch, dec, rho, tol)
+            run_correction(ch, dec, rho)
         with pytest.raises(VerificationFailure):
             dilation_from_decomposition(dec, tol)
 
@@ -310,6 +323,8 @@ class TestOneAcceptancePredicate:
             run_correction(ch, dec, DensityMatrix.pure([1, 1j]))
         with pytest.raises(VerificationFailure):
             dilation_from_decomposition(dec)
+        with pytest.raises(VerificationFailure):
+            entropy_exchange_from_decomposition(dec, DensityMatrix.pure([1, 1j]))
 
 
 LOOSE = ToleranceProfile(herm=1e-8, psd=1e-8)
@@ -348,13 +363,13 @@ class TestProfileAppliedOnce:
             build_dilation(SchurChannel(xi)).env_vectors,
             build_dilation(SchurChannel(hermitian)).env_vectors,
         )
-        assert bounds_report(SchurChannel(xi), tol=LOOSE).rank == ext.rank
+        assert bounds_report(SchurChannel(xi)).rank == ext.rank
 
     def test_flat_search_on_a_loosely_validated_xi(self, rng):
         xi = validate_correlation(loosely_hermitian(random_correlation(rng, 3).matrix), LOOSE)
         dec = flat_search(xi, SearchConfig(restarts=8))
-        assert verify_decomposition(xi, dec, LOOSE).accepted
-        report = bounds_report(SchurChannel(xi), dec, LOOSE)
+        assert verify_decomposition(xi, dec).accepted
+        report = bounds_report(SchurChannel(xi), dec)
         assert report.lower_bound_satisfied and report.upper_bound_satisfied
 
     def test_state_functions_on_a_loosely_validated_state(self, rng):
@@ -362,5 +377,70 @@ class TestProfileAppliedOnce:
             rho = DensityMatrix.from_matrix(loosely_hermitian(random_density(rng, d).matrix), LOOSE)
             ch = SchurChannel(random_correlation(rng, d))
             assert majorization_check(rho)
-            assert entropy_production_check(ch, rho, LOOSE).satisfied
+            assert entropy_production_check(ch, rho).satisfied
             assert 0 <= entropy_exchange(ch, rho) <= np.log2(d) + 1e-9
+
+    def test_returned_states_carry_the_input_profile(self):
+        # a state with eigenvalue -5e-7 and the identity channel, both accepted under a
+        # 1e-6 profile: every call judges what it builds under that profile, not the
+        # default, and every state it returns carries it
+        tol = ToleranceProfile(herm=1e-6, psd=1e-6, tr=1e-6)
+        rho = DensityMatrix.from_matrix(np.diag([1 + 5e-7, -5e-7]), tol)
+        ch = SchurChannel(validate_correlation(np.ones((2, 2)), tol))
+        states = [apply_schrodinger(ch, rho), iterate(ch, rho, 3)]
+        assert isinstance(entropy_production_check(ch, rho).satisfied, bool)
+        records, recovered = run_eraser(eraser_scenario(2), rho)
+        states += [r.conditional_state for r in records] + [recovered]
+        states.append(apply_schrodinger(ch, records[0].conditional_state))
+        records, recovered = run_correction(ch, decompose_qubit(ch.xi), rho)
+        states += [r.conditional_state for r in records] + [recovered]
+        states += [r.conditional_state for r in which_way_readout(eraser_scenario(2), rho)]
+        states += [asymptotic_state(rho), environment_state(build_dilation(ch), rho)]
+        assert all(s._tol is tol for s in states)
+        assert DensityMatrix.pure([1, 1j])._tol is DEFAULT_TOL
+        assert validate_correlation(np.eye(2))._tol is DEFAULT_TOL
+
+
+def entry_points():
+    """(name, callable) for every public function and class of the package and of
+    ``serialize``, and every public method of those classes. The package defines no
+    ``__all__``: its public names are those without a leading underscore."""
+    package = [n for n, obj in vars(schurmaps).items() if not inspect.ismodule(obj)]
+    modules = (("", schurmaps, package), ("serialize.", serialize, serialize.__all__))
+    for prefix, module, names in modules:
+        for name in names:
+            obj = getattr(module, name)
+            if name.startswith("_") or not callable(obj):
+                continue
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                continue  # errors take a message
+            yield prefix + name, obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    method = isinstance(member, (classmethod, staticmethod))
+                    if not attr.startswith("_") and (method or inspect.isfunction(member)):
+                        yield f"{prefix}{name}.{attr}", getattr(obj, attr)
+
+
+def test_a_profile_is_taken_only_where_raw_data_comes_in():
+    # the validators, the readers, the three functions of raw arrays, and the one judge
+    # of a decomposition that has no validated matrix to carry a profile; every other
+    # function judges under the profile its validated input carries
+    taking = {
+        name
+        for name, f in entry_points()
+        if any(
+            p.name == "tol" or p.annotation is ToleranceProfile
+            for p in inspect.signature(f).parameters.values()
+        )
+    }
+    assert taking == {
+        "validate_correlation",
+        "DensityMatrix.from_matrix",
+        "serialize.correlation_from_dict",
+        "serialize.density_from_dict",
+        "hermitian_eig",
+        "von_neumann_entropy",
+        "shannon_entropy",
+        "dilation_from_decomposition",
+    }

@@ -8,12 +8,12 @@ an exact descent through the faces of the convex set finds one: by Li-Tam,
 a qutrit correlation matrix is extreme only at rank one, where it is a flat
 u u*, so every face of higher rank can be split in two faces of lower rank
 until only flat vectors are left. For d >= 4 a seeded numerical search takes
-over: Levenberg-Marquardt on the residual, with as many terms as the
-Caratheodory bound of the face of xi allows (d^2 - d + 1 at full rank,
-fewer below it). An extreme correlation matrix of rank >= 2 (possible only
-for d >= 4) has no flat decomposition; the Li-Tam count that sizes the
-search certifies it, as in :func:`extremality_test`, and the search
-refuses it.
+over: Levenberg-Marquardt on the residual, first with 2d terms and, where
+that fails, with as many as the Caratheodory bound of the face of xi allows
+(d^2 - d + 1 at full rank, fewer below it). An extreme correlation matrix
+of rank >= 2 (possible only for d >= 4) has no flat decomposition; the
+Li-Tam count that sizes the search certifies it, as in
+:func:`extremality_test`, and the search refuses it.
 """
 
 import enum
@@ -87,8 +87,10 @@ class FlatDecomposition:
 class SearchConfig:
     """Knobs for the numerical flat-vector search: integers, both counts >= 1, seed >= 0.
 
-    ``restarts`` counts the random starting points, ``max_iters`` the
-    Levenberg-Marquardt iterations (linear solves) allowed from each.
+    ``restarts`` counts the restarts of :func:`flat_search`, each of which
+    polishes one random starting point per rung of its ladder (2d terms, then
+    the face bound); ``max_iters`` counts the Levenberg-Marquardt iterations
+    (linear solves) allowed from each point.
     """
 
     restarts: int = 32
@@ -220,9 +222,21 @@ def _gauss_newton(p, w, kernel, inc):
     return jjt, pull
 
 
-def _polish(x0, xi, m, d, max_iters):
+def _fit(xi: CorrelationMatrix):
+    """(target, iu, inc, kernel): what every :func:`_polish` of one search on
+    xi shares, built once per search. target holds the real and then the
+    imaginary parts of the entries of xi above the diagonal, iu and inc are
+    those of :func:`_edges`, and kernel = inc inc^T is the K of
+    :func:`_gauss_newton`."""
+    iu, inc = _edges(xi.dim)
+    target = np.concatenate([xi.matrix[iu].real, xi.matrix[iu].imag])
+    return target, iu, inc, inc @ inc.T
+
+
+def _polish(x0, m, fit, max_iters):
     """Drive the residual of :func:`_residual` to zero from x0 by
-    Levenberg-Marquardt; returns (x, f) with f the squared Frobenius residual.
+    Levenberg-Marquardt, with m terms on the :func:`_fit` of xi; returns
+    (x, f) with f the squared Frobenius residual.
 
     Each iteration takes the minimum-norm damped Gauss-Newton step
     -J^T (J J^T + mu I)^-1 r, solved in the 2R-dimensional residual space
@@ -232,9 +246,8 @@ def _polish(x0, xi, m, d, max_iters):
     at f <= 1e-26, when f has not halved over 50 iterations, or when mu
     exceeds 1e15 times that mean diagonal (no step lowers f any more).
     """
-    iu, inc = _edges(d)
-    kernel = inc @ inc.T
-    target = np.concatenate([xi[iu].real, xi[iu].imag])
+    target, iu, inc, kernel = fit
+    d = inc.shape[1] + 1
     eye = np.eye(target.size)
     x = x0
     p, w, r = _residual(x, target, m, d, iu)
@@ -270,12 +283,17 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
 
     Drives the residual over phase angles and softmax weights to zero by
     Levenberg-Marquardt (:func:`_polish`), restarting from fresh random
-    points until the Frobenius residual meets ``RESIDUAL_TOL``. It searches
-    with m = r^2 - s + 1 terms, the Caratheodory bound of the face of xi
-    (:func:`_face`): every flat u u* of a decomposition lies in that face, of
-    dimension r^2 - s. At full rank m = d^2 - d + 1. Deterministic under a
-    fixed seed. Raises :class:`NoDecompositionFound` (carrying the best
-    residual) when every restart fails -- an expected outcome for some d >= 4
+    points until the Frobenius residual meets ``RESIDUAL_TOL``. Each restart
+    k climbs a ladder of two term counts. It first polishes 2d terms, from a
+    point drawn with ``default_rng([seed, k, 2d])``, when 2d is below the
+    face bound m = r^2 - s + 1: the Caratheodory bound of the face of xi
+    (:func:`_face`), which holds every flat u u* of a decomposition and has
+    dimension r^2 - s. If that fails it polishes m terms, from a point drawn
+    with ``default_rng([seed, k])``. At full rank m = d^2 - d + 1, so d >= 3
+    tries 2d terms first; a rank-deficient xi may go straight to its face
+    bound. Deterministic under a fixed seed. Raises
+    :class:`NoDecompositionFound` (carrying the best residual of either
+    rung) when every restart fails -- an expected outcome for some d >= 4
     inputs -- and at once, before any restart, when the face is the point xi
     with rank >= 2 (Li-Tam, as in :func:`extremality_test`): such an xi is
     its own only decomposition into correlation matrices, so no mixture of
@@ -287,24 +305,23 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     r, s = _face(xi)
     if s >= r * r and r >= 2:
         raise NoDecompositionFound(np.inf, 0, extreme_rank=r)
-    m = r * r - s + 1
-    target = xi.matrix
+    face_bound = r * r - s + 1
+    rungs = [2 * d, face_bound] if 2 * d < face_bound else [face_bound]
+    fit = _fit(xi)
     best_residual = np.inf
     for restart in range(config.restarts):
-        rng = np.random.default_rng([config.seed, restart])
-        x0 = np.concatenate(
-            [
-                rng.uniform(0.0, 2.0 * np.pi, size=m * (d - 1)),
-                rng.normal(0.0, 1.0, size=m),
-            ]
-        )
-        x, f = _polish(x0, target, m, d, config.max_iters)
-        residual = np.sqrt(max(f, 0.0))
-        best_residual = min(best_residual, residual)
-        if residual <= RESIDUAL_TOL:
-            u, p = _unpack(x, m, d)
-            order = np.argsort(-p, kind="stable")
-            return FlatDecomposition(dim=d, weights=p[order], phase_vectors=u[order])
+        for m in rungs:
+            key = [config.seed, restart] if m == face_bound else [config.seed, restart, m]
+            rng = np.random.default_rng(key)
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=m * (d - 1))
+            x0 = np.concatenate([angles, rng.normal(0.0, 1.0, size=m)])
+            x, f = _polish(x0, m, fit, config.max_iters)
+            residual = np.sqrt(max(f, 0.0))
+            best_residual = min(best_residual, residual)
+            if residual <= RESIDUAL_TOL:
+                u, p = _unpack(x, m, d)
+                order = np.argsort(-p, kind="stable")
+                return FlatDecomposition(dim=d, weights=p[order], phase_vectors=u[order])
     raise NoDecompositionFound(best_residual, config.restarts)
 
 
@@ -426,7 +443,8 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
     the weight Shannon entropy in bits, and whether the trace-form Gram
     matrix O_ij = Tr[U_i U_j*]/d is the identity within ``RESIDUAL_TOL``,
     which characterizes mutually orthogonal unitary families (the equality
-    case of the information lower bound). Flatness is max | |u_ik|^2 - 1 |.
+    case of the information lower bound); more terms than ``dim`` are never
+    orthogonal, and O is not formed for them. Flatness is max | |u_ik|^2 - 1 |.
     Accepted: residual within ``RESIDUAL_TOL``, weights nonnegative, and the
     weight sum, the flatness and the diagonal of the reconstruction within
     ``tol.tr`` of 1, 0 and 1, ``tol`` being the profile ``xi`` carries.
@@ -443,8 +461,12 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
         diagonal_dev = float(abs(recon.diagonal().real - 1.0).max())
         weight_dev = float(abs(dec.weights.sum() - 1.0))
         entropy = _entropy_bits(dec.weights)
-        ortho = dec.phase_vectors @ dec.phase_vectors.conj().T / dec.dim
-    orthogonal = bool(np.max(np.abs(ortho - np.eye(dec.terms))) <= RESIDUAL_TOL)
+        # more terms than dim: O has rank <= dim < terms, so O - I has an eigenvalue
+        # -1 and an entry of size >= 1/terms, far above RESIDUAL_TOL; skip the Gram
+        u = dec.phase_vectors
+        orthogonal = dec.terms <= dec.dim and bool(
+            np.max(np.abs(u @ u.conj().T / dec.dim - np.eye(dec.terms))) <= RESIDUAL_TOL
+        )
     traces_ok = weight_dev <= tol.tr and flatness <= tol.tr and diagonal_dev <= tol.tr
     accepted = residual <= RESIDUAL_TOL and traces_ok and bool(np.all(dec.weights >= 0))
     return VerificationReport(

@@ -132,12 +132,23 @@ def bounds_report(ch: SchurChannel, dec: Optional[FlatDecomposition] = None) -> 
 
 def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyProductionReport:
     """Check |S(E(rho)) - S(rho)| <= S_ex(rho); E(rho) is validated under the
-    profile of ``rho``."""
+    profile of ``rho``.
+
+    rho, E(rho) and the entropy-exchange operator all have the trace t of
+    rho, which the profile lets differ from 1. Each entropy is judged and
+    reported for its operator divided by t, S/t + log2 t, so that the
+    inequality is that of the states.
+    """
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
-    s_in = _entropy_bits(rho._eigenvalues)
-    s_out = _entropy_bits(apply_schrodinger(ch, rho)._eigenvalues)
-    s_ex = entropy_exchange(ch, rho)
+    t = float(rho.matrix.trace().real)
+
+    def of_state(s):  # S(sigma / t) from S(sigma), for sigma of trace t
+        return s / t + float(np.log2(t))
+
+    s_in = of_state(_entropy_bits(rho._eigenvalues))
+    s_out = of_state(_entropy_bits(apply_schrodinger(ch, rho)._eigenvalues))
+    s_ex = of_state(entropy_exchange(ch, rho))
     return EntropyProductionReport(
         entropy_in=s_in,
         entropy_out=s_out,

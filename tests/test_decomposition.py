@@ -244,8 +244,9 @@ class TestFlatSearch:
         assert dec.terms <= 6
 
     def test_iterations_per_search(self, monkeypatch):
-        # one linear solve per Levenberg-Marquardt iteration: the first restart
-        # decomposes full-rank mixtures inside the decomposable set in at most 25
+        # one linear solve per Levenberg-Marquardt iteration: the short rung of the
+        # first restart decomposes full-rank mixtures inside the decomposable set
+        # with 2d terms in at most 25
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
@@ -258,8 +259,51 @@ class TestFlatSearch:
                 calls.clear()
                 dec = flat_search(xi, SearchConfig(restarts=1, max_iters=1000))
                 assert verify_decomposition(xi, dec).accepted
-                assert dec.terms == d * d - d + 1
+                assert dec.terms == 2 * d
                 assert len(calls) <= 25
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_failed_short_rung_gives_the_face_rung(self, rng, monkeypatch, d):
+        # with every 2d-term polish failing, the search returns, bit for bit, the
+        # face-bound polish from default_rng([seed, restart])
+        polish = decomposition._polish
+        face_bound = d * d - d + 1
+
+        def short_fails(x0, m, fit, max_iters):
+            return (x0, np.inf) if m < face_bound else polish(x0, m, fit, max_iters)
+
+        monkeypatch.setattr(decomposition, "_polish", short_fails)
+        lam = rng.uniform(0.3, 0.6)
+        xi = validate_correlation(
+            lam * np.eye(d) + (1 - lam) * reconstruct_xi(random_flat_decomposition(rng, d, 3))
+        )
+        config = SearchConfig(restarts=1, max_iters=1000, seed=7)
+        dec = flat_search(xi, config)
+        draw = np.random.default_rng([config.seed, 0])
+        x0 = np.concatenate(
+            [
+                draw.uniform(0.0, 2.0 * np.pi, size=face_bound * (d - 1)),
+                draw.normal(0.0, 1.0, size=face_bound),
+            ]
+        )
+        x, f = polish(x0, face_bound, decomposition._fit(xi), config.max_iters)
+        assert np.sqrt(f) <= 1e-8
+        u, p = decomposition._unpack(x, face_bound, d)
+        order = np.argsort(-p, kind="stable")
+        assert dec.terms == face_bound
+        assert np.array_equal(dec.weights, p[order])
+        assert np.array_equal(dec.phase_vectors, u[order])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 8))
+    def test_interior_mixtures_take_at_most_2d_terms(self, seed, d):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.3, 0.6)
+        mix = reconstruct_xi(random_flat_decomposition(rng, d, int(rng.integers(2, 4))))
+        xi = validate_correlation(lam * np.eye(d) + (1 - lam) * mix)
+        dec = flat_search(xi)
+        assert verify_decomposition(xi, dec).accepted
+        assert dec.terms <= 2 * d
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), k=st.integers(1, 3))
@@ -386,6 +430,33 @@ class TestVerifyDecomposition:
         assert rep.residual < 1e-12
         assert not rep.orthogonal_family
 
+    def test_orthogonality_matches_the_gram_route(self, rng):
+        # past terms = dim the report is settled without the Gram matrix; it must
+        # read as the Gram route O_ij = <u_i|u_j>/d would, on both sides
+        def gram_route(dec):
+            u = dec.phase_vectors
+            return bool(np.max(np.abs(u @ u.conj().T / dec.dim - np.eye(dec.terms))) <= 1e-8)
+
+        for d in (2, 3, 4, 6):
+            clock = decompose_identity_xi(d)
+            cases = [clock, random_flat_decomposition(rng, d, d - 1)]
+            for extra in (1, 2, d):
+                # the clock family padded with repeats of its own rows, and random terms
+                rows = np.vstack([clock.phase_vectors, clock.phase_vectors[:extra]])
+                p = rng.dirichlet(np.ones(d + extra))
+                cases += [
+                    FlatDecomposition(dim=d, weights=p, phase_vectors=rows),
+                    random_flat_decomposition(rng, d, d + extra),
+                ]
+            part = FlatDecomposition(
+                dim=d, weights=np.full(d - 1, 1.0 / (d - 1)), phase_vectors=clock.phase_vectors[1:]
+            )
+            cases.append(part)
+            for dec in cases:
+                rep = verify_decomposition(validate_correlation(reconstruct_xi(dec)), dec)
+                assert rep.orthogonal_family == gram_route(dec)
+                assert rep.orthogonal_family == (dec is clock or dec is part or dec.terms == 1)
+
 
 class TestExtremality:
     def test_all_ones_rank_one(self):
@@ -424,7 +495,7 @@ class TestExtremality:
                 assert (res.verdict == ExtremalityVerdict.EXTREMAL) == (r * r <= d)
 
     def test_face_count_at_full_rank(self, rng, monkeypatch):
-        # full rank: s = d without an SVD, so the search keeps d^2 - d + 1 terms
+        # full rank: s = d without an SVD, so the face bound is d^2 - d + 1 terms
         def no_svd(*args, **kwargs):
             raise AssertionError("an SVD ran")
 

@@ -6,6 +6,7 @@ from schurmaps import (
     DimensionMismatch,
     NotDistribution,
     SchurChannel,
+    ToleranceProfile,
     VerificationFailure,
     bounds_report,
     build_dilation,
@@ -171,6 +172,16 @@ class TestEntropyProduction:
             ch = SchurChannel(random_correlation(rng, 3))
             rep = entropy_production_check(ch, random_density(rng, 3))
             assert rep.satisfied
+
+    def test_judged_on_the_trace_normalized_state(self):
+        # rho = diag(1 + 5e-7, 0) is a state under tr = 1e-6; every operator of the
+        # check has its trace, so each entropy is that of the normalized state, 0
+        loose = ToleranceProfile(herm=1e-6, psd=1e-6, tr=1e-6)
+        rho = DensityMatrix.from_matrix(np.diag([1.0 + 5e-7, 0.0]), loose)
+        rep = entropy_production_check(SchurChannel(validate_correlation(np.ones((2, 2)))), rho)
+        assert rep.satisfied
+        for s in (rep.entropy_in, rep.entropy_out, rep.entropy_exchange):
+            assert abs(s) <= 1e-12
 
     def test_entropy_nondecreasing_under_iteration(self, rng):
         # complete channels, pure inputs: output entropy grows with n

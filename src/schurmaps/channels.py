@@ -44,6 +44,14 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _frozen(m) -> bool:
+    """True when ``m`` is an array that, like every array it is a view of, is
+    read-only: only then may a value computed from ``m`` be kept for a later call."""
+    if not isinstance(m, np.ndarray) or m.flags.writeable:
+        return False
+    return not isinstance(m.base, np.ndarray) or _frozen(m.base)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated quantum state: Hermitian, PSD, unit trace. Every function that takes
@@ -64,10 +72,15 @@ class DensityMatrix:
     def _eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the Hermitian part (read-only), to the bit
         ``_eigenvalues(matrix)``: carried from the solve of :meth:`from_matrix`, or
-        for a directly built state solved on first read."""
-        if self._eigvals is None:
-            object.__setattr__(self, "_eigvals", _read_only(_eigenvalues(self.matrix)))
-        return self._eigvals
+        for a directly built state solved on first read, and kept only over a
+        read-only matrix; over a writeable one they are solved on every read, so
+        a later change to the caller's array shows."""
+        if self._eigvals is not None:
+            return self._eigvals
+        vals = _read_only(_eigenvalues(self.matrix))
+        if _frozen(self.matrix):
+            object.__setattr__(self, "_eigvals", vals)
+        return vals
 
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
@@ -97,11 +110,15 @@ class CorrelationMatrix:
     :func:`validate_correlation`, it skips validation and is trusted unchecked.
 
     It carries the profile it was validated under (``DEFAULT_TOL`` when built
-    directly), under which a decomposition of it is judged."""
+    directly), under which a decomposition of it is judged, and, once
+    :func:`~schurmaps.dilation.kolmogorov_vectors` has factored a read-only
+    matrix, that factor."""
 
     dim: int
     matrix: np.ndarray
+    # not init fields, so dataclasses.replace never carries them to another matrix
     _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
+    _kets: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _carry(obj, source):

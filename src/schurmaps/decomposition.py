@@ -17,11 +17,11 @@ Li-Tam count that sizes the search certifies it, as in
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CorrelationMatrix
+from .channels import CorrelationMatrix, _frozen, _read_only
 from .dilation import kolmogorov_vectors
 from .errors import (
     BadDimension,
@@ -64,11 +64,19 @@ class FlatDecomposition:
     The first entry of every phase vector is normalized to 1. Built with
     ``weights`` not 1-d or empty, or ``phase_vectors`` not of shape (terms,
     ``dim``), it raises :class:`ShapeMismatch`.
+
+    Every decomposition the library builds holds read-only arrays, so it
+    keeps its :func:`verify_decomposition` report for the correlation matrix
+    it was last verified against; one built directly over writeable arrays
+    keeps none.
     """
 
     dim: int
     weights: np.ndarray
     phase_vectors: np.ndarray  # shape (terms, dim), entries unimodular
+    # (xi, report) of the last verification; not an init field, so
+    # dataclasses.replace never carries it to other arrays
+    _verified: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w, u = np.shape(self.weights), np.shape(self.phase_vectors)
@@ -130,6 +138,12 @@ def reconstruct_xi(dec: FlatDecomposition) -> np.ndarray:
     return (u.T * dec.weights) @ u.conj()
 
 
+def _built(d: int, weights: np.ndarray, phase_vectors: np.ndarray) -> FlatDecomposition:
+    """A decomposition of the fresh arrays ``weights`` and ``phase_vectors``, which
+    no caller holds, flagged read-only."""
+    return FlatDecomposition(d, _read_only(weights), _read_only(phase_vectors))
+
+
 def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
     """Optimal decomposition for d = 2 in closed form.
 
@@ -145,7 +159,7 @@ def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
     phase = np.exp(-1j * np.angle(c))
     u = np.array([[1.0, phase], [1.0, -phase]])
     keep = weights >= NEGLIGIBLE
-    return FlatDecomposition(dim=2, weights=weights[keep], phase_vectors=u[keep])
+    return _built(2, weights[keep], u[keep])
 
 
 def decompose_identity_xi(d: int) -> FlatDecomposition:
@@ -160,7 +174,7 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
         raise BadDimension(f"dimension d = {d} is too large: numpy cannot index {d} x {d} entries")
     k = np.arange(d)
     phases = np.exp(2j * np.pi * np.outer(k, k) / d)  # row j = Z_j diagonal
-    return FlatDecomposition(dim=d, weights=np.full(d, 1.0 / d), phase_vectors=phases)
+    return _built(d, np.full(d, 1.0 / d), phases)
 
 
 def _unpack(x, m, d):
@@ -196,7 +210,7 @@ def _residual(x, target, m, d, iu):
     all of the residual."""
     u, p = _unpack(x, m, d)
     w = u[:, iu[0]] * u[:, iu[1]].conj()
-    w = np.hstack([w.real, w.imag])
+    w = np.concatenate([w.real, w.imag], axis=1)
     return p, w, target - p @ w
 
 
@@ -212,7 +226,7 @@ def _gauss_newton(p, w, kernel, inc):
     matrix-vector product for the scores.
     """
     n = w.shape[1] // 2
-    a = p[:, None] * np.hstack([w[:, n:], -w[:, :n]])
+    a = p[:, None] * np.concatenate([w[:, n:], -w[:, :n]], axis=1)
     b = p[:, None] * (w - p @ w)
     jjt = (a.T @ a) * kernel + b.T @ b
 
@@ -245,10 +259,11 @@ def _polish(x0, m, fit, max_iters):
     times the mean diagonal of J J^T. Stops after ``max_iters`` iterations,
     at f <= 1e-26, when f has not halved over 50 iterations, or when mu
     exceeds 1e15 times that mean diagonal (no step lowers f any more).
+    mu is added to the diagonal of J J^T in place, from a copy of that
+    diagonal, so no identity and no second 2R x 2R matrix is formed.
     """
     target, iu, inc, kernel = fit
     d = inc.shape[1] + 1
-    eye = np.eye(target.size)
     x = x0
     p, w, r = _residual(x, target, m, d, iu)
     f = 2.0 * (r @ r)
@@ -263,11 +278,13 @@ def _polish(x0, m, fit, max_iters):
         if jjt is None:
             jjt, pull = _gauss_newton(p, w, kernel, inc)
             scale = np.trace(jjt) / target.size
+            diagonal = jjt.diagonal().copy()
             if mu is None:
                 mu = 1e-3 * scale
         if not mu <= 1e15 * scale:
             break
-        x_new = x - pull(np.linalg.solve(jjt + mu * eye, r))
+        np.fill_diagonal(jjt, diagonal + mu)
+        x_new = x - pull(np.linalg.solve(jjt, r))
         p_new, w_new, r_new = _residual(x_new, target, m, d, iu)
         f_new = 2.0 * (r_new @ r_new)
         if f_new < f:
@@ -321,7 +338,7 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
             if residual <= RESIDUAL_TOL:
                 u, p = _unpack(x, m, d)
                 order = np.argsort(-p, kind="stable")
-                return FlatDecomposition(dim=d, weights=p[order], phase_vectors=u[order])
+                return _built(d, p[order], u[order])
     raise NoDecompositionFound(best_residual, config.restarts)
 
 
@@ -416,7 +433,7 @@ def _face_descent(xi: CorrelationMatrix) -> FlatDecomposition:
     v = res.eigenvectors[:, keep] * np.sqrt(res.eigenvalues[keep])
     weights, vectors = map(np.array, zip(*_descend(v, 1.0)))
     order = np.argsort(-weights, kind="stable")
-    return FlatDecomposition(dim=xi.dim, weights=weights[order], phase_vectors=vectors[order])
+    return _built(xi.dim, weights[order], vectors[order])
 
 
 def decompose(xi: CorrelationMatrix, seed=0) -> FlatDecomposition:
@@ -450,7 +467,17 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
     ``tol.tr`` of 1, 0 and 1, ``tol`` being the profile ``xi`` carries.
     The last two keep each heralded diag(u^(i)) unitary and the channel trace
     preserving, to within ``tol.tr``. NaN fails.
+
+    Each decomposition is verified once per ``xi``: when the matrix of ``xi``
+    and both arrays of ``dec`` are read-only (every validated ``xi`` and
+    every decomposition the library builds), ``dec`` keeps the report, an
+    accepted or a rejected one, and a later call with that same ``xi``
+    object returns it. Any other ``xi``, equal in value or not, is verified
+    afresh and replaces it.
     """
+    verified = dec._verified
+    if verified is not None and verified[0] is xi:
+        return verified[1]
     tol = xi._tol
     if dec.dim != xi.dim:
         raise DimensionMismatch(f"decomposition dim {dec.dim} != xi dim {xi.dim}")
@@ -469,7 +496,7 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
         )
     traces_ok = weight_dev <= tol.tr and flatness <= tol.tr and diagonal_dev <= tol.tr
     accepted = residual <= RESIDUAL_TOL and traces_ok and bool(np.all(dec.weights >= 0))
-    return VerificationReport(
+    report = VerificationReport(
         residual=residual,
         flatness_deviation=flatness,
         weight_sum_deviation=weight_dev,
@@ -477,6 +504,9 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
         orthogonal_family=orthogonal,
         accepted=accepted,
     )
+    if _frozen(xi.matrix) and _frozen(dec.weights) and _frozen(dec.phase_vectors):
+        object.__setattr__(dec, "_verified", (xi, report))
+    return report
 
 
 def _require_accepted(xi, dec) -> VerificationReport:

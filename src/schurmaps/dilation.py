@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _read_only
+from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _frozen, _read_only
 from .errors import DimensionMismatch, NotState, ShapeMismatch
 from .numerics import DEFAULT_TOL, RANK_THRESHOLD, _numbers, _spectrum
 
@@ -77,12 +77,22 @@ def kolmogorov_vectors(xi: CorrelationMatrix) -> np.ndarray:
     With this index order the dilation reproduces the Schrodinger action
     xi^T o rho (for real xi both orders coincide). Deterministic thanks to
     the eigensolver's phase convention. ``xi`` is trusted: nothing is checked.
+
+    The factor is computed once per ``xi`` whose matrix is read-only (every
+    output of :func:`~schurmaps.channels.validate_correlation`): ``xi`` keeps
+    it, read-only, and every later call returns that same array. Over a
+    writeable matrix it is computed afresh on every call.
     """
+    if xi._kets is not None:
+        return xi._kets
     res = _spectrum(xi.matrix)
     keep = res.eigenvalues > RANK_THRESHOLD
     vals = res.eigenvalues[keep]
     vecs = res.eigenvectors[:, keep]
-    return vecs.conj() * np.sqrt(vals)[None, :]
+    kets = vecs.conj() * np.sqrt(vals)[None, :]
+    if _frozen(xi.matrix):
+        object.__setattr__(xi, "_kets", _read_only(kets))
+    return kets
 
 
 def _unit_dilation(kets: np.ndarray) -> Dilation:

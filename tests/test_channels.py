@@ -14,6 +14,7 @@ from schurmaps import (
     apply_schrodinger,
     asymptotic_state,
     choi_operator,
+    entropy_production_check,
     eraser_scenario,
     hermitian_eig,
     iterate,
@@ -194,16 +195,29 @@ class TestAsymptoticState:
 
 
 class TestCarriedSpectrum:
-    """A state carries the ascending eigenvalues of its Hermitian part."""
+    """A state over a read-only matrix carries the ascending eigenvalues of its
+    Hermitian part; over a writeable one they are solved on every read."""
 
     @staticmethod
-    def assert_carried(state):
-        vals = state._eigenvalues
+    def assert_bit_equal(vals, state):
         expected = _eigenvalues(state.matrix)
         assert vals.dtype == expected.dtype and vals.tobytes() == expected.tobytes()
-        assert state._eigenvalues is vals
         with pytest.raises(ValueError):
             vals[0] = 0.0
+
+    @classmethod
+    def assert_carried(cls, state):
+        vals = state._eigenvalues
+        cls.assert_bit_equal(vals, state)
+        assert state._eigenvalues is vals
+
+    @classmethod
+    def assert_solved_again(cls, state):
+        vals = state._eigenvalues
+        cls.assert_bit_equal(vals, state)
+        again = state._eigenvalues
+        assert again is not vals and again.tobytes() == vals.tobytes()
+        assert state._eigvals is None
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16])
     def test_from_matrix_carries_its_solve(self, rng, d):
@@ -221,12 +235,28 @@ class TestCarriedSpectrum:
         built = [
             DensityMatrix.pure(rng.normal(size=4) + 1j * rng.normal(size=4)),
             asymptotic_state(rho),
-            DensityMatrix(4, np.array(rho.matrix)),
             records[0].conditional_state,
         ]
         for state in built:
             assert state._eigvals is None
             self.assert_carried(state)
+
+    def test_writeable_matrices_are_solved_on_every_read(self, rng):
+        m = random_density(rng, 4).matrix
+        view = np.array(m)[:]
+        view.flags.writeable = False  # read-only, but a view of a writeable array
+        for state in (DensityMatrix(4, np.array(m)), DensityMatrix(4, view)):
+            self.assert_solved_again(state)
+
+    def test_later_change_to_the_caller_array_shows_in_the_entropy(self):
+        # a directly built state over the caller's writeable array is trusted as it
+        # stands at each call: its spectrum is never kept from an earlier one
+        m = np.diag([0.5, 0.5]).astype(complex)
+        state = DensityMatrix(2, m)
+        ch = channel(np.eye(2))
+        assert entropy_production_check(ch, state).entropy_in == pytest.approx(1.0)
+        m[:] = [[0.5, 0.5], [0.5, 0.5]]
+        assert entropy_production_check(ch, state).entropy_in == pytest.approx(0.0, abs=1e-9)
 
     def test_caller_array_changes_nothing(self, rng):
         m = random_density(rng, 3).matrix.copy()
@@ -244,7 +274,7 @@ class TestCarriedSpectrum:
         assert "_eigvals" not in repr(state)
         other = dataclasses.replace(state, matrix=np.eye(3, dtype=complex) / 3)
         assert other._eigvals is None
-        self.assert_carried(other)
+        self.assert_solved_again(other)
 
 
 class TestChoiJamiolkowski:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from schurmaps import (
     DEFAULT_TOL,
+    CorrelationMatrix,
     DensityMatrix,
     ExtremalityVerdict,
     FlatDecomposition,
@@ -12,7 +13,9 @@ from schurmaps import (
     SchurChannel,
     BadDimension,
     SearchConfig,
+    VerificationFailure,
     apply_schrodinger,
+    bounds_report,
     decompose,
     decompose_identity_xi,
     decompose_qubit,
@@ -24,7 +27,7 @@ from schurmaps import (
     verify_decomposition,
     von_neumann_entropy,
 )
-from schurmaps import decomposition
+from schurmaps import decomposition, serialize
 from schurmaps.infometrics import shannon_entropy
 from conftest import random_correlation, random_density, random_flat_decomposition
 
@@ -456,6 +459,89 @@ class TestVerifyDecomposition:
                 rep = verify_decomposition(validate_correlation(reconstruct_xi(dec)), dec)
                 assert rep.orthogonal_family == gram_route(dec)
                 assert rep.orthogonal_family == (dec is clock or dec is part or dec.terms == 1)
+
+
+class TestVerificationReuse:
+    """A decomposition over read-only arrays keeps its report for the one xi object
+    it was last verified against."""
+
+    @staticmethod
+    def pair(rng, d=4, terms=5):
+        """A validated xi and a decomposition of it over read-only arrays."""
+        dec = random_flat_decomposition(rng, d, terms)
+        for a in (dec.weights, dec.phase_vectors):
+            a.flags.writeable = False
+        return validate_correlation(reconstruct_xi(dec)), dec
+
+    def test_library_decompositions_are_read_only(self, rng):
+        xi4 = validate_correlation(0.5 * np.eye(4) + 0.5 * np.ones((4, 4)))
+        built = [
+            flat_search(xi4, SearchConfig(restarts=4, max_iters=1000)),
+            decompose(random_correlation(rng, 3)),  # the face descent
+            decompose_qubit(random_correlation(rng, 2)),
+            decompose_identity_xi(5),
+            serialize.decomposition_from_dict(
+                serialize.decomposition_to_dict(decompose_identity_xi(3))
+            ),
+        ]
+        for dec in built:
+            assert not dec.weights.flags.writeable
+            assert not dec.phase_vectors.flags.writeable
+
+    def test_repeated_call_returns_the_kept_report(self, rng, monkeypatch):
+        xi, dec = self.pair(rng)
+        calls = []
+        recon = decomposition.reconstruct_xi
+        monkeypatch.setattr(
+            decomposition, "reconstruct_xi", lambda *a: calls.append(1) or recon(*a)
+        )
+        report = verify_decomposition(xi, dec)
+        assert report.accepted
+        assert verify_decomposition(xi, dec) is report
+        # the correction loop and the bounds verify the same xi object: no new check
+        ch = SchurChannel(xi)
+        run_correction(ch, dec, random_density(rng, 4))
+        bounds_report(ch, dec)
+        assert len(calls) == 1
+
+    def test_other_xi_objects_are_verified_afresh(self, rng):
+        xi, dec = self.pair(rng)
+        report = verify_decomposition(xi, dec)
+        equal = validate_correlation(xi.matrix)
+        again = verify_decomposition(equal, dec)
+        assert again is not report and again == report
+        m = np.array(xi.matrix)
+        m[0, 1] += 1e-3
+        m[1, 0] += 1e-3
+        perturbed = verify_decomposition(validate_correlation(m), dec)
+        assert not perturbed.accepted and perturbed.residual > 1e-4
+        # the last verification is the one kept
+        assert dec._verified[0] is not xi
+        assert verify_decomposition(xi, dec) is not report
+
+    def test_writeable_arrays_are_never_kept(self, rng):
+        xi, dec = self.pair(rng)
+        writeable_dec = FlatDecomposition(4, np.array(dec.weights), dec.phase_vectors)
+        writeable_xi = CorrelationMatrix(4, np.array(xi.matrix))
+        for x, dc in ((xi, writeable_dec), (writeable_xi, dec)):
+            first = verify_decomposition(x, dc)
+            assert dc._verified is None
+            assert verify_decomposition(x, dc) is not first
+        # a later change to the caller's array shows in the next report
+        writeable_dec.weights[:] = np.roll(writeable_dec.weights, 1)
+        assert not verify_decomposition(xi, writeable_dec).accepted
+
+    def test_rejected_decomposition_raises_on_every_call(self, rng):
+        xi, dec = self.pair(rng)
+        wrong = decompose_identity_xi(4)
+        ch = SchurChannel(xi)
+        rho = random_density(rng, 4)
+        for _ in range(2):
+            with pytest.raises(VerificationFailure):
+                run_correction(ch, wrong, rho)
+            with pytest.raises(VerificationFailure):
+                bounds_report(ch, wrong)
+        assert wrong._verified[0] is xi and not wrong._verified[1].accepted
 
 
 class TestExtremality:

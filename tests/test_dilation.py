@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmaps import (
+    CorrelationMatrix,
     DensityMatrix,
     Dilation,
     DimensionMismatch,
     NotState,
     SchurChannel,
+    SearchConfig,
     ShapeMismatch,
     ToleranceProfile,
     apply_schrodinger,
+    bounds_report,
     build_dilation,
     environment_state,
     entropy_exchange,
+    extremality_test,
+    flat_search,
     kolmogorov_vectors,
     partial_trace_env,
     partial_trace_sys,
@@ -102,6 +107,56 @@ class TestKolmogorovVectors:
             vecs = kolmogorov_vectors(xi)
             gram = np.einsum("ka,la->kl", vecs.conj(), vecs)
             assert np.max(np.abs(gram - xi.matrix)) < 1e-9
+
+
+class TestSharedFactor:
+    """A validated xi carries its Kolmogorov factor; a writeable one is factored
+    on every call."""
+
+    def test_pipeline_factors_xi_once(self, monkeypatch):
+        # extremality, dilation, search and bounds on one validated full-rank d = 6
+        # flat mixture: one eigh between them
+        d = 6
+        rng = np.random.default_rng([6, 4])
+        u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(3, d)))
+        xi = validate_correlation(0.4 * np.eye(d) + 0.6 * (u.T * [0.5, 0.3, 0.2]) @ u.conj())
+        ch = SchurChannel(xi)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        assert extremality_test(xi).rank == d
+        build_dilation(ch)
+        dec = flat_search(xi, SearchConfig(restarts=4, max_iters=1000))
+        assert bounds_report(ch, dec).lower_bound_satisfied
+        assert len(calls) == 1
+        kets = kolmogorov_vectors(xi)
+        assert kolmogorov_vectors(xi) is kets and not kets.flags.writeable
+
+    def test_carried_factor_is_the_fresh_one(self, rng):
+        for d in (2, 3, 5):
+            xi = random_correlation(rng, d)
+            fresh = kolmogorov_vectors(CorrelationMatrix(d, np.array(xi.matrix)))
+            assert kolmogorov_vectors(xi).tobytes() == fresh.tobytes()
+
+    def test_writeable_xi_gets_new_kets(self, rng):
+        m = np.array(random_correlation(rng, 4).matrix)
+        xi = CorrelationMatrix(4, m)
+        first = kolmogorov_vectors(xi)
+        m[:] = np.ones((4, 4))
+        second = kolmogorov_vectors(xi)
+        assert xi._kets is None
+        assert first.shape == (4, 4) and second.shape == (4, 1)
+        assert np.allclose(second.conj() @ second.T, m)
+
+    def test_no_factor_kept_over_a_view_or_carried_by_replace(self, rng):
+        xi = random_correlation(rng, 3)
+        kolmogorov_vectors(xi)
+        view = np.array(xi.matrix)[:]
+        view.flags.writeable = False  # read-only, but a view of a writeable array
+        for other in (CorrelationMatrix(3, view), dataclasses.replace(xi, matrix=view)):
+            assert other._kets is None
+            kolmogorov_vectors(other)
+            assert other._kets is None
 
 
 class TestBuildDilation:

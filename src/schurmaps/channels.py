@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDiagonal, NotState
+from .errors import BadDiagonal, NotState, ShapeMismatch
 from .numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
@@ -44,14 +44,6 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _frozen(m) -> bool:
-    """True when ``m`` is an array that, like every array it is a view of, is
-    read-only: only then may a value computed from ``m`` be kept for a later call."""
-    if not isinstance(m, np.ndarray) or m.flags.writeable:
-        return False
-    return not isinstance(m.base, np.ndarray) or _frozen(m.base)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated quantum state: Hermitian, PSD, unit trace. Every function that takes
@@ -71,16 +63,12 @@ class DensityMatrix:
     @property
     def _eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the Hermitian part (read-only), to the bit
-        ``_eigenvalues(matrix)``: carried from the solve of :meth:`from_matrix`, or
-        for a directly built state solved on first read, and kept only over a
-        read-only matrix; over a writeable one they are solved on every read, so
-        a later change to the caller's array shows."""
+        ``_eigenvalues(matrix)``: carried from the solve of :meth:`from_matrix`,
+        else solved on every read and kept nowhere, so a later change to a
+        caller's array shows."""
         if self._eigvals is not None:
             return self._eigvals
-        vals = _read_only(_eigenvalues(self.matrix))
-        if _frozen(self.matrix):
-            object.__setattr__(self, "_eigvals", vals)
-        return vals
+        return _read_only(_eigenvalues(self.matrix))
 
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
@@ -94,8 +82,12 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
-        """|v><v| / <v|v> (read-only) for a nonzero vector with finite entries."""
-        v = _numbers(vector, complex, NotState).reshape(-1)
+        """|v><v| / <v|v> (read-only) for a nonzero vector with finite entries, given
+        as an array with at most one axis longer than 1, such as a (d, 1) column."""
+        v = _numbers(vector, complex, NotState)
+        if sum(n > 1 for n in v.shape) > 1:
+            raise ShapeMismatch(f"a pure state needs a vector, got shape {v.shape}")
+        v = v.reshape(-1)
         norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:
             raise NotState(f"a pure state needs a nonzero finite vector, got norm {norm}")
@@ -109,16 +101,20 @@ class CorrelationMatrix:
     function that takes one trusts it; built directly rather than by
     :func:`validate_correlation`, it skips validation and is trusted unchecked.
 
-    It carries the profile it was validated under (``DEFAULT_TOL`` when built
+    It holds a read-only copy of ``matrix``, so no caller can change it, and
+    carries the profile it was validated under (``DEFAULT_TOL`` when built
     directly), under which a decomposition of it is judged, and, once
-    :func:`~schurmaps.dilation.kolmogorov_vectors` has factored a read-only
-    matrix, that factor."""
+    :func:`~schurmaps.dilation.kolmogorov_vectors` has factored it, that
+    factor."""
 
     dim: int
     matrix: np.ndarray
     # not init fields, so dataclasses.replace never carries them to another matrix
     _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
     _kets: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(np.array(self.matrix)))
 
 
 def _carry(obj, source):
@@ -160,7 +156,7 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
             raise BadDiagonal(k, v)
     np.fill_diagonal(mm, 1.0)
     _psd_eigenvalues(mm, tol)
-    xi = CorrelationMatrix(dim=mm.shape[0], matrix=_read_only(mm))
+    xi = CorrelationMatrix(dim=mm.shape[0], matrix=mm)
     object.__setattr__(xi, "_tol", tol)
     return xi
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CorrelationMatrix, _frozen, _read_only
+from .channels import CorrelationMatrix, _read_only
 from .dilation import kolmogorov_vectors
 from .errors import (
     BadDimension,
@@ -65,10 +65,9 @@ class FlatDecomposition:
     ``weights`` not 1-d or empty, or ``phase_vectors`` not of shape (terms,
     ``dim``), it raises :class:`ShapeMismatch`.
 
-    Every decomposition the library builds holds read-only arrays, so it
-    keeps its :func:`verify_decomposition` report for the correlation matrix
-    it was last verified against; one built directly over writeable arrays
-    keeps none.
+    It holds read-only copies of both arrays, so no caller can change them,
+    and keeps its :func:`verify_decomposition` report for the correlation
+    matrix it was last verified against.
     """
 
     dim: int
@@ -85,6 +84,8 @@ class FlatDecomposition:
                 f"weights of shape {w} and phase vectors of shape {u} "
                 f"do not make a decomposition of dim {self.dim}"
             )
+        for name in ("weights", "phase_vectors"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
 
     @property
     def terms(self) -> int:
@@ -138,12 +139,6 @@ def reconstruct_xi(dec: FlatDecomposition) -> np.ndarray:
     return (u.T * dec.weights) @ u.conj()
 
 
-def _built(d: int, weights: np.ndarray, phase_vectors: np.ndarray) -> FlatDecomposition:
-    """A decomposition of the fresh arrays ``weights`` and ``phase_vectors``, which
-    no caller holds, flagged read-only."""
-    return FlatDecomposition(d, _read_only(weights), _read_only(phase_vectors))
-
-
 def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
     """Optimal decomposition for d = 2 in closed form.
 
@@ -159,7 +154,7 @@ def decompose_qubit(xi: CorrelationMatrix) -> FlatDecomposition:
     phase = np.exp(-1j * np.angle(c))
     u = np.array([[1.0, phase], [1.0, -phase]])
     keep = weights >= NEGLIGIBLE
-    return _built(2, weights[keep], u[keep])
+    return FlatDecomposition(2, weights[keep], u[keep])
 
 
 def decompose_identity_xi(d: int) -> FlatDecomposition:
@@ -174,7 +169,7 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
         raise BadDimension(f"dimension d = {d} is too large: numpy cannot index {d} x {d} entries")
     k = np.arange(d)
     phases = np.exp(2j * np.pi * np.outer(k, k) / d)  # row j = Z_j diagonal
-    return _built(d, np.full(d, 1.0 / d), phases)
+    return FlatDecomposition(d, np.full(d, 1.0 / d), phases)
 
 
 def _unpack(x, m, d):
@@ -228,7 +223,9 @@ def _gauss_newton(p, w, kernel, inc):
     n = w.shape[1] // 2
     a = p[:, None] * np.concatenate([w[:, n:], -w[:, :n]], axis=1)
     b = p[:, None] * (w - p @ w)
-    jjt = (a.T @ a) * kernel + b.T @ b
+    jjt = a.T @ a  # then in place: no (2R)^2 temporary, whether or not numpy elides one
+    jjt *= kernel
+    jjt += b.T @ b
 
     def pull(z):
         return np.concatenate([((a * z) @ inc).ravel(), -(b @ z)])
@@ -338,7 +335,7 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
             if residual <= RESIDUAL_TOL:
                 u, p = _unpack(x, m, d)
                 order = np.argsort(-p, kind="stable")
-                return _built(d, p[order], u[order])
+                return FlatDecomposition(d, p[order], u[order])
     raise NoDecompositionFound(best_residual, config.restarts)
 
 
@@ -433,7 +430,7 @@ def _face_descent(xi: CorrelationMatrix) -> FlatDecomposition:
     v = res.eigenvectors[:, keep] * np.sqrt(res.eigenvalues[keep])
     weights, vectors = map(np.array, zip(*_descend(v, 1.0)))
     order = np.argsort(-weights, kind="stable")
-    return _built(xi.dim, weights[order], vectors[order])
+    return FlatDecomposition(xi.dim, weights[order], vectors[order])
 
 
 def decompose(xi: CorrelationMatrix, seed=0) -> FlatDecomposition:
@@ -468,12 +465,10 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
     The last two keep each heralded diag(u^(i)) unitary and the channel trace
     preserving, to within ``tol.tr``. NaN fails.
 
-    Each decomposition is verified once per ``xi``: when the matrix of ``xi``
-    and both arrays of ``dec`` are read-only (every validated ``xi`` and
-    every decomposition the library builds), ``dec`` keeps the report, an
-    accepted or a rejected one, and a later call with that same ``xi``
-    object returns it. Any other ``xi``, equal in value or not, is verified
-    afresh and replaces it.
+    Each decomposition is verified once per ``xi``: both own their arrays,
+    so ``dec`` keeps the report, an accepted or a rejected one, and a later
+    call with that same ``xi`` object returns it. Any other ``xi``, equal in
+    value or not, is verified afresh and replaces it.
     """
     verified = dec._verified
     if verified is not None and verified[0] is xi:
@@ -504,8 +499,7 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
         orthogonal_family=orthogonal,
         accepted=accepted,
     )
-    if _frozen(xi.matrix) and _frozen(dec.weights) and _frozen(dec.phase_vectors):
-        object.__setattr__(dec, "_verified", (xi, report))
+    object.__setattr__(dec, "_verified", (xi, report))
     return report
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _frozen, _read_only
+from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _read_only
 from .errors import DimensionMismatch, NotState, ShapeMismatch
 from .numerics import DEFAULT_TOL, RANK_THRESHOLD, _numbers, _spectrum
 
@@ -78,10 +78,8 @@ def kolmogorov_vectors(xi: CorrelationMatrix) -> np.ndarray:
     xi^T o rho (for real xi both orders coincide). Deterministic thanks to
     the eigensolver's phase convention. ``xi`` is trusted: nothing is checked.
 
-    The factor is computed once per ``xi`` whose matrix is read-only (every
-    output of :func:`~schurmaps.channels.validate_correlation`): ``xi`` keeps
-    it, read-only, and every later call returns that same array. Over a
-    writeable matrix it is computed afresh on every call.
+    The factor is computed once per ``xi``, which owns its matrix: ``xi`` keeps
+    it, read-only, and every later call returns that same array.
     """
     if xi._kets is not None:
         return xi._kets
@@ -89,9 +87,8 @@ def kolmogorov_vectors(xi: CorrelationMatrix) -> np.ndarray:
     keep = res.eigenvalues > RANK_THRESHOLD
     vals = res.eigenvalues[keep]
     vecs = res.eigenvectors[:, keep]
-    kets = vecs.conj() * np.sqrt(vals)[None, :]
-    if _frozen(xi.matrix):
-        object.__setattr__(xi, "_kets", _read_only(kets))
+    kets = _read_only(vecs.conj() * np.sqrt(vals)[None, :])
+    object.__setattr__(xi, "_kets", kets)
     return kets
 
 

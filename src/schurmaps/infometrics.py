@@ -68,10 +68,15 @@ def entropy_exchange(ch: SchurChannel, rho: DensityMatrix) -> float:
     rho_inf is diagonal, so its square root is taken entrywise. The operator
     is a congruence of the validated xi with trace Tr rho, so it is trusted.
     """
+    return _entropy_bits(_exchange_eigenvalues(ch, rho))
+
+
+def _exchange_eigenvalues(ch: SchurChannel, rho: DensityMatrix) -> np.ndarray:
+    """Ascending eigenvalues of the entropy-exchange operator of :func:`entropy_exchange`."""
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
     sq = np.sqrt(np.clip(np.diag(rho.matrix).real, 0.0, None))
-    return _entropy_bits(_eigenvalues(sq[:, None] * ch.xi.matrix * sq[None, :]))
+    return _eigenvalues(sq[:, None] * ch.xi.matrix * sq[None, :])
 
 
 def entropy_exchange_from_decomposition(dec: FlatDecomposition, rho: DensityMatrix) -> float:
@@ -134,21 +139,20 @@ def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyPro
     """Check |S(E(rho)) - S(rho)| <= S_ex(rho); E(rho) is validated under the
     profile of ``rho``.
 
-    rho, E(rho) and the entropy-exchange operator all have the trace t of
-    rho, which the profile lets differ from 1. Each entropy is judged and
-    reported for its operator divided by t, S/t + log2 t, so that the
-    inequality is that of the states.
+    rho, E(rho) and the entropy-exchange operator all have the trace of rho,
+    which the profile lets differ from 1, and may have eigenvalues down to
+    -psd. Each entropy is judged and reported for its operator's spectrum
+    clamped at 0 and divided by its sum, so that the inequality is that of
+    states and neither slack can turn an entropy negative.
     """
-    if rho.dim != ch.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
-    t = float(rho.matrix.trace().real)
 
-    def of_state(s):  # S(sigma / t) from S(sigma), for sigma of trace t
-        return s / t + float(np.log2(t))
+    def of_state(vals):  # S of the positive part of a spectrum, normalized to unit sum
+        positive = vals[vals > 0]
+        return _entropy_bits(positive / positive.sum()) + 0.0  # a pure state's -0.0 reads 0.0
 
-    s_in = of_state(_entropy_bits(rho._eigenvalues))
-    s_out = of_state(_entropy_bits(apply_schrodinger(ch, rho)._eigenvalues))
-    s_ex = of_state(entropy_exchange(ch, rho))
+    s_ex = of_state(_exchange_eigenvalues(ch, rho))  # first: it checks the dimensions
+    s_in = of_state(rho._eigenvalues)
+    s_out = of_state(apply_schrodinger(ch, rho)._eigenvalues)
     return EntropyProductionReport(
         entropy_in=s_in,
         entropy_out=s_out,

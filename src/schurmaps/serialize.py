@@ -13,7 +13,7 @@ import numbers
 import numpy as np
 
 from .channels import CorrelationMatrix, DensityMatrix, validate_correlation
-from .decomposition import FlatDecomposition, _built
+from .decomposition import FlatDecomposition
 from .errors import SerializationError
 from .numerics import DEFAULT_TOL, ToleranceProfile, _numbers
 
@@ -118,7 +118,7 @@ def decomposition_to_dict(dec: FlatDecomposition) -> dict:
 def decomposition_from_dict(obj) -> FlatDecomposition:
     try:
         dim = _dim(obj["dim"])
-        weights = np.array(obj["weights"], dtype=float)  # a copy, since _built flags it read-only
+        weights = np.asarray(obj["weights"], dtype=float)
         phases = np.asarray(obj["phases"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed decomposition: {exc}") from exc
@@ -129,7 +129,7 @@ def decomposition_from_dict(obj) -> FlatDecomposition:
         )
     if not np.all(np.isfinite(phases)):
         raise SerializationError("phases must be finite angles")
-    return _built(dim, weights, np.exp(1j * phases))
+    return FlatDecomposition(dim, weights, np.exp(1j * phases))
 
 
 def write_csv(path, header, rows) -> None:

@@ -195,8 +195,8 @@ class TestAsymptoticState:
 
 
 class TestCarriedSpectrum:
-    """A state over a read-only matrix carries the ascending eigenvalues of its
-    Hermitian part; over a writeable one they are solved on every read."""
+    """A state from :meth:`DensityMatrix.from_matrix` carries the ascending
+    eigenvalues of its Hermitian part; any other state solves them on every read."""
 
     @staticmethod
     def assert_bit_equal(vals, state):
@@ -229,7 +229,7 @@ class TestCarriedSpectrum:
         assert state._eigvals is not None
         self.assert_carried(state)
 
-    def test_built_states_solve_on_first_read(self, rng):
+    def test_built_states_are_solved_on_every_read(self, rng):
         rho = random_density(rng, 4)
         records, _ = run_eraser(eraser_scenario(4), rho)
         built = [
@@ -238,8 +238,7 @@ class TestCarriedSpectrum:
             records[0].conditional_state,
         ]
         for state in built:
-            assert state._eigvals is None
-            self.assert_carried(state)
+            self.assert_solved_again(state)
 
     def test_writeable_matrices_are_solved_on_every_read(self, rng):
         m = random_density(rng, 4).matrix

@@ -462,15 +462,13 @@ class TestVerifyDecomposition:
 
 
 class TestVerificationReuse:
-    """A decomposition over read-only arrays keeps its report for the one xi object
-    it was last verified against."""
+    """A decomposition owns read-only copies of its arrays and keeps its report for
+    the one xi object it was last verified against."""
 
     @staticmethod
     def pair(rng, d=4, terms=5):
-        """A validated xi and a decomposition of it over read-only arrays."""
+        """A validated xi and a decomposition of it."""
         dec = random_flat_decomposition(rng, d, terms)
-        for a in (dec.weights, dec.phase_vectors):
-            a.flags.writeable = False
         return validate_correlation(reconstruct_xi(dec)), dec
 
     def test_library_decompositions_are_read_only(self, rng):
@@ -519,17 +517,28 @@ class TestVerificationReuse:
         assert dec._verified[0] is not xi
         assert verify_decomposition(xi, dec) is not report
 
-    def test_writeable_arrays_are_never_kept(self, rng):
+    def test_caller_arrays_change_no_kept_report(self, rng):
+        # over a caller's writeable arrays, and over read-only views of them
         xi, dec = self.pair(rng)
-        writeable_dec = FlatDecomposition(4, np.array(dec.weights), dec.phase_vectors)
-        writeable_xi = CorrelationMatrix(4, np.array(xi.matrix))
-        for x, dc in ((xi, writeable_dec), (writeable_xi, dec)):
-            first = verify_decomposition(x, dc)
-            assert dc._verified is None
-            assert verify_decomposition(x, dc) is not first
-        # a later change to the caller's array shows in the next report
-        writeable_dec.weights[:] = np.roll(writeable_dec.weights, 1)
-        assert not verify_decomposition(xi, writeable_dec).accepted
+        for view in (False, True):
+            m, w, u = np.array(xi.matrix), np.array(dec.weights), np.array(dec.phase_vectors)
+            given = [a[:] if view else a for a in (m, w, u)]
+            for a in given:
+                a.flags.writeable = not view  # a view is read-only; its base is not
+            own_xi = CorrelationMatrix(4, given[0])
+            own_dec = FlatDecomposition(4, given[1], given[2])
+            report = verify_decomposition(own_xi, own_dec)
+            assert report.accepted
+            m[0, 1] = m[1, 0] = 0.0
+            w[:] = np.roll(w, 1)
+            u[:] = 1.0
+            assert verify_decomposition(own_xi, own_dec) is report
+            assert np.array_equal(own_xi.matrix, xi.matrix)
+            assert np.array_equal(own_dec.weights, dec.weights)
+            assert np.array_equal(own_dec.phase_vectors, dec.phase_vectors)
+            for a in (own_xi.matrix, own_dec.weights, own_dec.phase_vectors):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     def test_rejected_decomposition_raises_on_every_call(self, rng):
         xi, dec = self.pair(rng)

@@ -110,8 +110,7 @@ class TestKolmogorovVectors:
 
 
 class TestSharedFactor:
-    """A validated xi carries its Kolmogorov factor; a writeable one is factored
-    on every call."""
+    """A xi owns a read-only copy of its matrix and carries its Kolmogorov factor."""
 
     def test_pipeline_factors_xi_once(self, monkeypatch):
         # extremality, dilation, search and bounds on one validated full-rank d = 6
@@ -138,25 +137,32 @@ class TestSharedFactor:
             fresh = kolmogorov_vectors(CorrelationMatrix(d, np.array(xi.matrix)))
             assert kolmogorov_vectors(xi).tobytes() == fresh.tobytes()
 
-    def test_writeable_xi_gets_new_kets(self, rng):
-        m = np.array(random_correlation(rng, 4).matrix)
-        xi = CorrelationMatrix(4, m)
-        first = kolmogorov_vectors(xi)
-        m[:] = np.ones((4, 4))
-        second = kolmogorov_vectors(xi)
-        assert xi._kets is None
-        assert first.shape == (4, 4) and second.shape == (4, 1)
-        assert np.allclose(second.conj() @ second.T, m)
+    def test_caller_array_changes_neither_matrix_nor_kets(self, rng):
+        # over a caller's writeable array, and over a read-only view of one
+        for view in (False, True):
+            m = np.array(random_correlation(rng, 4).matrix)
+            given = m[:] if view else m
+            if view:
+                given.flags.writeable = False
+            xi = CorrelationMatrix(4, given)
+            kets = kolmogorov_vectors(xi)
+            matrix, ket_bytes = xi.matrix.copy(), kets.tobytes()
+            m[:] = np.ones((4, 4))
+            assert np.array_equal(xi.matrix, matrix)
+            assert kolmogorov_vectors(xi) is kets and kets.tobytes() == ket_bytes
+            for a in (xi.matrix, kets):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.0
 
-    def test_no_factor_kept_over_a_view_or_carried_by_replace(self, rng):
+    def test_replace_copies_and_factors_afresh(self, rng):
         xi = random_correlation(rng, 3)
-        kolmogorov_vectors(xi)
-        view = np.array(xi.matrix)[:]
-        view.flags.writeable = False  # read-only, but a view of a writeable array
-        for other in (CorrelationMatrix(3, view), dataclasses.replace(xi, matrix=view)):
-            assert other._kets is None
-            kolmogorov_vectors(other)
-            assert other._kets is None
+        kets = kolmogorov_vectors(xi)
+        m = np.array(xi.matrix)
+        other = dataclasses.replace(xi, matrix=m)
+        assert other._kets is None and not np.shares_memory(other.matrix, m)
+        assert not other.matrix.flags.writeable
+        assert kolmogorov_vectors(other) is not kets
+        assert kolmogorov_vectors(other).tobytes() == kets.tobytes()
 
 
 class TestBuildDilation:

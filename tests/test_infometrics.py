@@ -183,6 +183,16 @@ class TestEntropyProduction:
         for s in (rep.entropy_in, rep.entropy_out, rep.entropy_exchange):
             assert abs(s) <= 1e-12
 
+    def test_psd_slack_turns_no_entropy_negative(self):
+        # rho = diag(1 + 5e-7, -5e-7) has unit trace and an eigenvalue inside the psd
+        # slack; dropping it alone would leave positive parts of trace 1 + 5e-7
+        loose = ToleranceProfile(herm=1e-6, psd=1e-6, tr=1e-6)
+        rho = DensityMatrix.from_matrix(np.diag([1.0 + 5e-7, -5e-7]), loose)
+        rep = entropy_production_check(SchurChannel(validate_correlation(np.ones((2, 2)))), rho)
+        assert rep.satisfied
+        for s in (rep.entropy_in, rep.entropy_out, rep.entropy_exchange):
+            assert s >= 0.0
+
     def test_entropy_nondecreasing_under_iteration(self, rng):
         # complete channels, pure inputs: output entropy grows with n
         for _ in range(10):

@@ -200,6 +200,13 @@ class TestStates:
         with pytest.raises(NotState):
             DensityMatrix.pure(vector)
 
+    def test_pure_refuses_a_matrix_and_takes_a_column(self):
+        with pytest.raises(ShapeMismatch):
+            DensityMatrix.pure(np.ones((2, 2)))
+        column = DensityMatrix.pure(np.array([[1.0], [1j]]))
+        assert column.dim == 2
+        assert np.array_equal(column.matrix, DensityMatrix.pure([1, 1j]).matrix)
+
     def test_negative_eigenvalue_is_not_a_state(self):
         with pytest.raises(NotState):
             DensityMatrix.from_matrix(np.diag([1.5, -0.5]))

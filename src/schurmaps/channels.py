@@ -105,13 +105,14 @@ class CorrelationMatrix:
     carries the profile it was validated under (``DEFAULT_TOL`` when built
     directly), under which a decomposition of it is judged, and, once
     :func:`~schurmaps.dilation.kolmogorov_vectors` has factored it, that
-    factor."""
+    factor and the spectrum it was taken from."""
 
     dim: int
     matrix: np.ndarray
     # not init fields, so dataclasses.replace never carries them to another matrix
     _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
     _kets: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _eigvals: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _read_only(np.array(self.matrix)))

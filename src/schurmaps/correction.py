@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    CorrelationMatrix,
     DensityMatrix,
     SchurChannel,
     _carry,
@@ -22,9 +21,10 @@ from .channels import (
 )
 from .decomposition import (
     FlatDecomposition,
+    _report,
     _require_accepted,
     decompose_identity_xi,
-    reconstruct_xi,
+    verify_decomposition,
 )
 from .dilation import Dilation, _unit_dilation
 from .errors import (
@@ -119,12 +119,11 @@ def dilation_from_decomposition(
     computational basis heralds the Kraus operator
     sqrt(p_i) diag(u^(i))^dagger of the Schrodinger action. The
     decomposition is verified under ``tol`` against its own reconstruction of
-    xi, which has no validated matrix to carry a profile; each ket, of squared
-    norm within ``tol.tr`` of 1, is divided by its norm.
+    xi, which has no validated matrix to carry a profile; that report is kept
+    nowhere, so the one ``dec`` keeps for a caller's xi stays. Each ket, of
+    squared norm within ``tol.tr`` of 1, is divided by its norm.
     """
-    xi = CorrelationMatrix(dec.dim, reconstruct_xi(dec))
-    object.__setattr__(xi, "_tol", tol)
-    _require_accepted(xi, dec)
+    _require_accepted(_report(dec, tol))
     return _unit_dilation(_term_amplitudes(dec))
 
 
@@ -240,7 +239,7 @@ def run_correction(ch: SchurChannel, dec: FlatDecomposition, rho: DensityMatrix)
     without an eigensolve, where the bounds fit, and fully checked where they
     do not, under the profile of ``rho``, which every state carries.
     """
-    _require_accepted(ch.xi, dec)
+    _require_accepted(verify_decomposition(ch.xi, dec))
     return _correct(dec, rho)
 
 

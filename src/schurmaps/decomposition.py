@@ -34,6 +34,7 @@ from .numerics import (
     NEGLIGIBLE,
     RANK_THRESHOLD,
     RESIDUAL_TOL,
+    ToleranceProfile,
     _entropy_bits,
     _integer,
     _spectrum,
@@ -250,21 +251,33 @@ def _polish(x0, m, fit, max_iters):
     (x, f) with f the squared Frobenius residual.
 
     Each iteration takes the minimum-norm damped Gauss-Newton step
-    -J^T (J J^T + mu I)^-1 r, solved in the 2R-dimensional residual space
-    (:func:`_gauss_newton`). It is kept when it lowers f, which divides mu by
-    3, and is otherwise dropped, which multiplies mu by 4; mu starts at 1e-3
-    times the mean diagonal of J J^T. Stops after ``max_iters`` iterations,
-    at f <= 1e-26, when f has not halved over 50 iterations, or when mu
-    exceeds 1e15 times that mean diagonal (no step lowers f any more).
-    mu is added to the diagonal of J J^T in place, from a copy of that
-    diagonal, so no identity and no second 2R x 2R matrix is formed.
+    -J^T y, y = (J J^T + mu I)^-1 r, solved in the 2R-dimensional residual
+    space (:func:`_gauss_newton`). The damping follows the residual:
+    mu = lam * scale * sqrt(f), scale being the mean diagonal of J J^T, which
+    converges quadratically near a zero residual even where J J^T is
+    singular, as it is when there are more unknowns than equations (Fan and
+    Yuan). lam starts at 1/sqrt(f), so mu starts at scale. A step is kept
+    when it lowers f, and lam is then multiplied by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the ratio of the actual to the
+    predicted decrease of f (Nielsen); otherwise it is dropped and lam is
+    multiplied by nu, which starts at 2, doubles after each drop and is
+    reset to 2 by a kept step. The linear model's residual after the step,
+    r - J J^T y, is exactly mu y, so the predicted decrease f - 2 mu^2 |y|^2
+    costs no product. Where it is no larger than the actual decrease
+    (rho >= 1, or a predicted decrease lost to rounding), rho counts as 1,
+    for the same factor 1/3. A step whose damped system rounding makes
+    singular is dropped. Stops after ``max_iters`` iterations, at
+    f <= 1e-26, when f has not halved over 50 iterations, or when mu exceeds
+    1e15 times scale (no step lowers f any more). mu is added to the
+    diagonal of J J^T in place, from a copy of that diagonal, so no identity
+    and no second 2R x 2R matrix is formed.
     """
     target, iu, inc, kernel = fit
     d = inc.shape[1] + 1
     x = x0
     p, w, r = _residual(x, target, m, d, iu)
     f = 2.0 * (r @ r)
-    mu, jjt, checkpoint = None, None, np.inf
+    lam, nu, jjt, checkpoint = None, 2.0, None, np.inf
     for it in range(max_iters):
         if it % 50 == 0:
             if not f <= checkpoint / 2.0:
@@ -276,19 +289,29 @@ def _polish(x0, m, fit, max_iters):
             jjt, pull = _gauss_newton(p, w, kernel, inc)
             scale = np.trace(jjt) / target.size
             diagonal = jjt.diagonal().copy()
-            if mu is None:
-                mu = 1e-3 * scale
+            if lam is None:
+                lam = 1.0 / np.sqrt(f)
+        mu = lam * scale * np.sqrt(f)
         if not mu <= 1e15 * scale:
             break
         np.fill_diagonal(jjt, diagonal + mu)
-        x_new = x - pull(np.linalg.solve(jjt, r))
-        p_new, w_new, r_new = _residual(x_new, target, m, d, iu)
-        f_new = 2.0 * (r_new @ r_new)
-        if f_new < f:
-            x, p, w, r, f = x_new, p_new, w_new, r_new, f_new
-            jjt, mu = None, mu / 3.0
+        try:
+            y = np.linalg.solve(jjt, r)
+        except np.linalg.LinAlgError:  # mu lost in the rounding of a singular J J^T
+            f_new = np.inf  # dropped like a step that does not lower f
         else:
-            mu *= 4.0
+            x_new = x - pull(y)
+            p_new, w_new, r_new = _residual(x_new, target, m, d, iu)
+            f_new = 2.0 * (r_new @ r_new)
+        if f_new < f:
+            decrease, predicted = f - f_new, f - 2.0 * mu * mu * (y @ y)
+            gain = decrease / predicted if predicted > decrease else 1.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            x, p, w, r, f = x_new, p_new, w_new, r_new, f_new
+            jjt, nu = None, 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
     return x, f
 
 
@@ -473,12 +496,20 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
     verified = dec._verified
     if verified is not None and verified[0] is xi:
         return verified[1]
-    tol = xi._tol
     if dec.dim != xi.dim:
         raise DimensionMismatch(f"decomposition dim {dec.dim} != xi dim {xi.dim}")
+    report = _report(dec, xi._tol, xi.matrix)
+    object.__setattr__(dec, "_verified", (xi, report))
+    return report
+
+
+def _report(dec: FlatDecomposition, tol: ToleranceProfile, matrix=None) -> VerificationReport:
+    """The :func:`verify_decomposition` report of ``dec`` under ``tol`` against
+    ``matrix`` or, when it is None, against the decomposition's own
+    reconstruction (residual 0 unless that is not finite); kept nowhere."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf or NaN fails below
         recon = reconstruct_xi(dec)
-        residual = float(np.linalg.norm(xi.matrix - recon))
+        residual = float(np.linalg.norm((recon if matrix is None else matrix) - recon))
         flatness = float(abs(abs(dec.phase_vectors) ** 2 - 1.0).max())
         diagonal_dev = float(abs(recon.diagonal().real - 1.0).max())
         weight_dev = float(abs(dec.weights.sum() - 1.0))
@@ -491,7 +522,7 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
         )
     traces_ok = weight_dev <= tol.tr and flatness <= tol.tr and diagonal_dev <= tol.tr
     accepted = residual <= RESIDUAL_TOL and traces_ok and bool(np.all(dec.weights >= 0))
-    report = VerificationReport(
+    return VerificationReport(
         residual=residual,
         flatness_deviation=flatness,
         weight_sum_deviation=weight_dev,
@@ -499,13 +530,10 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
         orthogonal_family=orthogonal,
         accepted=accepted,
     )
-    object.__setattr__(dec, "_verified", (xi, report))
-    return report
 
 
-def _require_accepted(xi, dec) -> VerificationReport:
-    """The report of an accepted decomposition, or :class:`VerificationFailure`."""
-    report = verify_decomposition(xi, dec)
+def _require_accepted(report: VerificationReport) -> VerificationReport:
+    """``report`` if it accepts its decomposition, else :class:`VerificationFailure`."""
     if not report.accepted:
         raise VerificationFailure(f"decomposition rejected: {report}")
     return report

@@ -79,7 +79,9 @@ def kolmogorov_vectors(xi: CorrelationMatrix) -> np.ndarray:
     the eigensolver's phase convention. ``xi`` is trusted: nothing is checked.
 
     The factor is computed once per ``xi``, which owns its matrix: ``xi`` keeps
-    it, read-only, and every later call returns that same array.
+    it, read-only, and every later call returns that same array. Beside it
+    ``xi`` keeps the whole spectrum it was taken from, read-only and
+    descending, for :func:`~schurmaps.infometrics.bounds_report`.
     """
     if xi._kets is not None:
         return xi._kets
@@ -88,6 +90,7 @@ def kolmogorov_vectors(xi: CorrelationMatrix) -> np.ndarray:
     vals = res.eigenvalues[keep]
     vecs = res.eigenvectors[:, keep]
     kets = _read_only(vecs.conj() * np.sqrt(vals)[None, :])
+    object.__setattr__(xi, "_eigvals", _read_only(res.eigenvalues))
     object.__setattr__(xi, "_kets", kets)
     return kets
 

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import DensityMatrix, SchurChannel, apply_schrodinger
-from .decomposition import FlatDecomposition, _require_accepted
+from .decomposition import FlatDecomposition, _require_accepted, verify_decomposition
 from .dilation import kolmogorov_vectors
 from .errors import DimensionMismatch, NotDistribution, VerificationFailure
 from .numerics import (
@@ -110,18 +110,20 @@ def shannon_entropy(p, tol: ToleranceProfile = DEFAULT_TOL) -> float:
 def bounds_report(ch: SchurChannel, dec: Optional[FlatDecomposition] = None) -> BoundsReport:
     """Information-flow bounds for a channel, optionally against a decomposition.
 
-    S(xi/d) lower-bounds the weight entropy of any flat decomposition; the
-    upper bound 2 log2 rank(xi) constrains only the minimum over
-    decompositions and is reported informationally. A decomposition that
+    S(xi/d) lower-bounds the weight entropy of any flat decomposition; it is
+    taken from the spectrum of xi that :func:`kolmogorov_vectors` solved, so
+    it costs no eigensolve of its own. The upper bound 2 log2 rank(xi)
+    constrains only the minimum over decompositions and is reported
+    informationally. A decomposition that
     :func:`verify_decomposition` rejects (under the profile of ``ch.xi``)
     raises :class:`VerificationFailure`.
     """
-    s_low = _entropy_bits(_eigenvalues(ch.xi.matrix / ch.dim))
-    rank = kolmogorov_vectors(ch.xi).shape[1]
+    rank = kolmogorov_vectors(ch.xi).shape[1]  # keeps the spectrum of xi beside the factor
+    s_low = _entropy_bits(ch.xi._eigvals / ch.dim)
     two_log_rank = 2.0 * float(np.log2(rank))
     h_p = lower_ok = upper_ok = None
     if dec is not None:
-        h_p = _require_accepted(ch.xi, dec).shannon_entropy_bits
+        h_p = _require_accepted(verify_decomposition(ch.xi, dec)).shannon_entropy_bits
         lower_ok = bool(s_low <= h_p + ENTROPY_SLACK)
         upper_ok = bool(h_p <= two_log_rank + ENTROPY_SLACK)
     return BoundsReport(
@@ -148,7 +150,7 @@ def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyPro
 
     def of_state(vals):  # S of the positive part of a spectrum, normalized to unit sum
         positive = vals[vals > 0]
-        return _entropy_bits(positive / positive.sum()) + 0.0  # a pure state's -0.0 reads 0.0
+        return _entropy_bits(positive / positive.sum())
 
     s_ex = of_state(_exchange_eigenvalues(ch, rho))  # first: it checks the dimensions
     s_in = of_state(rho._eigenvalues)

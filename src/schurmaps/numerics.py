@@ -141,9 +141,10 @@ def _spectrum(m: np.ndarray) -> HermitianEigenResult:
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    """-sum(p log2 p) over the positive entries of ``p``: 0 log 0 = 0."""
+    """-sum(p log2 p) over the positive entries of ``p``: 0 log 0 = 0, and a
+    one-term distribution gives 0.0, not -0.0."""
     nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
 def _psd_eigenvalues(m: np.ndarray, tol: ToleranceProfile) -> np.ndarray:

@@ -278,6 +278,14 @@ class TestBounds:
         assert obj["s_xi_over_d_bits"] == pytest.approx(0.0, abs=1e-10)
         assert obj["rank"] == 1
 
+    def test_one_term_entropy_prints_unsigned(self, workdir, capsys):
+        # all-ones decomposes into one term, whose H(p) = 0 prints without a minus sign
+        xp = write_matrix(workdir / "xi.json", np.ones((3, 3)), "correlation")
+        assert main(["--out", "ones", "decompose", xp]) == 0
+        assert "H(p): 0.000000 bits (base 2)" in capsys.readouterr().out.splitlines()
+        assert main(["bounds", xp, "ones_decomposition.json"]) == 0
+        assert "H(p)            = 0.000000" in capsys.readouterr().out.splitlines()
+
 
 class TestBadInput:
     NAN_XI = [[1.0, float("nan")], [0.0, 1.0]]

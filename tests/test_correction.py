@@ -17,6 +17,7 @@ from schurmaps import (
     ToleranceProfile,
     VerificationFailure,
     apply_schrodinger,
+    bounds_report,
     decompose_identity_xi,
     decompose_qubit,
     dilation_from_decomposition,
@@ -32,9 +33,10 @@ from schurmaps import (
     screen_pattern,
     shannon_entropy,
     validate_correlation,
+    verify_decomposition,
     which_way_readout,
 )
-from schurmaps import SearchConfig, serialize
+from schurmaps import SearchConfig, decomposition, serialize
 from schurmaps.correction import CorrectionOutcomeRecord, _states, _term_amplitudes
 from schurmaps.dilation import evolve_joint
 from schurmaps.numerics import NEGLIGIBLE, RESIDUAL_TOL
@@ -448,6 +450,23 @@ class TestDilationFromDecomposition:
             rho = random_density(rng, d)
             out = partial_trace_env(evolve_joint(dil, rho), d, dil.dim_env)
             assert np.max(np.abs(out - apply_schrodinger(ch, rho).matrix)) < 1e-9
+
+    def test_keeps_the_report_for_the_callers_xi(self, monkeypatch):
+        # verified against its own reconstruction, kept nowhere: the caller's report
+        # stays, so the pipeline reconstructs xi once for it and once for the dilation
+        xi = validate_correlation(np.eye(3))
+        ch, dec = SchurChannel(xi), decompose_identity_xi(3)
+        calls = []
+        reconstruct = decomposition.reconstruct_xi
+        monkeypatch.setattr(
+            decomposition, "reconstruct_xi", lambda dec: calls.append(1) or reconstruct(dec)
+        )
+        report = verify_decomposition(xi, dec)
+        dilation_from_decomposition(dec)
+        run_correction(ch, dec, DensityMatrix.pure(np.ones(3)))
+        bounds_report(ch, dec)
+        assert len(calls) == 2
+        assert dec._verified[0] is xi and dec._verified[1] is report
 
 
 class TestCorrectingPovm:

@@ -249,7 +249,7 @@ class TestFlatSearch:
     def test_iterations_per_search(self, monkeypatch):
         # one linear solve per Levenberg-Marquardt iteration: the short rung of the
         # first restart decomposes full-rank mixtures inside the decomposable set
-        # with 2d terms in at most 25
+        # with 2d terms in at most 15
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
@@ -263,7 +263,7 @@ class TestFlatSearch:
                 dec = flat_search(xi, SearchConfig(restarts=1, max_iters=1000))
                 assert verify_decomposition(xi, dec).accepted
                 assert dec.terms == 2 * d
-                assert len(calls) <= 25
+                assert len(calls) <= 15
 
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_failed_short_rung_gives_the_face_rung(self, rng, monkeypatch, d):
@@ -320,6 +320,17 @@ class TestFlatSearch:
         found = flat_search(xi)
         assert verify_decomposition(xi, found).accepted
         assert found.terms <= r * r - s + 1
+
+    @pytest.mark.parametrize(
+        "seed, d, k", [(1350375, 3, 2), (62, 3, 1), (187, 4, 1), (128, 6, 3)]
+    )
+    def test_rounding_degenerate_steps_are_survived(self, seed, d, k):
+        # the first three drive mu below the rounding of a singular J J^T, so the
+        # damped system is singular in floating point and that step is dropped; in
+        # the last the predicted decrease of a kept step rounds to 0
+        dec = random_flat_decomposition(np.random.default_rng(seed), d, k)
+        xi = validate_correlation(reconstruct_xi(dec))
+        assert verify_decomposition(xi, flat_search(xi)).accepted
 
     def test_channel_equivalence(self, rng):
         # mixture of diagonal-unitary conjugations equals the Schur channel

@@ -114,20 +114,27 @@ class TestSharedFactor:
 
     def test_pipeline_factors_xi_once(self, monkeypatch):
         # extremality, dilation, search and bounds on one validated full-rank d = 6
-        # flat mixture: one eigh between them
+        # flat mixture: one eigh between them, and no eigvalsh (S(xi/d) comes from
+        # the spectrum that eigh solved)
         d = 6
         rng = np.random.default_rng([6, 4])
         u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(3, d)))
         xi = validate_correlation(0.4 * np.eye(d) + 0.6 * (u.T * [0.5, 0.3, 0.2]) @ u.conj())
         ch = SchurChannel(xi)
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, n=name, s=solver, **k: calls.append(n) or s(*a, **k)
+            )
         assert extremality_test(xi).rank == d
         build_dilation(ch)
         dec = flat_search(xi, SearchConfig(restarts=4, max_iters=1000))
-        assert bounds_report(ch, dec).lower_bound_satisfied
-        assert len(calls) == 1
+        report = bounds_report(ch, dec)
+        assert report.lower_bound_satisfied
+        assert calls == ["eigh"]
+        s_low = -sum(v * np.log2(v) for v in np.linalg.eigvalsh(xi.matrix) / d if v > 0)
+        assert report.s_xi_over_d == pytest.approx(s_low, abs=1e-12)
         kets = kolmogorov_vectors(xi)
         assert kolmogorov_vectors(xi) is kets and not kets.flags.writeable
 

@@ -8,7 +8,9 @@ measurement on the probe, clock-unitary corrections): the same loop in the
 frame of the clock decomposition.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +85,12 @@ class EraserScenario:
     (xi = I), the Fourier POVM on the probe, and the clock unitaries that
     undo each heralded outcome. The information ledger records that the
     register stores and the measurement extracts exactly log2(d) bits.
+
+    It holds a read-only copy of ``correction_phases``, so no caller can
+    change it, and keeps the uniform decomposition over those phases, the
+    clock decomposition, that :func:`run_eraser` corrects in. Built with
+    ``correction_phases`` not of shape (``dim``, ``dim``), it raises
+    :class:`ShapeMismatch`.
     """
 
     dim: int
@@ -92,6 +100,14 @@ class EraserScenario:
     correction_phases: np.ndarray  # row j = diagonal of the unitary undoing outcome j
     info_stored_bits: float
     info_extracted_bits: float
+    # not an init field, so dataclasses.replace builds it afresh from the new phases
+    _clock: FlatDecomposition | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        weights = np.full(self.dim, 1.0) / self.dim
+        clock = FlatDecomposition(self.dim, weights, self.correction_phases)  # a read-only copy
+        object.__setattr__(self, "correction_phases", clock.phase_vectors)
+        object.__setattr__(self, "_clock", clock)
 
 
 @dataclass(frozen=True)
@@ -109,6 +125,32 @@ def _term_amplitudes(dec: FlatDecomposition) -> np.ndarray:
     return np.ascontiguousarray(np.sqrt(dec.weights)[None, :] * dec.phase_vectors.conj().T)
 
 
+class _Plan(NamedTuple):
+    """What a correction in the frame of one decomposition needs of the
+    decomposition alone; every array is read-only."""
+
+    c: np.ndarray  # column i = c_i, as _term_amplitudes lays it out
+    probs_t: np.ndarray  # |c|^2 transposed: the outcome probabilities are probs_t @ diag(rho)
+    g: np.ndarray  # column i = g_i = u^(i) o c_i
+    gg: np.ndarray  # G G*
+    g_bound: float  # sum_i max_k |g_ik|^2, the recovered row's certificate factor times its trace
+
+
+def _recovery(g: np.ndarray):
+    """(G, G G*, sum_i max_k |g_ik|^2) of G = ``g``, which is flagged read-only
+    with G G*: what :func:`_states` needs of the recovered row."""
+    return _read_only(g), _read_only(g @ g.conj().T), (np.abs(g) ** 2).max(axis=0).sum()
+
+
+def _correction_plan(dec: FlatDecomposition) -> _Plan:
+    """The correction plan of ``dec``, built on its first correction and kept on it."""
+    if dec._plan is None:
+        c = _read_only(_term_amplitudes(dec))
+        plan = _Plan(c, _read_only(np.abs(c) ** 2).T, *_recovery(dec.phase_vectors.T * c))
+        object.__setattr__(dec, "_plan", plan)
+    return dec._plan
+
+
 def dilation_from_decomposition(
     dec: FlatDecomposition, tol: ToleranceProfile = DEFAULT_TOL
 ) -> Dilation:
@@ -124,7 +166,7 @@ def dilation_from_decomposition(
     squared norm within ``tol.tr`` of 1, is divided by its norm.
     """
     _require_accepted(_report(dec, tol))
-    return _unit_dilation(_term_amplitudes(dec))
+    return _unit_dilation(_correction_plan(dec).c)
 
 
 def _correct(dec: FlatDecomposition, rho: DensityMatrix):
@@ -137,6 +179,9 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     outcome i's conditional state is rho o (b_i b_i*), b_i = c_i / sqrt(p_i),
     and the recovered state is rho o (G G*), column i of G being
     g_i = u^(i) o c_i: :func:`_states` builds and certifies them all at once.
+    What depends on ``dec`` alone, c, |c|^2, G, G G* and the recovered row's
+    certificate factor, is the plan that ``dec`` keeps from its first
+    correction on; b, the products with rho and every test are per call.
     Outcome i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action, and
     undoing it gives back rho exactly, so every record's corrected state is one
     shared read-only state: ``rho`` itself when its matrix is read-only, else
@@ -147,12 +192,12 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
     if rho.matrix.flags.writeable:  # later changes to the caller's array reach no output
         rho = _carry(DensityMatrix(rho.dim, _read_only(rho.matrix.copy())), rho)
-    c = _term_amplitudes(dec)  # column i = c_i
-    probs = (np.abs(c) ** 2).T @ np.diag(rho.matrix).real
+    plan = _correction_plan(dec)
+    probs = plan.probs_t @ np.diag(rho.matrix).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
     p = probs[kept]
-    b = c.T[kept] * (1.0 / np.sqrt(p))[:, None]
-    *states, recovered = _states(rho, b, dec.phase_vectors.T * c)
+    b = plan.c.T[kept] * (1.0 / np.sqrt(p))[:, None]
+    *states, recovered = _states(rho, b, plan.g, plan.gg, plan.g_bound)
     records = [
         CorrectionOutcomeRecord(int(i), float(p_i), cond, rho)
         for i, p_i, cond in zip(kept, p, states)
@@ -160,10 +205,11 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     return records, recovered
 
 
-def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray):
+def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_bound):
     """The states of one correction, as one list: the records rho o (b_i b_i*),
     one per row b_i of ``b``, then the recovered state rho o (G G*) over its
-    trace, G = ``g`` of T columns.
+    trace, G = ``g`` of T columns; ``gg`` and ``g_bound`` are G G* and
+    sum_i max_k |g_ik|^2, as :func:`_recovery` gives them.
 
     The recovered sum must reproduce rho within ``RESIDUAL_TOL``, judged before
     the division, so that rho's own trace deviation is no part of the residual;
@@ -196,7 +242,7 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray):
     rho_m, tol = rho.matrix, rho._tol
     m = np.empty((n + 1, d, d), dtype=complex)
     np.multiply(b[:, :, None], b.conj()[:, None, :], out=m[:n])
-    m[n] = g @ g.conj().T
+    m[n] = gg
     batch = m.reshape(n + 1, d * d)  # a view of m
     batch *= rho_m.reshape(1, d * d)
     residual = float(np.linalg.norm(m[n] - rho_m))
@@ -209,7 +255,7 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray):
     vals = rho._eigenvalues
     low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
     rounding = (64 + 4 * g.shape[1]) * d * np.finfo(float).eps * norm
-    f = np.append((np.abs(b) ** 2).max(axis=1), (np.abs(g) ** 2).max(axis=0).sum() / t)
+    f = np.append((np.abs(b) ** 2).max(axis=1), g_bound / t)
     ok = (
         (f * (dev + rounding) <= tol.herm / 2)
         & (f * (low + rounding) <= tol.psd / 2)
@@ -276,10 +322,9 @@ def run_eraser(scenario: EraserScenario, rho: DensityMatrix):
     (1/sqrt d) conj(Z_j)_kk, those of outcome j of the clock decomposition's
     environment read in the computational basis. So this is the correction
     loop of :func:`run_correction` in the clock frame, judged under the profile
-    of ``rho``.
+    of ``rho``, and in the clock decomposition that ``scenario`` keeps, with its plan.
     """
-    d = scenario.dim
-    return _correct(FlatDecomposition(d, np.full(d, 1 / d), scenario.correction_phases), rho)
+    return _correct(scenario._clock, rho)
 
 
 def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
@@ -308,6 +353,20 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
     return records
 
 
+_SCREEN_GEOMETRIES = 16  # (d, S) pairs whose screen geometry is kept
+
+
+@functools.lru_cache(maxsize=_SCREEN_GEOMETRIES)
+def _screen_geometry(d: int, samples: int):
+    """The ray angles theta_s = 2 pi s/S and, for each entry of a d x d matrix
+    raveled, the index (l - k) mod S of its diagonal; read-only, since every
+    :func:`screen_pattern` at (d, S) shares them. A size numpy refuses raises
+    its ``ValueError`` before anything is allocated, and nothing is kept."""
+    thetas = 2.0 * np.pi * np.arange(samples) / samples
+    k = np.arange(d)
+    return _read_only(thetas), _read_only(((k[None, :] - k[:, None]) % samples).ravel())
+
+
 def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     """Interference pattern of a state on a phase-ray screen.
 
@@ -316,20 +375,20 @@ def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     readout model, not a physical propagator: it shows full fringes for pure
     flat superpositions, a flat line for decohered states, and shifted
     fringes for clock-rotated subensembles. ``samples`` must be an integer >= 2.
+    ``thetas`` is read-only and shared by every pattern of the same (d, S):
+    the last 16 pairs keep their angles and diagonal index.
     """
     samples = _integer(samples, 2, "samples", BadDimension)
     d = rho.dim
     try:  # numpy refuses a size past its index range before allocating anything
-        thetas = 2.0 * np.pi * np.arange(samples) / samples
+        thetas, n = _screen_geometry(d, samples)
     except ValueError as exc:
         raise BadDimension(f"samples = {samples} is too large: {exc}") from None
     # intensity(theta_s) = (1/d) sum_n t_n e^{2 pi i n s/S} with t_n = sum_{l-k=n} rho_kl;
     # the diagonal sums are taken mod S, so the sum is S/d times an inverse DFT
-    k = np.arange(d)
-    n = ((k[None, :] - k[:, None]) % samples).ravel()
     m = rho.matrix.ravel()
     t = np.bincount(n, m.real, samples) + 1j * np.bincount(n, m.imag, samples)
     intensities = (samples / d) * np.fft.ifft(t).real
-    i_max, i_min = float(np.max(intensities)), float(np.min(intensities))
+    i_max, i_min = float(intensities.max()), float(intensities.min())
     visibility = (i_max - i_min) / (i_max + i_min) if i_max + i_min > 0 else 0.0
     return ScreenPattern(thetas=thetas, intensities=intensities, visibility=visibility)

@@ -68,15 +68,18 @@ class FlatDecomposition:
 
     It holds read-only copies of both arrays, so no caller can change them,
     and keeps its :func:`verify_decomposition` report for the correlation
-    matrix it was last verified against.
+    matrix it was last verified against, and, from its first correction on,
+    the correction plan of :mod:`~schurmaps.correction`, which depends on
+    these arrays alone.
     """
 
     dim: int
     weights: np.ndarray
     phase_vectors: np.ndarray  # shape (terms, dim), entries unimodular
-    # (xi, report) of the last verification; not an init field, so
-    # dataclasses.replace never carries it to other arrays
+    # (xi, report) of the last verification and the correction plan; not init
+    # fields, so dataclasses.replace never carries them to other arrays
     _verified: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w, u = np.shape(self.weights), np.shape(self.phase_vectors)

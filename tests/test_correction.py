@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -14,6 +15,7 @@ from schurmaps import (
     RecoveryFailure,
     SchurChannel,
     SchurMapsError,
+    ShapeMismatch,
     ToleranceProfile,
     VerificationFailure,
     apply_schrodinger,
@@ -36,8 +38,8 @@ from schurmaps import (
     verify_decomposition,
     which_way_readout,
 )
-from schurmaps import SearchConfig, decomposition, serialize
-from schurmaps.correction import CorrectionOutcomeRecord, _states, _term_amplitudes
+from schurmaps import SearchConfig, correction, decomposition, serialize
+from schurmaps.correction import CorrectionOutcomeRecord, _recovery, _states, _term_amplitudes
 from schurmaps.dilation import evolve_joint
 from schurmaps.numerics import NEGLIGIBLE, RESIDUAL_TOL
 from conftest import (
@@ -242,10 +244,10 @@ class TestRecordCertificate:
     @staticmethod
     def assert_matches_full_check(rho, b, g, tol):
         # same error class, or byte-equal states, each of which passes the full check
-        got = states_bytes(_states, rho, b, g)
+        got = states_bytes(_states, rho, b, *_recovery(g))
         assert got == states_bytes(reference_states, rho, b, g, tol)
         if isinstance(got, list):
-            for state in _states(rho, b, g):
+            for state in _states(rho, b, *_recovery(g)):
                 DensityMatrix.from_matrix(state.matrix, tol)
 
     @settings(max_examples=400, deadline=None)
@@ -281,7 +283,7 @@ class TestRecordCertificate:
         with pytest.raises(SchurMapsError):
             DensityMatrix.from_matrix(np.outer(b[0], b[0].conj()) * rho.matrix, tol)
         with pytest.raises(RecoveryFailure):
-            _states(rho, b, g)
+            _states(rho, b, *_recovery(g))
 
     @pytest.mark.parametrize("d", [12, 16, 24, 32])
     def test_benchmark_sizes_match_reference(self, rng, d):
@@ -469,6 +471,63 @@ class TestDilationFromDecomposition:
         assert dec._verified[0] is xi and dec._verified[1] is report
 
 
+class TestCorrectionPlan:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # every plan starts from _term_amplitudes, and nothing else calls it
+        calls = []
+        amplitudes = correction._term_amplitudes
+        monkeypatch.setattr(
+            correction, "_term_amplitudes", lambda dec: calls.append(1) or amplitudes(dec)
+        )
+        return calls
+
+    @staticmethod
+    def outputs(records, recovered):
+        return records_bytes(records) + [recovered.matrix.tobytes()]
+
+    def test_one_plan_per_decomposition(self, rng, builds):
+        d = 5
+        dec = random_flat_decomposition(rng, d, d + 2)
+        ch = SchurChannel(validate_correlation(reconstruct_xi(dec)))
+        rho = random_density(rng, d)
+        runs = [self.outputs(*run_correction(ch, dec, rho)) for _ in range(3)]
+        assert len(builds) == 1
+        dilation_from_decomposition(dec)
+        assert len(builds) == 1
+        fresh = FlatDecomposition(d, dec.weights, dec.phase_vectors)
+        assert runs[0] == runs[1] == runs[2] == self.outputs(*run_correction(ch, fresh, rho))
+        assert len(builds) == 2
+
+    def test_one_plan_per_eraser_scenario(self, rng, builds):
+        d = 6
+        scenario = eraser_scenario(d)
+        rho = random_density(rng, d)
+        runs = [self.outputs(*run_eraser(scenario, rho)) for _ in range(3)]
+        assert len(builds) == 1
+        fresh = FlatDecomposition(d, np.full(d, 1 / d), scenario.correction_phases)
+        assert runs[0] == runs[1] == runs[2] == self.outputs(*correction._correct(fresh, rho))
+        assert len(builds) == 2
+
+    def test_replace_and_round_trip_carry_no_plan(self, rng):
+        d = 4
+        dec = random_flat_decomposition(rng, d, 5)
+        ch = SchurChannel(validate_correlation(reconstruct_xi(dec)))
+        run_correction(ch, dec, random_density(rng, d))
+        assert dec._plan is not None
+        assert dataclasses.replace(dec)._plan is None
+        text = json.dumps(serialize.decomposition_to_dict(dec))
+        assert serialize.decomposition_from_dict(json.loads(text))._plan is None
+
+    def test_plan_is_read_only(self, rng):
+        dec = random_flat_decomposition(rng, 4, 6)
+        plan = correction._correction_plan(dec)
+        assert correction._correction_plan(dec) is plan
+        for a in (plan.c, plan.probs_t, plan.g, plan.gg):
+            assert not a.flags.writeable
+        assert np.array_equal(plan.c, _term_amplitudes(dec))
+
+
 class TestCorrectingPovm:
     def test_eraser_frame_is_fourier(self):
         scenario = eraser_scenario(2)
@@ -626,6 +685,28 @@ class TestEraser:
             expected[k, k] = 1.0
             assert np.max(np.abs(r.conditional_state.matrix - expected)) < 1e-10
 
+    def test_scenario_owns_its_phases(self, rng):
+        # built directly over a caller's writeable array: the scenario holds a
+        # read-only copy, and its kept clock decomposition corrects in that copy
+        d = 4
+        base = eraser_scenario(d)
+        phases = base.correction_phases.copy()
+        scenario = dataclasses.replace(base, correction_phases=phases)
+        kept = scenario.correction_phases
+        assert kept is not phases and not kept.flags.writeable
+        assert scenario._clock.phase_vectors is kept
+        rho = random_density(rng, d)
+        before = records_bytes(run_eraser(scenario, rho)[0])
+        phases[1] *= -1
+        assert np.array_equal(kept, base.correction_phases)
+        assert records_bytes(run_eraser(scenario, rho)[0]) == before
+        assert before == records_bytes(run_eraser(base, rho)[0])
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 4), (5, 4), (4,), (), (4, 4, 1)])
+    def test_malformed_phases_rejected_when_built(self, shape):
+        with pytest.raises(ShapeMismatch):
+            dataclasses.replace(eraser_scenario(4), correction_phases=np.ones(shape, dtype=complex))
+
 
 class TestScreenPattern:
     def test_maximally_mixed_is_flat(self):
@@ -664,6 +745,24 @@ class TestScreenPattern:
             screen_pattern(DensityMatrix.pure([1, 1]), 1)
         with pytest.raises(BadDimension, match="too large"):
             screen_pattern(DensityMatrix.pure([1, 1]), 10**20)  # refused before allocating
+
+    def test_refused_size_is_not_kept(self):
+        correction._screen_geometry.cache_clear()
+        with pytest.raises(BadDimension, match="too large"):
+            screen_pattern(DensityMatrix.pure([1, 1]), 10**20)
+        assert correction._screen_geometry.cache_info().currsize == 0
+
+    def test_geometry_is_shared_read_only_and_bounded(self):
+        bound = correction._SCREEN_GEOMETRIES
+        rho = DensityMatrix.pure([1, 1j, -1])
+        for samples in (7, 360):
+            pat = screen_pattern(rho, samples)
+            assert not pat.thetas.flags.writeable
+            assert np.array_equal(pat.thetas, 2 * np.pi * np.arange(samples) / samples)
+            assert screen_pattern(rho, samples).thetas is pat.thetas
+        for samples in range(2, bound + 10):
+            screen_pattern(rho, samples)
+            assert correction._screen_geometry.cache_info().currsize <= bound
 
     @pytest.mark.parametrize("samples", [0, -3, True, 2.5, 3.0, "3", None])
     def test_non_integral_or_small_samples_rejected(self, samples):

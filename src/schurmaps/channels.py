@@ -152,9 +152,10 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
     read-only copy and carries ``tol``.
     """
     mm = _hermitian_copy(m, tol)
-    for k, v in enumerate(np.diag(mm)):
-        if not abs(v - 1.0) <= tol.tr:
-            raise BadDiagonal(k, v)
+    dev = abs(mm.diagonal() - 1.0)
+    if not dev.max() <= tol.tr:  # NaN fails: max propagates it
+        k = int(np.argmax(~(dev <= tol.tr)))  # the first bad entry
+        raise BadDiagonal(k, mm[k, k])
     np.fill_diagonal(mm, 1.0)
     _psd_eigenvalues(mm, tol)
     xi = CorrelationMatrix(dim=mm.shape[0], matrix=mm)
@@ -181,8 +182,13 @@ def iterate(ch: SchurChannel, rho: DensityMatrix, n: int) -> DensityMatrix:
     xi^T, which is exactly equivalent for Schur maps and stabler for large n.
     The result is validated under, and carries, the profile of ``rho``.
     """
+    return DensityMatrix.from_matrix(_evolved(ch, rho, n), rho._tol)
+
+
+def _evolved(ch: SchurChannel, rho: DensityMatrix, n: int) -> np.ndarray:
+    """The matrix (xi^T)^(o n) o rho of :func:`iterate`, unvalidated."""
     powered = np.power(ch.xi.matrix.T, _integer(n, 0, "iteration count"))
-    return DensityMatrix.from_matrix(schur_product(powered, rho.matrix), rho._tol)
+    return schur_product(powered, rho.matrix)
 
 
 def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:

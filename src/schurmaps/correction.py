@@ -161,8 +161,9 @@ def dilation_from_decomposition(
     computational basis heralds the Kraus operator
     sqrt(p_i) diag(u^(i))^dagger of the Schrodinger action. The
     decomposition is verified under ``tol`` against its own reconstruction of
-    xi, which has no validated matrix to carry a profile; that report is kept
-    nowhere, so the one ``dec`` keeps for a caller's xi stays. Each ket, of
+    xi, which has no validated matrix to carry a profile, from the facts
+    ``dec`` keeps (:func:`~schurmaps.decomposition.verify_decomposition`), so
+    no verification before or after it reconstructs xi again. Each ket, of
     squared norm within ``tol.tr`` of 1, is divided by its norm.
     """
     _require_accepted(_report(dec, tol))
@@ -354,14 +355,17 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
 
 
 _SCREEN_GEOMETRIES = 16  # (d, S) pairs whose screen geometry is kept
+_SCREEN_GEOMETRY_BYTES = 1 << 18  # the largest geometry kept: S angles and d^2 indices
 
 
 @functools.lru_cache(maxsize=_SCREEN_GEOMETRIES)
 def _screen_geometry(d: int, samples: int):
     """The ray angles theta_s = 2 pi s/S and, for each entry of a d x d matrix
     raveled, the index (l - k) mod S of its diagonal; read-only, since every
-    :func:`screen_pattern` at (d, S) shares them. A size numpy refuses raises
-    its ``ValueError`` before anything is allocated, and nothing is kept."""
+    :func:`screen_pattern` at (d, S) shares them. A geometry larger than
+    ``_SCREEN_GEOMETRY_BYTES`` is built by ``__wrapped__``, for one call, and
+    kept nowhere. A size numpy refuses raises its ``ValueError`` before
+    anything is allocated, and nothing is kept."""
     thetas = 2.0 * np.pi * np.arange(samples) / samples
     k = np.arange(d)
     return _read_only(thetas), _read_only(((k[None, :] - k[:, None]) % samples).ravel())
@@ -375,13 +379,16 @@ def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     readout model, not a physical propagator: it shows full fringes for pure
     flat superpositions, a flat line for decohered states, and shifted
     fringes for clock-rotated subensembles. ``samples`` must be an integer >= 2.
-    ``thetas`` is read-only and shared by every pattern of the same (d, S):
-    the last 16 pairs keep their angles and diagonal index.
+    ``thetas`` is read-only. The last 16 (d, S) pairs whose angles and
+    diagonal index fit 256 KiB keep them, so every pattern of such a pair
+    shares its ``thetas``; a larger screen builds its own and keeps nothing.
     """
     samples = _integer(samples, 2, "samples", BadDimension)
     d = rho.dim
     try:  # numpy refuses a size past its index range before allocating anything
-        thetas, n = _screen_geometry(d, samples)
+        kept = 8 * (samples + d * d) <= _SCREEN_GEOMETRY_BYTES  # 8-byte floats and indices
+        geometry = _screen_geometry if kept else _screen_geometry.__wrapped__
+        thetas, n = geometry(d, samples)
     except ValueError as exc:
         raise BadDimension(f"samples = {samples} is too large: {exc}") from None
     # intensity(theta_s) = (1/d) sum_n t_n e^{2 pi i n s/S} with t_n = sum_{l-k=n} rho_kl;

@@ -18,6 +18,7 @@ Li-Tam count that sizes the search certifies it, as in
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,19 +67,21 @@ class FlatDecomposition:
     ``weights`` not 1-d or empty, or ``phase_vectors`` not of shape (terms,
     ``dim``), it raises :class:`ShapeMismatch`.
 
-    It holds read-only copies of both arrays, so no caller can change them,
-    and keeps its :func:`verify_decomposition` report for the correlation
-    matrix it was last verified against, and, from its first correction on,
-    the correction plan of :mod:`~schurmaps.correction`, which depends on
-    these arrays alone.
+    It holds read-only copies of both arrays, so no caller can change them.
+    What depends on these arrays alone it keeps: from its first verification
+    on, the facts of :func:`verify_decomposition` that need no correlation
+    matrix (its reconstruction of xi, the flatness, the diagonal and
+    weight-sum deviations, H(p), the orthogonality verdict and the sign of
+    the weights), and from its first correction on, the correction plan of
+    :mod:`~schurmaps.correction`.
     """
 
     dim: int
     weights: np.ndarray
     phase_vectors: np.ndarray  # shape (terms, dim), entries unimodular
-    # (xi, report) of the last verification and the correction plan; not init
-    # fields, so dataclasses.replace never carries them to other arrays
-    _verified: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # the verification facts and the correction plan; not init fields, so
+    # dataclasses.replace never carries them to other arrays
+    _facts: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -491,47 +494,72 @@ def verify_decomposition(xi: CorrelationMatrix, dec: FlatDecomposition) -> Verif
     The last two keep each heralded diag(u^(i)) unitary and the channel trace
     preserving, to within ``tol.tr``. NaN fails.
 
-    Each decomposition is verified once per ``xi``: both own their arrays,
-    so ``dec`` keeps the report, an accepted or a rejected one, and a later
-    call with that same ``xi`` object returns it. Any other ``xi``, equal in
-    value or not, is verified afresh and replaces it.
+    Everything but the residual depends on ``dec`` alone, which owns its
+    arrays, so ``dec`` keeps it from its first verification on, its
+    reconstruction of xi included. Each call then takes only the Frobenius
+    residual of ``xi`` against that reconstruction and the verdict under the
+    profile of ``xi``, and returns a fresh report.
     """
-    verified = dec._verified
-    if verified is not None and verified[0] is xi:
-        return verified[1]
     if dec.dim != xi.dim:
         raise DimensionMismatch(f"decomposition dim {dec.dim} != xi dim {xi.dim}")
-    report = _report(dec, xi._tol, xi.matrix)
-    object.__setattr__(dec, "_verified", (xi, report))
-    return report
+    return _report(dec, xi._tol, xi.matrix)
+
+
+class _Facts(NamedTuple):
+    """What a verification establishes of a decomposition alone."""
+
+    recon: np.ndarray  # reconstruct_xi of the decomposition, read-only
+    flatness: float
+    diagonal_dev: float
+    weight_dev: float
+    entropy: float
+    orthogonal: bool
+    nonnegative: bool  # every weight >= 0, which NaN fails
+
+
+def _facts_of(dec: FlatDecomposition) -> _Facts:
+    """The verification facts of ``dec``, established on its first verification
+    and kept on it."""
+    if dec._facts is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf or NaN, which fail
+            recon = reconstruct_xi(dec)
+            # more terms than dim: O has rank <= dim < terms, so O - I has an eigenvalue
+            # -1 and an entry of size >= 1/terms, far above RESIDUAL_TOL; skip the Gram
+            u = dec.phase_vectors
+            facts = _Facts(
+                recon=_read_only(recon),
+                flatness=float(abs(abs(u) ** 2 - 1.0).max()),
+                diagonal_dev=float(abs(recon.diagonal().real - 1.0).max()),
+                weight_dev=float(abs(dec.weights.sum() - 1.0)),
+                entropy=_entropy_bits(dec.weights),
+                orthogonal=dec.terms <= dec.dim and bool(
+                    np.max(np.abs(u @ u.conj().T / dec.dim - np.eye(dec.terms))) <= RESIDUAL_TOL
+                ),
+                nonnegative=bool(np.all(dec.weights >= 0)),
+            )
+        object.__setattr__(dec, "_facts", facts)
+    return dec._facts
 
 
 def _report(dec: FlatDecomposition, tol: ToleranceProfile, matrix=None) -> VerificationReport:
     """The :func:`verify_decomposition` report of ``dec`` under ``tol`` against
     ``matrix`` or, when it is None, against the decomposition's own
-    reconstruction (residual 0 unless that is not finite); kept nowhere."""
-    with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf or NaN fails below
-        recon = reconstruct_xi(dec)
+    reconstruction (residual 0 unless that is not finite), from the facts
+    ``dec`` keeps; the report itself is kept nowhere."""
+    facts = _facts_of(dec)
+    recon = facts.recon
+    with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm((recon if matrix is None else matrix) - recon))
-        flatness = float(abs(abs(dec.phase_vectors) ** 2 - 1.0).max())
-        diagonal_dev = float(abs(recon.diagonal().real - 1.0).max())
-        weight_dev = float(abs(dec.weights.sum() - 1.0))
-        entropy = _entropy_bits(dec.weights)
-        # more terms than dim: O has rank <= dim < terms, so O - I has an eigenvalue
-        # -1 and an entry of size >= 1/terms, far above RESIDUAL_TOL; skip the Gram
-        u = dec.phase_vectors
-        orthogonal = dec.terms <= dec.dim and bool(
-            np.max(np.abs(u @ u.conj().T / dec.dim - np.eye(dec.terms))) <= RESIDUAL_TOL
-        )
-    traces_ok = weight_dev <= tol.tr and flatness <= tol.tr and diagonal_dev <= tol.tr
-    accepted = residual <= RESIDUAL_TOL and traces_ok and bool(np.all(dec.weights >= 0))
+    traces_ok = (
+        facts.weight_dev <= tol.tr and facts.flatness <= tol.tr and facts.diagonal_dev <= tol.tr
+    )
     return VerificationReport(
         residual=residual,
-        flatness_deviation=flatness,
-        weight_sum_deviation=weight_dev,
-        shannon_entropy_bits=entropy,
-        orthogonal_family=orthogonal,
-        accepted=accepted,
+        flatness_deviation=facts.flatness,
+        weight_sum_deviation=facts.weight_dev,
+        shannon_entropy_bits=facts.entropy,
+        orthogonal_family=facts.orthogonal,
+        accepted=residual <= RESIDUAL_TOL and traces_ok and facts.nonnegative,
     )
 
 

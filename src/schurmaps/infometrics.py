@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import DensityMatrix, SchurChannel, apply_schrodinger
+from .channels import DensityMatrix, SchurChannel, _evolved
 from .decomposition import FlatDecomposition, _require_accepted, verify_decomposition
 from .dilation import kolmogorov_vectors
 from .errors import DimensionMismatch, NotDistribution, VerificationFailure
@@ -138,14 +138,16 @@ def bounds_report(ch: SchurChannel, dec: Optional[FlatDecomposition] = None) -> 
 
 
 def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyProductionReport:
-    """Check |S(E(rho)) - S(rho)| <= S_ex(rho); E(rho) is validated under the
-    profile of ``rho``.
+    """Check |S(E(rho)) - S(rho)| <= S_ex(rho).
 
     rho, E(rho) and the entropy-exchange operator all have the trace of rho,
     which the profile lets differ from 1, and may have eigenvalues down to
     -psd. Each entropy is judged and reported for its operator's spectrum
     clamped at 0 and divided by its sum, so that the inequality is that of
-    states and neither slack can turn an entropy negative.
+    states and neither slack can turn an entropy negative. So, as for the
+    entropy-exchange operator, the spectrum of E(rho) is read straight from
+    the Schur product that :func:`~schurmaps.channels.apply_schrodinger`
+    builds, and nothing is validated: no state is built.
     """
 
     def of_state(vals):  # S of the positive part of a spectrum, normalized to unit sum
@@ -154,7 +156,7 @@ def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyPro
 
     s_ex = of_state(_exchange_eigenvalues(ch, rho))  # first: it checks the dimensions
     s_in = of_state(rho._eigenvalues)
-    s_out = of_state(apply_schrodinger(ch, rho)._eigenvalues)
+    s_out = of_state(_eigenvalues(_evolved(ch, rho, 1)))
     return EntropyProductionReport(
         entropy_in=s_in,
         entropy_out=s_out,

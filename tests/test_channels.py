@@ -50,6 +50,31 @@ class TestValidateCorrelation:
             validate_correlation([[1, 0], [0, 0.9]])
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({0: 1.5}, "diagonal entry 0 is (1.5+0j), expected 1"),
+            # the first bad entry is reported, with its value as validation read it
+            ({2: 0.25, 3: 2.0}, "diagonal entry 2 is (0.25+0j), expected 1"),
+            ({3: 1 + 2e-9, 1: 1 - 5e-10}, "diagonal entry 3 is (1.000000002+0j), expected 1"),
+        ],
+    )
+    def test_bad_diagonal_names_the_first_entry(self, entries, message):
+        m = np.eye(4, dtype=complex)
+        for k, v in entries.items():
+            m[k, k] = v
+        with pytest.raises(BadDiagonal) as exc:
+            validate_correlation(m)
+        k = min(k for k, v in entries.items() if abs(v - 1) > 1e-9)
+        assert str(exc.value) == message
+        assert exc.value.index == k and exc.value.value == entries[k]
+
+    def test_nan_diagonal_is_refused(self):
+        m = np.eye(3)
+        m[1, 1] = np.nan
+        with pytest.raises(SchurMapsError, match="nan exceeds"):
+            validate_correlation(m)
+
     def test_diagonal_snapping(self):
         xi = validate_correlation([[1 + 5e-10, 0.2], [0.2, 1 - 5e-10]])
         assert np.array_equal(np.diag(xi.matrix), np.ones(2))

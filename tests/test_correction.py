@@ -454,8 +454,8 @@ class TestDilationFromDecomposition:
             assert np.max(np.abs(out - apply_schrodinger(ch, rho).matrix)) < 1e-9
 
     def test_keeps_the_report_for_the_callers_xi(self, monkeypatch):
-        # verified against its own reconstruction, kept nowhere: the caller's report
-        # stays, so the pipeline reconstructs xi once for it and once for the dilation
+        # verified against its own reconstruction from the facts the decomposition
+        # keeps: the whole pipeline reconstructs xi once, and the caller's report stands
         xi = validate_correlation(np.eye(3))
         ch, dec = SchurChannel(xi), decompose_identity_xi(3)
         calls = []
@@ -467,8 +467,8 @@ class TestDilationFromDecomposition:
         dilation_from_decomposition(dec)
         run_correction(ch, dec, DensityMatrix.pure(np.ones(3)))
         bounds_report(ch, dec)
-        assert len(calls) == 2
-        assert dec._verified[0] is xi and dec._verified[1] is report
+        assert len(calls) == 1
+        assert verify_decomposition(xi, dec) == report
 
 
 class TestCorrectionPlan:
@@ -763,6 +763,23 @@ class TestScreenPattern:
         for samples in range(2, bound + 10):
             screen_pattern(rho, samples)
             assert correction._screen_geometry.cache_info().currsize <= bound
+
+    def test_large_screen_keeps_nothing(self):
+        # a screen past the byte budget builds its geometry for the call alone
+        rho = DensityMatrix.pure([1, 1, 1])
+        screen_pattern(rho, 7)  # the small geometry and numpy's FFT plans are warm
+        correction._screen_geometry.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pat = screen_pattern(rho, 10**7)
+            assert pat.intensities.size == 10**7
+            del pat
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        assert correction._screen_geometry.cache_info().currsize == 0
 
     @pytest.mark.parametrize("samples", [0, -3, True, 2.5, 3.0, "3", None])
     def test_non_integral_or_small_samples_rejected(self, samples):

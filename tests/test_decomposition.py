@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,14 @@ from schurmaps import (
     SchurChannel,
     BadDimension,
     SearchConfig,
+    ToleranceProfile,
     VerificationFailure,
     apply_schrodinger,
     bounds_report,
     decompose,
     decompose_identity_xi,
     decompose_qubit,
+    dilation_from_decomposition,
     extremality_test,
     flat_search,
     reconstruct_xi,
@@ -472,9 +476,38 @@ class TestVerifyDecomposition:
                 assert rep.orthogonal_family == (dec is clock or dec is part or dec.terms == 1)
 
 
+def one_pass_report(dec, tol, matrix=None):
+    """The whole verification as one pass, kept nowhere: the oracle that the
+    report from the facts a decomposition keeps must equal field by field."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = (dec.phase_vectors.T * dec.weights) @ dec.phase_vectors.conj()
+        residual = float(np.linalg.norm((recon if matrix is None else matrix) - recon))
+        flatness = float(abs(abs(dec.phase_vectors) ** 2 - 1.0).max())
+        diagonal_dev = float(abs(recon.diagonal().real - 1.0).max())
+        weight_dev = float(abs(dec.weights.sum() - 1.0))
+        nz = dec.weights[dec.weights > 0]
+        entropy = float(-(nz * np.log2(nz)).sum()) + 0.0
+        u = dec.phase_vectors
+        orthogonal = dec.terms <= dec.dim and bool(
+            np.max(np.abs(u @ u.conj().T / dec.dim - np.eye(dec.terms))) <= 1e-8
+        )
+    traces_ok = weight_dev <= tol.tr and flatness <= tol.tr and diagonal_dev <= tol.tr
+    accepted = residual <= 1e-8 and traces_ok and bool(np.all(dec.weights >= 0))
+    return decomposition.VerificationReport(
+        residual, flatness, weight_dev, entropy, orthogonal, accepted
+    )
+
+
+def same_report(a, b):
+    """Field by field to the bit and in type, NaN equal to NaN: a float's repr
+    round-trips it and tells -0.0 from 0.0."""
+    return repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
+
+
 class TestVerificationReuse:
-    """A decomposition owns read-only copies of its arrays and keeps its report for
-    the one xi object it was last verified against."""
+    """A decomposition owns read-only copies of its arrays and keeps, from its
+    first verification on, the facts that depend on it alone; every call
+    takes the residual against the caller's xi afresh."""
 
     @staticmethod
     def pair(rng, d=4, terms=5):
@@ -506,8 +539,8 @@ class TestVerificationReuse:
         )
         report = verify_decomposition(xi, dec)
         assert report.accepted
-        assert verify_decomposition(xi, dec) is report
-        # the correction loop and the bounds verify the same xi object: no new check
+        assert verify_decomposition(xi, dec) == report
+        # the correction loop and the bounds verify the same xi: no new reconstruction
         ch = SchurChannel(xi)
         run_correction(ch, dec, random_density(rng, 4))
         bounds_report(ch, dec)
@@ -517,16 +550,15 @@ class TestVerificationReuse:
         xi, dec = self.pair(rng)
         report = verify_decomposition(xi, dec)
         equal = validate_correlation(xi.matrix)
-        again = verify_decomposition(equal, dec)
-        assert again is not report and again == report
+        assert verify_decomposition(equal, dec) == report
         m = np.array(xi.matrix)
         m[0, 1] += 1e-3
         m[1, 0] += 1e-3
         perturbed = verify_decomposition(validate_correlation(m), dec)
         assert not perturbed.accepted and perturbed.residual > 1e-4
-        # the last verification is the one kept
-        assert dec._verified[0] is not xi
-        assert verify_decomposition(xi, dec) is not report
+        # the facts kept do not depend on xi: the first xi is judged as before
+        assert verify_decomposition(xi, dec) == report
+        assert dec._facts.recon is not xi.matrix and not dec._facts.recon.flags.writeable
 
     def test_caller_arrays_change_no_kept_report(self, rng):
         # over a caller's writeable arrays, and over read-only views of them
@@ -543,7 +575,7 @@ class TestVerificationReuse:
             m[0, 1] = m[1, 0] = 0.0
             w[:] = np.roll(w, 1)
             u[:] = 1.0
-            assert verify_decomposition(own_xi, own_dec) is report
+            assert verify_decomposition(own_xi, own_dec) == report
             assert np.array_equal(own_xi.matrix, xi.matrix)
             assert np.array_equal(own_dec.weights, dec.weights)
             assert np.array_equal(own_dec.phase_vectors, dec.phase_vectors)
@@ -561,7 +593,88 @@ class TestVerificationReuse:
                 run_correction(ch, wrong, rho)
             with pytest.raises(VerificationFailure):
                 bounds_report(ch, wrong)
-        assert wrong._verified[0] is xi and not wrong._verified[1].accepted
+        report = verify_decomposition(xi, wrong)
+        assert not report.accepted and report == one_pass_report(wrong, xi._tol, xi.matrix)
+
+    def test_reconstructs_once_across_distinct_xi_objects(self, rng, monkeypatch):
+        # three equal xi objects, each validated afresh, as a stream of requests makes them
+        xi, dec = self.pair(rng, d=3, terms=4)
+        calls = []
+        recon = decomposition.reconstruct_xi
+        monkeypatch.setattr(
+            decomposition, "reconstruct_xi", lambda *a: calls.append(1) or recon(*a)
+        )
+        for _ in range(3):
+            ch = SchurChannel(validate_correlation(xi.matrix))
+            assert verify_decomposition(ch.xi, dec).accepted
+            run_correction(ch, dec, random_density(rng, 3))
+            bounds_report(ch, dec)
+            dilation_from_decomposition(dec)
+        assert len(calls) == 1
+
+    def test_replace_keeps_no_facts(self, rng):
+        xi, dec = self.pair(rng)
+        verify_decomposition(xi, dec)
+        assert dec._facts is not None
+        assert dataclasses.replace(dec)._facts is None
+
+
+@st.composite
+def report_cases(draw):
+    """(dec, tol, matrix): a random decomposition, possibly with a negative,
+    NaN or inf weight or off-flat phases, against its own xi, a mismatched xi
+    or None. A cancelled term repeats the first flat vector with weight -0.1
+    and adds 0.1 to the first weight, so xi and the weight sum are kept."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(2, 6))
+    terms = draw(st.integers(1, d + 2))
+    dec = random_flat_decomposition(rng, d, terms)
+    weights, phases = np.array(dec.weights), np.array(dec.phase_vectors)
+    spoil = draw(
+        st.sampled_from(["none", "negative", "cancel", "nan", "inf", "huge", "phase", "sum"])
+    )
+    if spoil == "negative":
+        weights[0] = -weights[0]
+    elif spoil == "cancel":  # a negative weight that only the sign test rejects
+        weights[0] += 0.1
+        weights, phases = np.append(weights, -0.1), np.vstack([phases, phases[:1]])
+    elif spoil in ("nan", "inf", "huge"):
+        weights[rng.integers(terms)] = {"nan": np.nan, "inf": np.inf, "huge": 1e300}[spoil]
+    elif spoil == "phase":
+        phases[rng.integers(terms), rng.integers(d)] *= 1.0 + 1e-6
+    elif spoil == "sum":
+        weights = weights * (1.0 + 1e-7)
+    dec = FlatDecomposition(d, weights, phases)
+    target = draw(st.sampled_from(["own", "other", "none"]))
+    matrix = None
+    if target == "own":
+        with np.errstate(over="ignore", invalid="ignore"):  # a spoiled weight: inf or NaN
+            matrix = reconstruct_xi(FlatDecomposition(d, dec.weights, dec.phase_vectors))
+    elif target == "other":
+        matrix = random_correlation(rng, d).matrix
+    tol = draw(st.sampled_from([DEFAULT_TOL, ToleranceProfile(tr=1e-5), ToleranceProfile(tr=0.0)]))
+    return dec, tol, matrix
+
+
+class TestReportOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(report_cases())
+    def test_report_from_kept_facts_equals_the_one_pass(self, case):
+        dec, tol, matrix = case
+        expected = one_pass_report(dec, tol, matrix)
+        for _ in range(2):  # the first builds the facts, the second reads them
+            assert same_report(decomposition._report(dec, tol, matrix), expected)
+        # the facts serve another matrix, and no matrix, unchanged
+        assert same_report(decomposition._report(dec, tol), one_pass_report(dec, tol))
+
+    def test_verify_decomposition_equals_the_one_pass(self, rng):
+        for d in (2, 3, 4, 6):
+            xi, dec = TestVerificationReuse.pair(rng, d, d + 1)
+            other = random_correlation(rng, d)
+            for target in (xi, other, xi, other):
+                got = verify_decomposition(target, dec)
+                assert same_report(got, one_pass_report(dec, target._tol, target.matrix))
 
 
 class TestExtremality:

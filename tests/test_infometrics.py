@@ -5,9 +5,11 @@ from schurmaps import (
     DensityMatrix,
     DimensionMismatch,
     NotDistribution,
+    NotHermitian,
     SchurChannel,
     ToleranceProfile,
     VerificationFailure,
+    apply_schrodinger,
     bounds_report,
     build_dilation,
     decompose_identity_xi,
@@ -24,6 +26,7 @@ from schurmaps import (
     validate_correlation,
     von_neumann_entropy,
 )
+from schurmaps.numerics import _entropy_bits
 from conftest import (
     random_correlation,
     random_density,
@@ -192,6 +195,43 @@ class TestEntropyProduction:
         assert rep.satisfied
         for s in (rep.entropy_in, rep.entropy_out, rep.entropy_exchange):
             assert s >= 0.0
+
+    # xi and rho pass the default profile, but xi^T o rho has a Hermitian deviation of
+    # 1.5e-9, beyond herm = 1e-9
+    OFF_HERMITIAN_PAIR = ([[1, -1 + 1e-9], [-1, 1]], [[0.5, 0.5 + 1e-9], [0.5, 0.5]])
+
+    def test_returns_where_the_product_is_off_hermitian(self):
+        m_xi, m_rho = self.OFF_HERMITIAN_PAIR
+        ch = SchurChannel(validate_correlation(m_xi))
+        rep = entropy_production_check(ch, DensityMatrix.from_matrix(m_rho))
+        assert rep.satisfied
+        for s in (rep.entropy_in, rep.entropy_out, rep.entropy_exchange):
+            assert s >= 0.0
+
+    def test_apply_schrodinger_still_refuses_the_off_hermitian_pair(self):
+        # the raw full check of a derived state (ROADMAP item 3), still open here
+        m_xi, m_rho = self.OFF_HERMITIAN_PAIR
+        ch = SchurChannel(validate_correlation(m_xi))
+        with pytest.raises(NotHermitian):
+            apply_schrodinger(ch, DensityMatrix.from_matrix(m_rho))
+
+    def test_output_spectrum_is_that_of_the_validated_state(self, rng, monkeypatch):
+        # the spectrum of the unvalidated product is, to the bit, the one that
+        # validating E(rho) solves, and the check validates nothing
+        cases = []
+        for d in (2, 3, 5):
+            ch = SchurChannel(random_correlation(rng, d))
+            for rho in (random_density(rng, d), random_pure(rng, d)):
+                positive = apply_schrodinger(ch, rho)._eigenvalues
+                positive = positive[positive > 0]
+                cases.append((ch, rho, _entropy_bits(positive / positive.sum())))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated a state")
+
+        monkeypatch.setattr(DensityMatrix, "from_matrix", refuse)
+        for ch, rho, s_out in cases:
+            assert repr(entropy_production_check(ch, rho).entropy_out) == repr(s_out)
 
     def test_entropy_nondecreasing_under_iteration(self, rng):
         # complete channels, pure inputs: output entropy grows with n

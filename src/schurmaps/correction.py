@@ -66,15 +66,39 @@ class EnvPovm:
 @dataclass(frozen=True)
 class CorrectionOutcomeRecord:
     """One kept outcome of a correction: its probability, the state it leaves
-    (read-only, a row of the call's one batch of states, certified with them
-    from the input's carried spectrum or fully checked) and the state after the
-    heralded unitary is undone. That is the input state exactly, so the records
-    of one call share one read-only state object."""
+    (read-only, certified from the input's carried spectrum or fully checked)
+    and the state after the heralded unitary is undone. That is the input
+    state exactly, so the records of one call share one read-only state
+    object. The records of :func:`run_correction` and :func:`run_eraser` build
+    a certified conditional state on its first read and keep it, so a repeat
+    read returns the same object and a caller that reads only the
+    probabilities builds no state; a state that fails its certificate is
+    built and checked by the call, so a refusal is raised by the call."""
 
     outcome_index: int
     probability: float
     conditional_state: DensityMatrix  # post-measurement, pre-correction
     corrected_state: DensityMatrix
+
+    @classmethod
+    def _on_read(cls, outcome_index: int, probability: float, row: np.ndarray,
+                 rho: DensityMatrix) -> "CorrectionOutcomeRecord":
+        """The record of a kept outcome whose state rho o (row row*) its
+        correction certified: the state is built on the first read of
+        ``conditional_state``, by :meth:`__getattr__`."""
+        record = object.__new__(cls)
+        record.__dict__.update(outcome_index=outcome_index, probability=probability,
+                               corrected_state=rho, _row=row)
+        return record
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the state of an _on_read record, on first read
+        row = self.__dict__.get("_row")
+        if name != "conditional_state" or row is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rho = self.corrected_state
+        state = _carry(DensityMatrix(rho.dim, _read_only(_conditional(row, rho.matrix))), rho)
+        return self.__dict__.setdefault(name, state)  # two threads at once keep one state
 
 
 @dataclass(frozen=True)
@@ -179,15 +203,19 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     :func:`_term_amplitudes`: closed form, without the joint unitary. Kept
     outcome i's conditional state is rho o (b_i b_i*), b_i = c_i / sqrt(p_i),
     and the recovered state is rho o (G G*), column i of G being
-    g_i = u^(i) o c_i: :func:`_states` builds and certifies them all at once.
-    What depends on ``dec`` alone, c, |c|^2, G, G G* and the recovered row's
-    certificate factor, is the plan that ``dec`` keeps from its first
-    correction on; b, the products with rho and every test are per call.
+    g_i = u^(i) o c_i: :func:`_states` builds the recovered state and certifies
+    them all. What depends on ``dec`` alone, c, |c|^2, G, G G* and the
+    recovered row's certificate factor, is the plan that ``dec`` keeps from its
+    first correction on; b, the products with rho and every test are per call.
     Outcome i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action, and
     undoing it gives back rho exactly, so every record's corrected state is one
     shared read-only state: ``rho`` itself when its matrix is read-only, else
     one read-only copy of it, which every output is built from. Every state is
     judged under, and carries, the profile of ``rho``.
+
+    A record's conditional state is built on its first read (see
+    :class:`CorrectionOutcomeRecord`) unless it failed its certificate: then
+    the call built and fully checked it, so a refusal is raised here.
     """
     if rho.dim != dec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
@@ -197,26 +225,42 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     probs = plan.probs_t @ np.diag(rho.matrix).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
     p = probs[kept]
-    b = plan.c.T[kept] * (1.0 / np.sqrt(p))[:, None]
-    *states, recovered = _states(rho, b, plan.g, plan.gg, plan.g_bound)
+    b = _read_only(plan.c.T[kept] * (1.0 / np.sqrt(p))[:, None])
+    checked, recovered = _states(rho, b, plan.g, plan.gg, plan.g_bound)
     records = [
-        CorrectionOutcomeRecord(int(i), float(p_i), cond, rho)
-        for i, p_i, cond in zip(kept, p, states)
+        CorrectionOutcomeRecord._on_read(i, p_i, b_i, rho) if state is None
+        else CorrectionOutcomeRecord(i, p_i, state, rho)
+        for i, p_i, b_i, state in zip(kept.tolist(), p.tolist(), b, checked)
     ]
     return records, recovered
 
 
+def _conditional(b_j: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
+    """The matrix rho o (b_j b_j*) of a record's state."""
+    return np.outer(b_j, b_j.conj()) * rho_m
+
+
+def _record_traces(b: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
+    """The traces of the states rho o (b_j b_j*), one per row b_j of ``b``, in
+    closed form: sum_k (b_jk conj(b_jk)) rho_kk, the very products and sum that
+    ``np.trace`` takes of :func:`_conditional`, so each is that trace to the
+    last bit, without the state."""
+    return ((b * b.conj()) * np.diag(rho_m)).sum(axis=1).real
+
+
 def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_bound):
-    """The states of one correction, as one list: the records rho o (b_i b_i*),
-    one per row b_i of ``b``, then the recovered state rho o (G G*) over its
-    trace, G = ``g`` of T columns; ``gg`` and ``g_bound`` are G G* and
-    sum_i max_k |g_ik|^2, as :func:`_recovery` gives them.
+    """The states of one correction, (checked, recovered): the recovered state
+    rho o (G G*) over its trace, G = ``g`` of T columns, and, for each row b_i
+    of ``b``, the record's state rho o (b_i b_i*) where it failed its
+    certificate, else None, for its record to build on read; ``gg`` and
+    ``g_bound`` are G G* and sum_i max_k |g_ik|^2, as :func:`_recovery` gives
+    them.
 
     The recovered sum must reproduce rho within ``RESIDUAL_TOL``, judged before
     the division, so that rho's own trace deviation is no part of the residual;
     a larger residual raises :class:`RecoveryFailure` before any state is
-    built. Its trace is tr(rho) times the weight sum, up to flatness, so
-    dividing by it keeps a trace deviation of the state from stacking on the
+    built or judged. Its trace is tr(rho) times the weight sum, up to flatness,
+    so dividing by it keeps a trace deviation of the state from stacking on the
     decomposition's.
 
     Each state is rho o P with P PSD and max_k P_kk <= f: f = max_k |b_k|^2
@@ -231,42 +275,36 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_
     covers them all. A state whose two bounds stay within half of tol.herm and
     tol.psd (the other half covers the rounding of f), and whose trace passes
     the very test of ``from_matrix``, is certified; any other state takes the
-    full check. ``tol`` is the profile of ``rho``, which every state carries.
+    full check, here, and the records' states in row order before the
+    recovered state. ``tol`` is the profile of ``rho``, which every state carries.
 
-    The batch of the outer products and G G* is multiplied by rho in place, as
-    a 2-d product, and flagged read-only; a certified state is a read-only row
-    of it, built directly. Each record is, to the last bit,
-    ``np.outer(b_i, b_i.conj()) * rho_m`` of one record at a time: the operand
-    order and the 2-d product keep numpy on the same elementwise loops.
+    A record's certificate needs no state: its trace is
+    :func:`_record_traces`, its f a row maximum of |b|^2.
     """
     n, d = b.shape
     rho_m, tol = rho.matrix, rho._tol
-    m = np.empty((n + 1, d, d), dtype=complex)
-    np.multiply(b[:, :, None], b.conj()[:, None, :], out=m[:n])
-    m[n] = gg
-    batch = m.reshape(n + 1, d * d)  # a view of m
-    batch *= rho_m.reshape(1, d * d)
-    residual = float(np.linalg.norm(m[n] - rho_m))
+    recovered = gg * rho_m
+    residual = float(np.linalg.norm(recovered - rho_m))
     if not residual <= RESIDUAL_TOL:
         raise RecoveryFailure(residual)
-    t = m[n].trace().real
-    m[n] /= t
-    m.flags.writeable = False
+    t = recovered.trace().real
+    recovered /= t
     dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
     vals = rho._eigenvalues
     low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
     rounding = (64 + 4 * g.shape[1]) * d * np.finfo(float).eps * norm
     f = np.append((np.abs(b) ** 2).max(axis=1), g_bound / t)
+    traces = np.append(_record_traces(b, rho_m), recovered.trace().real)
     ok = (
         (f * (dev + rounding) <= tol.herm / 2)
         & (f * (low + rounding) <= tol.psd / 2)
-        & (abs(np.trace(m, axis1=1, axis2=2).real - 1.0) <= tol.tr)
+        & (abs(traces - 1.0) <= tol.tr)
     )
-    # a certified state is a read-only row of this fresh batch, which no caller holds
-    return [
-        _carry(DensityMatrix(d, m[i]), rho) if ok[i] else DensityMatrix.from_matrix(m[i], tol)
-        for i in range(n + 1)
-    ]
+    checked = [None if ok[i] else DensityMatrix.from_matrix(_conditional(b[i], rho_m), tol)
+               for i in range(n)]
+    if ok[n]:  # a fresh array that no caller holds
+        return checked, _carry(DensityMatrix(d, _read_only(recovered)), rho)
+    return checked, DensityMatrix.from_matrix(recovered, tol)
 
 
 def run_correction(ch: SchurChannel, dec: FlatDecomposition, rho: DensityMatrix):
@@ -281,10 +319,16 @@ def run_correction(ch: SchurChannel, dec: FlatDecomposition, rho: DensityMatrix)
     The recovered state, the sum over outcomes computed from the decomposition,
     must reproduce rho within ``RESIDUAL_TOL``; a larger residual raises
     :class:`RecoveryFailure` before any record is built. It is returned
-    divided by its trace. The conditional and recovered states are built as
-    one batch and certified in one pass from the input's carried spectrum,
-    without an eigensolve, where the bounds fit, and fully checked where they
-    do not, under the profile of ``rho``, which every state carries.
+    divided by its trace. Every conditional state and the recovered state are
+    certified in one pass from the input's carried spectrum, without an
+    eigensolve, where the bounds fit, and fully checked where they do not,
+    under the profile of ``rho``, which every state carries.
+
+    Returns (records, recovered), ``records`` a list. A record's conditional
+    state is built on its first read and kept, so a repeat read returns the
+    same object and reading only the probabilities builds no state. A state
+    that fails its certificate is built and checked by the call, so a refusal
+    (:class:`NotPSD`, :class:`NotState`, ...) is raised here, never on a read.
     """
     _require_accepted(verify_decomposition(ch.xi, dec))
     return _correct(dec, rho)
@@ -324,6 +368,8 @@ def run_eraser(scenario: EraserScenario, rho: DensityMatrix):
     environment read in the computational basis. So this is the correction
     loop of :func:`run_correction` in the clock frame, judged under the profile
     of ``rho``, and in the clock decomposition that ``scenario`` keeps, with its plan.
+    Its (records, recovered) are those of :func:`run_correction`: each record's
+    conditional state built on its first read, a refusal raised by this call.
     """
     return _correct(scenario._clock, rho)
 

@@ -44,20 +44,44 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+class _ReadOnlyArrays:
+    """Base of the value objects that hold read-only arrays. numpy unpickles every
+    array writeable, so unpickling flags each array the object holds, directly or
+    in a kept tuple, read-only again; a held value object restores its own. A
+    shallow copy shares the original's arrays and leaves their flags as they are."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        self.__dict__.update(state)
+
+    def __copy__(self):
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        return copy
+
+
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_ReadOnlyArrays):
     """Validated quantum state: Hermitian, PSD, unit trace. Every function that takes
     one trusts it; built directly rather than by :meth:`from_matrix`, it skips
     validation and is trusted unchecked.
 
     It carries the profile it was validated under (``DEFAULT_TOL`` when built
     directly or by :meth:`pure`), and every state the library builds from it
-    is judged under, and carries, that profile."""
+    is judged under, and carries, that profile. Validated by
+    :meth:`from_matrix`, it also carries the spectrum and the Hermitian
+    deviation max |rho_kl - conj(rho_lk)| that the validation computed; a
+    state built any other way carries neither. A pickle round trip keeps its
+    arrays read-only."""
 
     dim: int
     matrix: np.ndarray
     # not init fields, so dataclasses.replace never carries them to another matrix
     _eigvals: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _dev: np.floating | None = field(default=None, init=False, compare=False, repr=False)
     _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
 
     @property
@@ -73,10 +97,12 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
         """Validate ``m`` as a state under ``tol``; the state holds a read-only copy
-        of it and carries ``tol`` and the eigenvalues the validation solved."""
-        mm, vals = _state_eigenvalues(m, tol)
+        of it and carries ``tol`` and the eigenvalues and Hermitian deviation
+        the validation computed."""
+        mm, dev, vals = _state_eigenvalues(m, tol)
         state = cls(dim=mm.shape[0], matrix=_read_only(mm))
         object.__setattr__(state, "_eigvals", _read_only(vals))
+        object.__setattr__(state, "_dev", dev)
         object.__setattr__(state, "_tol", tol)
         return state
 
@@ -96,7 +122,7 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(_ReadOnlyArrays):
     """PSD matrix with exactly-unit diagonal; the channel's full description. Every
     function that takes one trusts it; built directly rather than by
     :func:`validate_correlation`, it skips validation and is trusted unchecked.
@@ -105,7 +131,8 @@ class CorrelationMatrix:
     carries the profile it was validated under (``DEFAULT_TOL`` when built
     directly), under which a decomposition of it is judged, and, once
     :func:`~schurmaps.dilation.kolmogorov_vectors` has factored it, that
-    factor and the spectrum it was taken from."""
+    factor and the spectrum it was taken from. A pickle round trip keeps its
+    arrays read-only."""
 
     dim: int
     matrix: np.ndarray
@@ -151,7 +178,7 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
     unit-diagonal invariant holds exactly downstream. The result holds a
     read-only copy and carries ``tol``.
     """
-    mm = _hermitian_copy(m, tol)
+    mm, _ = _hermitian_copy(m, tol)
     dev = abs(mm.diagonal() - 1.0)
     if not dev.max() <= tol.tr:  # NaN fails: max propagates it
         k = int(np.argmax(~(dev <= tol.tr)))  # the first bad entry

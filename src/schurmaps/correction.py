@@ -18,6 +18,7 @@ from .channels import (
     DensityMatrix,
     SchurChannel,
     _carry,
+    _ReadOnlyArrays,
     _read_only,
     validate_correlation,
 )
@@ -64,7 +65,7 @@ class EnvPovm:
 
 
 @dataclass(frozen=True)
-class CorrectionOutcomeRecord:
+class CorrectionOutcomeRecord(_ReadOnlyArrays):
     """One kept outcome of a correction: its probability, the state it leaves
     (read-only, certified from the input's carried spectrum or fully checked)
     and the state after the heralded unitary is undone. That is the input
@@ -73,12 +74,24 @@ class CorrectionOutcomeRecord:
     a certified conditional state on its first read and keep it, so a repeat
     read returns the same object and a caller that reads only the
     probabilities builds no state; a state that fails its certificate is
-    built and checked by the call, so a refusal is raised by the call."""
+    built and checked by the call, so a refusal is raised by the call. A
+    pickle round trip keeps every array it holds read-only."""
 
     outcome_index: int
     probability: float
     conditional_state: DensityMatrix  # post-measurement, pre-correction
     corrected_state: DensityMatrix
+
+    @classmethod
+    def _uncorrected(cls, outcome_index: int, probability: float,
+                     state: DensityMatrix) -> "CorrectionOutcomeRecord":
+        """The record of a kept outcome that nothing corrects: ``state`` is both
+        its conditional and its corrected state. Built without the frozen
+        ``__init__``, as :meth:`_on_read` builds its records."""
+        record = object.__new__(cls)
+        record.__dict__.update(outcome_index=outcome_index, probability=probability,
+                               conditional_state=state, corrected_state=state)
+        return record
 
     @classmethod
     def _on_read(cls, outcome_index: int, probability: float, row: np.ndarray,
@@ -102,7 +115,7 @@ class CorrectionOutcomeRecord:
 
 
 @dataclass(frozen=True)
-class EraserScenario:
+class EraserScenario(_ReadOnlyArrays):
     """d-dimensional quantum eraser bundle.
 
     Probe-as-register dilation of the instantaneous decoherence channel
@@ -112,9 +125,13 @@ class EraserScenario:
 
     It holds a read-only copy of ``correction_phases``, so no caller can
     change it, and keeps the uniform decomposition over those phases, the
-    clock decomposition, that :func:`run_eraser` corrects in. Built with
-    ``correction_phases`` not of shape (``dim``, ``dim``), it raises
-    :class:`ShapeMismatch`.
+    clock decomposition, that :func:`run_eraser` corrects in. From the first
+    :func:`which_way_readout` on, it also keeps the d read-only one-hot states
+    |k><k| that the readout hands out, carrying the profile of the last state
+    read out, d^3 complex numbers: a readout under another profile builds them
+    afresh. Built with ``correction_phases`` not of shape (``dim``, ``dim``),
+    it raises :class:`ShapeMismatch`. A pickle round trip keeps every array it
+    holds or keeps read-only.
     """
 
     dim: int
@@ -124,8 +141,10 @@ class EraserScenario:
     correction_phases: np.ndarray  # row j = diagonal of the unitary undoing outcome j
     info_stored_bits: float
     info_extracted_bits: float
-    # not an init field, so dataclasses.replace builds it afresh from the new phases
+    # not init fields, so dataclasses.replace builds the clock decomposition afresh
+    # from the new phases, and the which-way states on first use
     _clock: FlatDecomposition | None = field(default=None, init=False, compare=False, repr=False)
+    _which_way: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         weights = np.full(self.dim, 1.0) / self.dim
@@ -244,8 +263,13 @@ def _record_traces(b: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
     """The traces of the states rho o (b_j b_j*), one per row b_j of ``b``, in
     closed form: sum_k (b_jk conj(b_jk)) rho_kk, the very products and sum that
     ``np.trace`` takes of :func:`_conditional`, so each is that trace to the
-    last bit, without the state."""
-    return ((b * b.conj()) * np.diag(rho_m)).sum(axis=1).real
+    last bit, without the state. The products are taken in place, in the
+    same operand order, so the call holds one complex temporary of the shape
+    of ``b``."""
+    products = b.conj().astype(complex, copy=False)
+    np.multiply(b, products, out=products)
+    products *= np.diag(rho_m)
+    return products.sum(axis=1).real
 
 
 def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_bound):
@@ -276,7 +300,11 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_
     tol.psd (the other half covers the rounding of f), and whose trace passes
     the very test of ``from_matrix``, is certified; any other state takes the
     full check, here, and the records' states in row order before the
-    recovered state. ``tol`` is the profile of ``rho``, which every state carries.
+    recovered state. ``tol`` is the profile of ``rho``, which every state
+    carries. rho's Hermitian deviation is the one ``rho`` carries from
+    :meth:`~schurmaps.channels.DensityMatrix.from_matrix`, and is computed
+    here only for a state that carries none (built directly, by ``pure``, or
+    copied by :func:`_correct` from a writeable input).
 
     A record's certificate needs no state: its trace is
     :func:`_record_traces`, its f a row maximum of |b|^2.
@@ -289,7 +317,9 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_
         raise RecoveryFailure(residual)
     t = recovered.trace().real
     recovered /= t
-    dev = abs(rho_m - rho_m.conj().T).max()  # rho is validated, so finite
+    dev = rho._dev  # rho is validated, so finite
+    if dev is None:
+        dev = abs(rho_m - rho_m.conj().T).max()
     vals = rho._eigenvalues
     low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
     rounding = (64 + 4 * g.shape[1]) * d * np.finfo(float).eps * norm
@@ -374,30 +404,43 @@ def run_eraser(scenario: EraserScenario, rho: DensityMatrix):
     return _correct(scenario._clock, rho)
 
 
+def _which_way_states(scenario: EraserScenario, rho: DensityMatrix) -> tuple:
+    """The d read-only one-hot states |k><k| of ``scenario``, rows of one batch,
+    each carrying the profile of ``rho``: the ones ``scenario`` keeps if they
+    carry that profile object, else built and kept in their place."""
+    kept = scenario._which_way
+    if kept is None or kept[0] is not rho._tol:
+        d = scenario.dim
+        batch = np.zeros((d, d, d), dtype=complex)
+        k = np.arange(d)
+        batch[k, k, k] = 1.0
+        batch.flags.writeable = False
+        kept = rho._tol, tuple(_carry(DensityMatrix(d, m), rho) for m in batch)
+        object.__setattr__(scenario, "_which_way", kept)
+    return kept[1]  # the slot read or built here: another call may replace it meanwhile
+
+
 def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
     """Measure the probe in the register basis instead of erasing.
 
     Outcome k occurs with probability rho_kk and leaves the system in |k><k|:
     the coherences are irreversibly destroyed in every subensemble. Closed
     form: the probe registers the path (e_k = |k>), so the records are the
-    exact one-hot states, one read-only batch, and nothing is simulated.
+    exact one-hot states, and nothing is simulated. Those states depend on
+    the scenario alone, and on the profile of ``rho``, which each carries:
+    ``scenario`` keeps them, read-only, for the profile of the last call, so
+    a repeat call under that profile object hands out the same state objects.
     Nothing is undone, so each record holds one state object as both its
-    conditional and its corrected state, carrying the profile of ``rho``.
+    conditional and its corrected state.
     """
     d = scenario.dim
     if rho.dim != d:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {d}")
     probs = np.diag(rho.matrix).real
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
-    states = np.zeros((kept.size, d, d), dtype=complex)
-    states[np.arange(kept.size), kept, kept] = 1.0
-    states.flags.writeable = False
-    records = []
-    for k, m in zip(kept, states):
-        # a read-only row of a fresh batch that no caller holds
-        state = _carry(DensityMatrix(d, m), rho)
-        records.append(CorrectionOutcomeRecord(int(k), float(probs[k]), state, state))
-    return records
+    states = _which_way_states(scenario, rho)
+    return [CorrectionOutcomeRecord._uncorrected(k, p, states[k])
+            for k, p in zip(kept.tolist(), probs[kept].tolist())]
 
 
 _SCREEN_GEOMETRIES = 16  # (d, S) pairs whose screen geometry is kept

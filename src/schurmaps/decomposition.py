@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CorrelationMatrix, _read_only
+from .channels import CorrelationMatrix, _ReadOnlyArrays, _read_only
 from .dilation import kolmogorov_vectors
 from .errors import (
     BadDimension,
@@ -58,7 +58,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FlatDecomposition:
+class FlatDecomposition(_ReadOnlyArrays):
     """Compressed random-unitary decomposition.
 
     ``phase_vectors`` has one flat vector per row; row i encodes the diagonal
@@ -73,7 +73,8 @@ class FlatDecomposition:
     matrix (its reconstruction of xi, the flatness, the diagonal and
     weight-sum deviations, H(p), the orthogonality verdict and the sign of
     the weights), and from its first correction on, the correction plan of
-    :mod:`~schurmaps.correction`.
+    :mod:`~schurmaps.correction`. A pickle round trip keeps every array it
+    holds or keeps read-only.
     """
 
     dim: int

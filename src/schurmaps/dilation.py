@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CorrelationMatrix, DensityMatrix, SchurChannel, _read_only
+from .channels import (
+    CorrelationMatrix, DensityMatrix, SchurChannel, _ReadOnlyArrays, _read_only
+)
 from .errors import DimensionMismatch, NotState, ShapeMismatch
 from .numerics import DEFAULT_TOL, RANK_THRESHOLD, _numbers, _spectrum
 
@@ -18,14 +20,15 @@ __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_stat
 
 
 @dataclass(frozen=True)
-class Dilation:
+class Dilation(_ReadOnlyArrays):
     """System-environment unitary realization with pure environment input |0>_e.
 
     ``env_vectors[k]`` is the environment ket the interaction writes when the
     system is in basis state k. The kets determine the dilation; the joint
     unitary is built from them only on demand, by :attr:`unitary`. The kets
     must be finite, of shape (dim_sys, dim_env), and of unit norm within
-    ``DEFAULT_TOL.tr``; the dilation holds a read-only copy of them.
+    ``DEFAULT_TOL.tr``; the dilation holds a read-only copy of them, which a
+    pickle round trip keeps read-only.
     """
 
     dim_sys: int

@@ -110,8 +110,9 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def _hermitian_copy(a, tol: ToleranceProfile) -> np.ndarray:
-    """A fresh nonempty square complex copy of ``a`` that passed the Hermitian check.
+def _hermitian_copy(a, tol: ToleranceProfile) -> tuple[np.ndarray, np.floating]:
+    """A fresh nonempty square complex copy of ``a`` that passed the Hermitian
+    check, and its Hermitian deviation max |a_kl - conj(a_lk)|.
 
     A NaN or inf entry, or one so large that the difference overflows, makes the
     deviation NaN or inf and fails it, silently: no finiteness pass."""
@@ -122,7 +123,7 @@ def _hermitian_copy(a, tol: ToleranceProfile) -> np.ndarray:
         dev = abs(m - m.conj().T).max()
     if not dev <= tol.herm:
         raise NotHermitian(f"max |a_kl - conj(a_lk)| = {dev:.3e} exceeds {tol.herm:.1e}")
-    return m
+    return m, dev
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -155,13 +156,16 @@ def _psd_eigenvalues(m: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     return vals
 
 
-def _state_eigenvalues(a, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """A validated copy of a state (Hermitian, unit trace, PSD) and its ascending eigenvalues."""
-    m = _hermitian_copy(a, tol)
+def _state_eigenvalues(
+    a, tol: ToleranceProfile
+) -> tuple[np.ndarray, np.floating, np.ndarray]:
+    """A validated copy of a state (Hermitian, unit trace, PSD), its Hermitian
+    deviation and its ascending eigenvalues."""
+    m, dev = _hermitian_copy(a, tol)
     tr = m.trace().real
     if not abs(tr - 1.0) <= tol.tr:
         raise NotState(f"trace {tr} differs from 1 beyond tolerance")
-    return m, _psd_eigenvalues(m, tol)
+    return m, dev, _psd_eigenvalues(m, tol)
 
 
 def hermitian_eig(a, tol: ToleranceProfile = DEFAULT_TOL) -> HermitianEigenResult:
@@ -172,7 +176,7 @@ def hermitian_eig(a, tol: ToleranceProfile = DEFAULT_TOL) -> HermitianEigenResul
     largest-modulus entry is real and positive, which makes downstream
     constructions (Kolmogorov vectors, dilations) deterministic.
     """
-    return _spectrum(_hermitian_copy(a, tol))
+    return _spectrum(_hermitian_copy(a, tol)[0])
 
 
 def schur_product(a, b) -> np.ndarray:
@@ -210,4 +214,4 @@ def von_neumann_entropy(rho, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     The input must be a valid state: Hermitian, PSD, and unit trace within
     the profile's tolerances.
     """
-    return _entropy_bits(_state_eigenvalues(rho, tol)[1])
+    return _entropy_bits(_state_eigenvalues(rho, tol)[2])

@@ -7,7 +7,7 @@ fully described by a correlation matrix xi (PSD, unit diagonal): it acts as
 standard basis here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,8 @@ class DensityMatrix(_ReadOnlyArrays):
 
     dim: int
     matrix: np.ndarray
-    # not init fields, so dataclasses.replace never carries them to another matrix
-    _eigvals: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
-    _dev: np.floating | None = field(default=None, init=False, compare=False, repr=False)
-    _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
+    _eigvals = _dev = None  # class defaults, not fields: a state carries its own in its instance
+    _tol = DEFAULT_TOL
 
     @property
     def _eigenvalues(self) -> np.ndarray:
@@ -136,10 +134,7 @@ class CorrelationMatrix(_ReadOnlyArrays):
 
     dim: int
     matrix: np.ndarray
-    # not init fields, so dataclasses.replace never carries them to another matrix
-    _tol: ToleranceProfile = field(default=DEFAULT_TOL, init=False, compare=False, repr=False)
-    _kets: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
-    _eigvals: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _tol = DEFAULT_TOL  # a class default, not a field: validation carries its own in the instance
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _read_only(np.array(self.matrix)))
@@ -150,6 +145,13 @@ def _carry(obj, source):
     carrying the profile of ``source``."""
     object.__setattr__(obj, "_tol", source._tol)
     return obj
+
+
+def _kept(obj, name: str, build):
+    """``build(obj)``, built on the first read and kept in the instance under ``name``,
+    outside the fields; ``dict.setdefault`` makes two threads at once keep one value."""
+    kept = obj.__dict__
+    return kept[name] if name in kept else kept.setdefault(name, build(obj))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ frame of the clock decomposition.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +18,7 @@ from .channels import (
     DensityMatrix,
     SchurChannel,
     _carry,
+    _kept,
     _ReadOnlyArrays,
     _read_only,
     validate_correlation,
@@ -48,11 +49,14 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class EnvPovm:
-    """Rank-one POVM on the environment: effects |v_i><v_i| summing to I."""
+class EnvPovm(_ReadOnlyArrays):
+    """Rank-one POVM on the environment: read-only effects |v_i><v_i| summing to I."""
 
     dim_env: int
     effects: np.ndarray  # shape (outcomes, dim_env), row i = |v_i>
+
+    def __post_init__(self):
+        object.__setattr__(self, "effects", _read_only(np.array(self.effects)))
 
     def check_complete(self) -> None:
         """Raise :class:`VerificationFailure` unless the effects sum to I within DEFAULT_TOL.tr,
@@ -106,12 +110,15 @@ class CorrectionOutcomeRecord(_ReadOnlyArrays):
 
     def __getattr__(self, name):
         # reached only for an attribute not set: the state of an _on_read record, on first read
-        row = self.__dict__.get("_row")
-        if name != "conditional_state" or row is None:
+        if name != "conditional_state" or "_row" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rho = self.corrected_state
-        state = _carry(DensityMatrix(rho.dim, _read_only(_conditional(row, rho.matrix))), rho)
-        return self.__dict__.setdefault(name, state)  # two threads at once keep one state
+        return _kept(self, name, _conditional_state)
+
+
+def _conditional_state(record: CorrectionOutcomeRecord) -> DensityMatrix:
+    """The state rho o (row row*) of an ``_on_read`` record, read-only, carrying rho's profile."""
+    rho = record.corrected_state
+    return _carry(DensityMatrix(rho.dim, _read_only(_conditional(record._row, rho.matrix))), rho)
 
 
 @dataclass(frozen=True)
@@ -124,14 +131,13 @@ class EraserScenario(_ReadOnlyArrays):
     register stores and the measurement extracts exactly log2(d) bits.
 
     It holds a read-only copy of ``correction_phases``, so no caller can
-    change it, and keeps the uniform decomposition over those phases, the
-    clock decomposition, that :func:`run_eraser` corrects in. From the first
+    change it, and keeps the uniform decomposition over them, the clock
+    decomposition, that :func:`run_eraser` corrects in. From the first
     :func:`which_way_readout` on, it also keeps the d read-only one-hot states
-    |k><k| that the readout hands out, carrying the profile of the last state
-    read out, d^3 complex numbers: a readout under another profile builds them
-    afresh. Built with ``correction_phases`` not of shape (``dim``, ``dim``),
-    it raises :class:`ShapeMismatch`. A pickle round trip keeps every array it
-    holds or keeps read-only.
+    |k><k| it hands out (d^3 complex numbers), carrying the profile of the
+    last state read out. Built with ``correction_phases`` not of shape
+    (``dim``, ``dim``), it raises :class:`ShapeMismatch`. A pickle round trip
+    keeps every array it holds or keeps read-only.
     """
 
     dim: int
@@ -141,10 +147,6 @@ class EraserScenario(_ReadOnlyArrays):
     correction_phases: np.ndarray  # row j = diagonal of the unitary undoing outcome j
     info_stored_bits: float
     info_extracted_bits: float
-    # not init fields, so dataclasses.replace builds the clock decomposition afresh
-    # from the new phases, and the which-way states on first use
-    _clock: FlatDecomposition | None = field(default=None, init=False, compare=False, repr=False)
-    _which_way: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         weights = np.full(self.dim, 1.0) / self.dim
@@ -187,11 +189,12 @@ def _recovery(g: np.ndarray):
 
 def _correction_plan(dec: FlatDecomposition) -> _Plan:
     """The correction plan of ``dec``, built on its first correction and kept on it."""
-    if dec._plan is None:
-        c = _read_only(_term_amplitudes(dec))
-        plan = _Plan(c, _read_only(np.abs(c) ** 2).T, *_recovery(dec.phase_vectors.T * c))
-        object.__setattr__(dec, "_plan", plan)
-    return dec._plan
+    return _kept(dec, "_plan", _plan_of)
+
+
+def _plan_of(dec: FlatDecomposition) -> _Plan:
+    c = _read_only(_term_amplitudes(dec))
+    return _Plan(c, _read_only(np.abs(c) ** 2).T, *_recovery(dec.phase_vectors.T * c))
 
 
 def dilation_from_decomposition(
@@ -408,7 +411,7 @@ def _which_way_states(scenario: EraserScenario, rho: DensityMatrix) -> tuple:
     """The d read-only one-hot states |k><k| of ``scenario``, rows of one batch,
     each carrying the profile of ``rho``: the ones ``scenario`` keeps if they
     carry that profile object, else built and kept in their place."""
-    kept = scenario._which_way
+    kept = scenario.__dict__.get("_which_way")
     if kept is None or kept[0] is not rho._tol:
         d = scenario.dim
         batch = np.zeros((d, d, d), dtype=complex)
@@ -416,7 +419,7 @@ def _which_way_states(scenario: EraserScenario, rho: DensityMatrix) -> tuple:
         batch[k, k, k] = 1.0
         batch.flags.writeable = False
         kept = rho._tol, tuple(_carry(DensityMatrix(d, m), rho) for m in batch)
-        object.__setattr__(scenario, "_which_way", kept)
+        scenario.__dict__["_which_way"] = kept
     return kept[1]  # the slot read or built here: another call may replace it meanwhile
 
 

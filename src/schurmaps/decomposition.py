@@ -17,12 +17,12 @@ Li-Tam count that sizes the search certifies it, as in
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CorrelationMatrix, _ReadOnlyArrays, _read_only
+from .channels import CorrelationMatrix, _kept, _ReadOnlyArrays, _read_only
 from .dilation import kolmogorov_vectors
 from .errors import (
     BadDimension,
@@ -67,23 +67,17 @@ class FlatDecomposition(_ReadOnlyArrays):
     ``weights`` not 1-d or empty, or ``phase_vectors`` not of shape (terms,
     ``dim``), it raises :class:`ShapeMismatch`.
 
-    It holds read-only copies of both arrays, so no caller can change them.
-    What depends on these arrays alone it keeps: from its first verification
-    on, the facts of :func:`verify_decomposition` that need no correlation
-    matrix (its reconstruction of xi, the flatness, the diagonal and
-    weight-sum deviations, H(p), the orthogonality verdict and the sign of
-    the weights), and from its first correction on, the correction plan of
-    :mod:`~schurmaps.correction`. A pickle round trip keeps every array it
-    holds or keeps read-only.
+    It holds read-only copies of both arrays, so no caller can change them,
+    and keeps what depends on them alone: from its first verification on, the
+    facts of :func:`verify_decomposition` that need no correlation matrix (its
+    reconstruction of xi among them), and from its first correction on, the
+    correction plan of :mod:`~schurmaps.correction`. A pickle round trip keeps
+    every array it holds or keeps read-only.
     """
 
     dim: int
     weights: np.ndarray
     phase_vectors: np.ndarray  # shape (terms, dim), entries unimodular
-    # the verification facts and the correction plan; not init fields, so
-    # dataclasses.replace never carries them to other arrays
-    _facts: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w, u = np.shape(self.weights), np.shape(self.phase_vectors)
@@ -519,27 +513,24 @@ class _Facts(NamedTuple):
 
 
 def _facts_of(dec: FlatDecomposition) -> _Facts:
-    """The verification facts of ``dec``, established on its first verification
-    and kept on it."""
-    if dec._facts is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf or NaN, which fail
-            recon = reconstruct_xi(dec)
-            # more terms than dim: O has rank <= dim < terms, so O - I has an eigenvalue
-            # -1 and an entry of size >= 1/terms, far above RESIDUAL_TOL; skip the Gram
-            u = dec.phase_vectors
-            facts = _Facts(
-                recon=_read_only(recon),
-                flatness=float(abs(abs(u) ** 2 - 1.0).max()),
-                diagonal_dev=float(abs(recon.diagonal().real - 1.0).max()),
-                weight_dev=float(abs(dec.weights.sum() - 1.0)),
-                entropy=_entropy_bits(dec.weights),
-                orthogonal=dec.terms <= dec.dim and bool(
-                    np.max(np.abs(u @ u.conj().T / dec.dim - np.eye(dec.terms))) <= RESIDUAL_TOL
-                ),
-                nonnegative=bool(np.all(dec.weights >= 0)),
-            )
-        object.__setattr__(dec, "_facts", facts)
-    return dec._facts
+    """The verification facts of ``dec``, which :func:`_report` establishes on
+    its first verification and keeps on it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf or NaN, which fail
+        recon = reconstruct_xi(dec)
+        # more terms than dim: O has rank <= dim < terms, so O - I has an eigenvalue
+        # -1 and an entry of size >= 1/terms, far above RESIDUAL_TOL; skip the Gram
+        u = dec.phase_vectors
+        return _Facts(
+            recon=_read_only(recon),
+            flatness=float(abs(abs(u) ** 2 - 1.0).max()),
+            diagonal_dev=float(abs(recon.diagonal().real - 1.0).max()),
+            weight_dev=float(abs(dec.weights.sum() - 1.0)),
+            entropy=_entropy_bits(dec.weights),
+            orthogonal=dec.terms <= dec.dim and bool(
+                np.max(np.abs(u @ u.conj().T / dec.dim - np.eye(dec.terms))) <= RESIDUAL_TOL
+            ),
+            nonnegative=bool(np.all(dec.weights >= 0)),
+        )
 
 
 def _report(dec: FlatDecomposition, tol: ToleranceProfile, matrix=None) -> VerificationReport:
@@ -547,7 +538,7 @@ def _report(dec: FlatDecomposition, tol: ToleranceProfile, matrix=None) -> Verif
     ``matrix`` or, when it is None, against the decomposition's own
     reconstruction (residual 0 unless that is not finite), from the facts
     ``dec`` keeps; the report itself is kept nowhere."""
-    facts = _facts_of(dec)
+    facts = _kept(dec, "_facts", _facts_of)
     recon = facts.recon
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm((recon if matrix is None else matrix) - recon))

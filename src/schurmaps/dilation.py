@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    CorrelationMatrix, DensityMatrix, SchurChannel, _ReadOnlyArrays, _read_only
+    CorrelationMatrix, DensityMatrix, SchurChannel, _kept, _ReadOnlyArrays, _read_only
 )
 from .errors import DimensionMismatch, NotState, ShapeMismatch
 from .numerics import DEFAULT_TOL, RANK_THRESHOLD, _numbers, _spectrum
@@ -82,20 +82,22 @@ def kolmogorov_vectors(xi: CorrelationMatrix) -> np.ndarray:
     the eigensolver's phase convention. ``xi`` is trusted: nothing is checked.
 
     The factor is computed once per ``xi``, which owns its matrix: ``xi`` keeps
-    it, read-only, and every later call returns that same array. Beside it
-    ``xi`` keeps the whole spectrum it was taken from, read-only and
-    descending, for :func:`~schurmaps.infometrics.bounds_report`.
+    it, read-only, and every later call returns that same array.
     """
-    if xi._kets is not None:
-        return xi._kets
+    return _factor(xi)[1]
+
+
+def _factor(xi: CorrelationMatrix) -> tuple:
+    """The read-only (descending spectrum, factor) of ``xi``, solved once and kept on it."""
+    return _kept(xi, "_factor", _spectral_factor)
+
+
+def _spectral_factor(xi: CorrelationMatrix) -> tuple:
     res = _spectrum(xi.matrix)
     keep = res.eigenvalues > RANK_THRESHOLD
     vals = res.eigenvalues[keep]
     vecs = res.eigenvectors[:, keep]
-    kets = _read_only(vecs.conj() * np.sqrt(vals)[None, :])
-    object.__setattr__(xi, "_eigvals", _read_only(res.eigenvalues))
-    object.__setattr__(xi, "_kets", kets)
-    return kets
+    return _read_only(res.eigenvalues), _read_only(vecs.conj() * np.sqrt(vals)[None, :])
 
 
 def _unit_dilation(kets: np.ndarray) -> Dilation:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .channels import DensityMatrix, SchurChannel, _evolved
 from .decomposition import FlatDecomposition, _require_accepted, verify_decomposition
-from .dilation import kolmogorov_vectors
+from .dilation import _factor
 from .errors import DimensionMismatch, NotDistribution, VerificationFailure
 from .numerics import (
     DEFAULT_TOL,
@@ -118,8 +118,9 @@ def bounds_report(ch: SchurChannel, dec: Optional[FlatDecomposition] = None) -> 
     :func:`verify_decomposition` rejects (under the profile of ``ch.xi``)
     raises :class:`VerificationFailure`.
     """
-    rank = kolmogorov_vectors(ch.xi).shape[1]  # keeps the spectrum of xi beside the factor
-    s_low = _entropy_bits(ch.xi._eigvals / ch.dim)
+    spectrum, kets = _factor(ch.xi)
+    rank = kets.shape[1]
+    s_low = _entropy_bits(spectrum / ch.dim)
     two_log_rank = 2.0 * float(np.log2(rank))
     h_p = lower_ok = upper_ok = None
     if dec is not None:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import schurmaps
 from schurmaps import (
     BadDiagonal,
     DensityMatrix,
@@ -371,3 +372,13 @@ class TestConvexity:
             + (1 - lam) * apply_schrodinger(SchurChannel(xi2), rho).matrix
         )
         assert np.max(np.abs(out_mixed - out_parts)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [v for v in vars(schurmaps).values() if isinstance(v, type) and dataclasses.is_dataclass(v)],
+    ids=lambda cls: cls.__name__,
+)
+def test_exported_dataclasses_declare_no_private_fields(cls):
+    # what a value object keeps or carries lives in its instance, outside the fields
+    assert not [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]

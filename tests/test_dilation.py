@@ -166,7 +166,7 @@ class TestSharedFactor:
         kets = kolmogorov_vectors(xi)
         m = np.array(xi.matrix)
         other = dataclasses.replace(xi, matrix=m)
-        assert other._kets is None and not np.shares_memory(other.matrix, m)
+        assert "_factor" not in vars(other) and not np.shares_memory(other.matrix, m)
         assert not other.matrix.flags.writeable
         assert kolmogorov_vectors(other) is not kets
         assert kolmogorov_vectors(other).tobytes() == kets.tobytes()

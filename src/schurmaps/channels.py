@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDiagonal, NotState, ShapeMismatch
+from .errors import BadDiagonal, DimensionMismatch, NotState, ShapeMismatch
 from .numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
@@ -209,15 +209,18 @@ def iterate(ch: SchurChannel, rho: DensityMatrix, n: int) -> DensityMatrix:
 
     Implemented as a single Schur product with the elementwise n-th power of
     xi^T, which is exactly equivalent for Schur maps and stabler for large n.
-    The result is validated under, and carries, the profile of ``rho``.
+    The result is validated under, and carries, the profile of ``rho``; a
+    state of another dimension raises :class:`DimensionMismatch`.
     """
     return DensityMatrix.from_matrix(_evolved(ch, rho, n), rho._tol)
 
 
 def _evolved(ch: SchurChannel, rho: DensityMatrix, n: int) -> np.ndarray:
     """The matrix (xi^T)^(o n) o rho of :func:`iterate`, unvalidated."""
-    powered = np.power(ch.xi.matrix.T, _integer(n, 0, "iteration count"))
-    return schur_product(powered, rho.matrix)
+    n = _integer(n, 0, "iteration count")
+    if rho.dim != ch.dim:
+        raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
+    return schur_product(np.power(ch.xi.matrix.T, n), rho.matrix)
 
 
 def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:

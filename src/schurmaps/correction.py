@@ -122,37 +122,52 @@ def _conditional_state(record: CorrectionOutcomeRecord) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class EraserScenario(_ReadOnlyArrays):
-    """d-dimensional quantum eraser bundle.
+class EraserScenario:
+    """The d-dimensional quantum eraser, which its one field, d, fixes.
 
-    Probe-as-register dilation of the instantaneous decoherence channel
-    (xi = I), the Fourier POVM on the probe, and the clock unitaries that
-    undo each heralded outcome. The information ledger records that the
-    register stores and the measurement extracts exactly log2(d) bits.
+    The probe registers the which-way index (U |k>(x)|0> = |k>(x)|k>, so
+    xi = I). Reading it in the Fourier basis |e~_j> = (1/sqrt d) sum_k
+    e^{2 pi i jk/d} |k> heralds the clock unitary Z_j* up to phase, and
+    conjugating by Z_j restores any input state. The which-way record and
+    the erasing measurement each account for log2(d) bits.
 
-    It holds a read-only copy of ``correction_phases``, so no caller can
-    change it, and keeps the uniform decomposition over them, the clock
-    decomposition, that :func:`run_eraser` corrects in. From the first
-    :func:`which_way_readout` on, it also keeps the d read-only one-hot states
-    |k><k| it hands out (d^3 complex numbers), carrying the profile of the
-    last state read out. Built with ``correction_phases`` not of shape
-    (``dim``, ``dim``), it raises :class:`ShapeMismatch`. A pickle round trip
-    keeps every array it holds or keeps read-only.
+    ``dim`` is checked as by :func:`decompose_identity_xi` and kept as an
+    int, so scenarios compare and hash by d. The scenario keeps the clock
+    decomposition that :func:`run_eraser` corrects in, whose phases are
+    ``correction_phases``; its channel, dilation and POVM are built on each
+    read and kept nowhere. From the first :func:`which_way_readout` on, it
+    also keeps the d one-hot states |k><k| it hands out (d^3 complex
+    numbers), carrying the profile of the last state read out.
     """
 
     dim: int
-    channel: SchurChannel
-    dilation: Dilation
-    povm: EnvPovm
-    correction_phases: np.ndarray  # row j = diagonal of the unitary undoing outcome j
-    info_stored_bits: float
-    info_extracted_bits: float
 
     def __post_init__(self):
-        weights = np.full(self.dim, 1.0) / self.dim
-        clock = FlatDecomposition(self.dim, weights, self.correction_phases)  # a read-only copy
-        object.__setattr__(self, "correction_phases", clock.phase_vectors)
+        clock = decompose_identity_xi(self.dim)
+        object.__setattr__(self, "dim", clock.dim)
         object.__setattr__(self, "_clock", clock)
+
+    @property
+    def correction_phases(self) -> np.ndarray:  # row j = diagonal of Z_j
+        return self._clock.phase_vectors
+
+    @property
+    def info_stored_bits(self) -> float:
+        return float(np.log2(self.dim))
+
+    info_extracted_bits = info_stored_bits
+
+    @property
+    def channel(self) -> SchurChannel:  # xi = I passes every profile
+        return SchurChannel(validate_correlation(np.eye(self.dim)))
+
+    @property
+    def dilation(self) -> Dilation:  # the probe as register: e_k = |k>
+        return Dilation(self.dim, self.dim, np.eye(self.dim, dtype=complex))
+
+    @property
+    def povm(self) -> EnvPovm:  # the Fourier basis: row j = |e~_j>
+        return EnvPovm(self.dim, self.correction_phases / np.sqrt(self.dim))
 
 
 @dataclass(frozen=True)
@@ -176,15 +191,15 @@ class _Plan(NamedTuple):
 
     c: np.ndarray  # column i = c_i, as _term_amplitudes lays it out
     probs_t: np.ndarray  # |c|^2 transposed: the outcome probabilities are probs_t @ diag(rho)
-    g: np.ndarray  # column i = g_i = u^(i) o c_i
+    terms: int  # T, the columns g_i = u^(i) o c_i of G
     gg: np.ndarray  # G G*
     g_bound: float  # sum_i max_k |g_ik|^2, the recovered row's certificate factor times its trace
 
 
 def _recovery(g: np.ndarray):
-    """(G, G G*, sum_i max_k |g_ik|^2) of G = ``g``, which is flagged read-only
-    with G G*: what :func:`_states` needs of the recovered row."""
-    return _read_only(g), _read_only(g @ g.conj().T), (np.abs(g) ** 2).max(axis=0).sum()
+    """(T, G G*, sum_i max_k |g_ik|^2) of G = ``g`` of T columns, G G* read-only:
+    what :func:`_states` needs of the recovered row."""
+    return g.shape[1], _read_only(g @ g.conj().T), (np.abs(g) ** 2).max(axis=0).sum()
 
 
 def _correction_plan(dec: FlatDecomposition) -> _Plan:
@@ -226,7 +241,7 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     outcome i's conditional state is rho o (b_i b_i*), b_i = c_i / sqrt(p_i),
     and the recovered state is rho o (G G*), column i of G being
     g_i = u^(i) o c_i: :func:`_states` builds the recovered state and certifies
-    them all. What depends on ``dec`` alone, c, |c|^2, G, G G* and the
+    them all. What depends on ``dec`` alone, c, |c|^2, G's width, G G* and the
     recovered row's certificate factor, is the plan that ``dec`` keeps from its
     first correction on; b, the products with rho and every test are per call.
     Outcome i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action, and
@@ -248,7 +263,7 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     kept = np.flatnonzero(probs >= NEGLIGIBLE)
     p = probs[kept]
     b = _read_only(plan.c.T[kept] * (1.0 / np.sqrt(p))[:, None])
-    checked, recovered = _states(rho, b, plan.g, plan.gg, plan.g_bound)
+    checked, recovered = _states(rho, b, plan.terms, plan.gg, plan.g_bound)
     records = [
         CorrectionOutcomeRecord._on_read(i, p_i, b_i, rho) if state is None
         else CorrectionOutcomeRecord(i, p_i, state, rho)
@@ -275,10 +290,10 @@ def _record_traces(b: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
     return products.sum(axis=1).real
 
 
-def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_bound):
+def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bound):
     """The states of one correction, (checked, recovered): the recovered state
-    rho o (G G*) over its trace, G = ``g`` of T columns, and, for each row b_i
-    of ``b``, the record's state rho o (b_i b_i*) where it failed its
+    rho o (G G*) over its trace, G of T = ``terms`` columns, and, for each row
+    b_i of ``b``, the record's state rho o (b_i b_i*) where it failed its
     certificate, else None, for its record to build on read; ``gg`` and
     ``g_bound`` are G G* and sum_i max_k |g_ik|^2, as :func:`_recovery` gives
     them.
@@ -325,7 +340,7 @@ def _states(rho: DensityMatrix, b: np.ndarray, g: np.ndarray, gg: np.ndarray, g_
         dev = abs(rho_m - rho_m.conj().T).max()
     vals = rho._eigenvalues
     low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
-    rounding = (64 + 4 * g.shape[1]) * d * np.finfo(float).eps * norm
+    rounding = (64 + 4 * terms) * d * np.finfo(float).eps * norm
     f = np.append((np.abs(b) ** 2).max(axis=1), g_bound / t)
     traces = np.append(_record_traces(b, rho_m), recovered.trace().real)
     ok = (
@@ -368,29 +383,8 @@ def run_correction(ch: SchurChannel, dec: FlatDecomposition, rho: DensityMatrix)
 
 
 def eraser_scenario(d: int) -> EraserScenario:
-    """The d-dimensional quantum eraser.
-
-    The probe registers the which-way index (U |k>(x)|0> = |k>(x)|k>,
-    xi = I). Measuring the probe in the Fourier basis
-    |e~_j> = (1/sqrt d) sum_k e^{2 pi i jk/d} |k> heralds the clock unitary
-    Z_j* up to phase; conjugating by Z_j restores any input state. Both the
-    which-way record and the erasing measurement account for log2(d) bits.
-    ``d`` is checked as by :func:`decompose_identity_xi`.
-    """
-    dec = decompose_identity_xi(d)
-    d, clock = dec.dim, dec.phase_vectors  # row j = diagonal of Z_j
-    # probe as register: e_k = |k>
-    dil = Dilation(dim_sys=d, dim_env=d, env_vectors=np.eye(d, dtype=complex))
-    povm = EnvPovm(dim_env=d, effects=clock / np.sqrt(d))  # row j = |e~_j>
-    return EraserScenario(
-        dim=d,
-        channel=SchurChannel(validate_correlation(np.eye(d))),  # xi = I passes every profile
-        dilation=dil,
-        povm=povm,
-        correction_phases=clock,
-        info_stored_bits=float(np.log2(d)),
-        info_extracted_bits=float(np.log2(d)),
-    )
+    """The d-dimensional quantum eraser, :class:`EraserScenario` of ``d``."""
+    return EraserScenario(d)
 
 
 def run_eraser(scenario: EraserScenario, rho: DensityMatrix):

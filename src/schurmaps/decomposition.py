@@ -460,11 +460,13 @@ def _face_descent(xi: CorrelationMatrix) -> FlatDecomposition:
 def decompose(xi: CorrelationMatrix, seed=0) -> FlatDecomposition:
     """A flat decomposition of xi, by the first route that applies.
 
-    The clock family for xi = I (within ``NEGLIGIBLE``), the closed form for
-    d = 2, the exact face descent for d = 3, else :func:`flat_search` seeded
-    with ``seed``. ``seed`` must be a nonnegative integer on every route.
+    The one term [1] for d = 1, the clock family for xi = I (within ``NEGLIGIBLE``),
+    the closed form for d = 2, the exact face descent for d = 3, else
+    :func:`flat_search` seeded with ``seed``. ``seed`` must be a nonnegative integer.
     """
     seed = _integer(seed, 0, "seed")
+    if xi.dim == 1:  # xi = [[1]]: the one-term family, before the clock's d >= 2
+        return FlatDecomposition(1, np.ones(1), np.ones((1, 1), dtype=complex))
     if np.max(np.abs(xi.matrix - np.eye(xi.dim))) < NEGLIGIBLE:
         return decompose_identity_xi(xi.dim)
     if xi.dim == 2:

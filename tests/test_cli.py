@@ -117,6 +117,18 @@ class TestDecompose:
         assert len(obj["decomposition"]["weights"]) == 3
         assert obj["verification"]["orthogonal_family"]
 
+    def test_one_dimensional_xi_decomposes_and_corrects(self, workdir, capsys):
+        xp = write_matrix(workdir / "xi.json", np.eye(1), "correlation")
+        rp = write_matrix(workdir / "rho.json", np.eye(1), "state")
+        assert main(["--json", "decompose", xp]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["decomposition"]["weights"] == [1.0]
+        assert obj["verification"]["accepted"] and obj["verification"]["residual"] == 0.0
+        assert main(["--json", "correct", xp, rp]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["recovery_residual"] == 0.0
+        assert obj["recovered"]["entries"] == [[1.0, 0.0]]
+
     def test_qutrit_search(self, workdir, rng, capsys):
         xi = random_correlation(rng, 3).matrix
         p = write_matrix(workdir / "xi.json", xi, "correlation")

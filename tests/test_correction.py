@@ -20,7 +20,6 @@ from schurmaps import (
     RecoveryFailure,
     SchurChannel,
     SchurMapsError,
-    ShapeMismatch,
     ToleranceProfile,
     VerificationFailure,
     apply_schrodinger,
@@ -819,7 +818,7 @@ class TestCorrectionPlan:
         dec = random_flat_decomposition(rng, 4, 6)
         plan = correction._correction_plan(dec)
         assert correction._correction_plan(dec) is plan
-        for a in (plan.c, plan.probs_t, plan.g, plan.gg):
+        for a in (plan.c, plan.probs_t, plan.gg):
             assert not a.flags.writeable
         assert np.array_equal(plan.c, _term_amplitudes(dec))
 
@@ -981,23 +980,6 @@ class TestEraser:
             expected[k, k] = 1.0
             assert np.max(np.abs(r.conditional_state.matrix - expected)) < 1e-10
 
-    def test_scenario_owns_its_phases(self, rng):
-        # built directly over a caller's writeable array: the scenario holds a
-        # read-only copy, and its kept clock decomposition corrects in that copy
-        d = 4
-        base = eraser_scenario(d)
-        phases = base.correction_phases.copy()
-        scenario = dataclasses.replace(base, correction_phases=phases)
-        kept = scenario.correction_phases
-        assert kept is not phases and not kept.flags.writeable
-        assert scenario._clock.phase_vectors is kept
-        rho = random_density(rng, d)
-        before = records_bytes(run_eraser(scenario, rho)[0])
-        phases[1] *= -1
-        assert np.array_equal(kept, base.correction_phases)
-        assert records_bytes(run_eraser(scenario, rho)[0]) == before
-        assert before == records_bytes(run_eraser(base, rho)[0])
-
     def test_povm_owns_its_effects(self):
         with pytest.raises(ValueError):
             eraser_scenario(3).povm.effects[0, 0] = 5
@@ -1006,10 +988,83 @@ class TestEraser:
         effects[0, 0] = 5
         assert povm.effects[0, 0] == 1 and not povm.effects.flags.writeable
 
-    @pytest.mark.parametrize("shape", [(4, 5), (3, 4), (5, 4), (4,), (), (4, 4, 1)])
-    def test_malformed_phases_rejected_when_built(self, shape):
-        with pytest.raises(ShapeMismatch):
-            dataclasses.replace(eraser_scenario(4), correction_phases=np.ones(shape, dtype=complex))
+
+class TestScenarioIsItsDimension:
+    """d fixes the eraser: the scenario's one field is ``dim``, and the channel,
+    dilation, POVM, phases and ledger are derived from it."""
+
+    @staticmethod
+    def built_from_d(d):
+        """Each derived value, built from d as ``eraser_scenario`` built its fields."""
+        clock = decompose_identity_xi(d).phase_vectors
+        return {
+            "channel": validate_correlation(np.eye(d)).matrix,
+            "dilation": np.eye(d, dtype=complex),
+            "povm": clock / np.sqrt(d),
+            "correction_phases": clock,
+            "info_stored_bits": float(np.log2(d)),
+            "info_extracted_bits": float(np.log2(d)),
+        }
+
+    @staticmethod
+    def derived(scenario):
+        return {
+            "channel": scenario.channel.xi.matrix,
+            "dilation": scenario.dilation.env_vectors,
+            "povm": scenario.povm.effects,
+            "correction_phases": scenario.correction_phases,
+            "info_stored_bits": scenario.info_stored_bits,
+            "info_extracted_bits": scenario.info_extracted_bits,
+        }
+
+    def test_dim_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(correction.EraserScenario)] == ["dim"]
+        assert repr(eraser_scenario(8)) == "EraserScenario(dim=8)"
+
+    @pytest.mark.parametrize("d", [1, 2.5, "3", 10**20])
+    def test_bad_dimension_rejected_when_built(self, d):
+        with pytest.raises(BadDimension):
+            correction.EraserScenario(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    def test_every_derived_value_is_the_one_built_from_d(self, d):
+        scenario = correction.EraserScenario(np.int64(d))
+        assert type(scenario.dim) is int and scenario.dim == d
+        expected = self.built_from_d(d)
+        for name, value in self.derived(scenario).items():
+            if isinstance(value, float):
+                assert type(value) is float and value == expected[name], name
+            else:
+                want = expected[name]
+                assert value.dtype == want.dtype and value.shape == want.shape, name
+                assert value.tobytes() == want.tobytes() and not value.flags.writeable, name
+        assert scenario.dilation.dim_env == scenario.povm.dim_env == d
+        clock = scenario._clock
+        assert clock.weights.tobytes() == (np.full(d, 1.0) / d).tobytes()
+        assert clock.phase_vectors is scenario.correction_phases
+
+    def test_channel_dilation_and_povm_are_kept_nowhere(self):
+        scenario = eraser_scenario(4)
+        assert scenario.channel is not scenario.channel
+        assert scenario.dilation is not scenario.dilation
+        assert scenario.povm is not scenario.povm
+        assert set(vars(scenario)) == {"dim", "_clock"}
+
+    def test_replace_gives_a_consistent_scenario(self, rng):
+        scenario = dataclasses.replace(eraser_scenario(3), dim=5)
+        assert scenario == eraser_scenario(5)
+        fresh = self.derived(eraser_scenario(5))
+        for name, value in self.derived(scenario).items():
+            assert np.array_equal(value, fresh[name]), name
+        rho = random_density(rng, 5)
+        assert records_bytes(run_eraser(scenario, rho)[0]) == records_bytes(
+            run_eraser(eraser_scenario(5), rho)[0]
+        )
+
+    def test_compare_and_hash_by_d(self):
+        assert eraser_scenario(3) == eraser_scenario(3) != eraser_scenario(4)
+        assert hash(eraser_scenario(3)) == hash(eraser_scenario(3))
+        assert len({eraser_scenario(d) for d in (2, 3, 3, 4, 2)}) == 3
 
 
 class TestScreenPattern:

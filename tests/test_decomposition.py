@@ -366,6 +366,18 @@ class TestDecompose:
             assert np.array_equal(dec.weights, ref.weights)
             assert np.array_equal(dec.phase_vectors, ref.phase_vectors)
 
+    def test_one_dimensional_xi_takes_the_one_term_family(self):
+        # xi = [[1]] is valid; the clock family starts at d = 2
+        xi = validate_correlation(np.eye(1))
+        dec = decompose(xi)
+        assert dec.weights.tolist() == [1.0] and dec.phase_vectors.tolist() == [[1.0]]
+        report = verify_decomposition(xi, dec)
+        assert report.accepted and report.residual == 0.0
+        rho = DensityMatrix.from_matrix(np.eye(1))
+        records, recovered = run_correction(SchurChannel(xi), dec, rho)
+        assert [r.probability for r in records] == [1.0]
+        assert recovered.matrix.tolist() == [[1.0]]
+
     def test_qubit_takes_the_closed_form(self, rng):
         xi = random_correlation(rng, 2)
         dec, ref = decompose(xi), decompose_qubit(xi)

@@ -16,6 +16,7 @@ from schurmaps import (
     BadTolerance,
     DensityMatrix,
     Dilation,
+    DimensionMismatch,
     EnvPovm,
     FlatDecomposition,
     NotDistribution,
@@ -143,6 +144,28 @@ def test_malformed_input_raises_library_error(call, error):
     # never numpy's ValueError or TypeError, nor a returned value
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda ch, rho: iterate(ch, rho, 2), id="iterate"),
+        pytest.param(apply_schrodinger, id="schrodinger"),
+        pytest.param(entropy_exchange, id="exchange"),
+        pytest.param(entropy_production_check, id="production"),
+        pytest.param(
+            lambda ch, rho: run_correction(ch, decompose_identity_xi(ch.dim), rho), id="correct"
+        ),
+        pytest.param(lambda ch, rho: which_way_readout(eraser_scenario(ch.dim), rho), id="which-way"),
+        pytest.param(lambda ch, rho: environment_state(build_dilation(ch), rho), id="environment"),
+    ],
+)
+@pytest.mark.parametrize("d_ch, d_rho", [(2, 3), (3, 2)])
+def test_state_of_another_dimension_raises_dimension_mismatch(call, d_ch, d_rho):
+    ch = SchurChannel(validate_correlation(np.eye(d_ch)))
+    rho = DensityMatrix.from_matrix(np.eye(d_rho) / d_rho)
+    with pytest.raises(DimensionMismatch, match=f"^state dim {d_rho} != [a-z]+ dim {d_ch}$"):
+        call(ch, rho)
 
 
 CLOCK3 = decompose_identity_xi(3)

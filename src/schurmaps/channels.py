@@ -7,14 +7,16 @@ fully described by a correlation matrix xi (PSD, unit diagonal): it acts as
 standard basis here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDiagonal, DimensionMismatch, NotState, ShapeMismatch
+from .errors import BadCount, BadDiagonal, DimensionMismatch, NotState, ShapeMismatch
 from .numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _ArrayFields,
     _eigenvalues,
     _hermitian_copy,
     _integer,
@@ -44,11 +46,12 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-class _ReadOnlyArrays:
-    """Base of the value objects that hold read-only arrays. numpy unpickles every
-    array writeable, so unpickling flags each array the object holds, directly or
-    in a kept tuple, read-only again; a held value object restores its own. A
-    shallow copy shares the original's arrays and leaves their flags as they are."""
+class _ReadOnlyArrays(_ArrayFields):
+    """Base of the value objects that hold read-only arrays, compared by value. numpy
+    unpickles every array writeable, so unpickling flags each array the object
+    holds, directly or in a kept tuple, read-only again; a held value object
+    restores its own. A shallow copy shares the original's arrays and leaves
+    their flags as they are."""
 
     def __setstate__(self, state: dict) -> None:
         for value in state.values():
@@ -63,7 +66,7 @@ class _ReadOnlyArrays:
         return copy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix(_ReadOnlyArrays):
     """Validated quantum state: Hermitian, PSD, unit trace. Every function that takes
     one trusts it; built directly rather than by :meth:`from_matrix`, it skips
@@ -73,24 +76,34 @@ class DensityMatrix(_ReadOnlyArrays):
     directly or by :meth:`pure`), and every state the library builds from it
     is judged under, and carries, that profile. Validated by
     :meth:`from_matrix`, it also carries the spectrum and the Hermitian
-    deviation max |rho_kl - conj(rho_lk)| that the validation computed; a
-    state built any other way carries neither. A pickle round trip keeps its
-    arrays read-only."""
+    deviation max |rho_kl - conj(rho_lk)| that the validation computed; an
+    image that :func:`iterate` certified carries its deviation and solves its
+    spectrum on first read; a state built any other way carries neither. A
+    state whose matrix is read-only keeps its image under the last
+    correlation matrix :func:`apply_schrodinger` sent it through. ``==``
+    compares ``dim`` and the matrix entries, and a pickle round trip keeps
+    its arrays read-only."""
 
     dim: int
     matrix: np.ndarray
-    _eigvals = _dev = None  # class defaults, not fields: a state carries its own in its instance
+    # class defaults, not fields: a state carries its own in its instance
+    _eigvals = _dev = _image = None
     _tol = DEFAULT_TOL
 
     @property
     def _eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the Hermitian part (read-only), to the bit
-        ``_eigenvalues(matrix)``: carried from the solve of :meth:`from_matrix`,
-        else solved on every read and kept nowhere, so a later change to a
-        caller's array shows."""
+        ``_eigenvalues(matrix)``: carried from the solve of :meth:`from_matrix`;
+        for an image :func:`iterate` certified, whose matrix is a fresh array
+        no caller holds, solved on the first read and kept; else solved on
+        every read and kept nowhere, so a later change to a caller's array
+        shows."""
         if self._eigvals is not None:
             return self._eigvals
-        return _read_only(_eigenvalues(self.matrix))
+        vals = _read_only(_eigenvalues(self.matrix))
+        if self._dev is not None:  # validated, so its matrix is its own
+            object.__setattr__(self, "_eigvals", vals)
+        return vals
 
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
@@ -119,7 +132,7 @@ class DensityMatrix(_ReadOnlyArrays):
         return cls(dim=v.shape[0], matrix=_read_only(np.outer(v, v.conj())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix(_ReadOnlyArrays):
     """PSD matrix with exactly-unit diagonal; the channel's full description. Every
     function that takes one trusts it; built directly rather than by
@@ -129,12 +142,18 @@ class CorrelationMatrix(_ReadOnlyArrays):
     carries the profile it was validated under (``DEFAULT_TOL`` when built
     directly), under which a decomposition of it is judged, and, once
     :func:`~schurmaps.dilation.kolmogorov_vectors` has factored it, that
-    factor and the spectrum it was taken from. A pickle round trip keeps its
-    arrays read-only."""
+    factor and the spectrum it was taken from. Validated by
+    :func:`validate_correlation`, it also carries the least eigenvalue of its
+    Hermitian part and its Hermitian deviation, which :func:`iterate`'s
+    certificate reads; built directly, it carries neither. ``==`` compares
+    ``dim`` and the matrix entries, and a pickle round trip keeps its arrays
+    read-only."""
 
     dim: int
     matrix: np.ndarray
-    _tol = DEFAULT_TOL  # a class default, not a field: validation carries its own in the instance
+    # class defaults, not fields: validation carries its own in the instance
+    _lam_min = _dev = None
+    _tol = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _read_only(np.array(self.matrix)))
@@ -178,16 +197,20 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
 
     Diagonal entries within ``tol.tr`` of 1 are snapped to exactly 1 so the
     unit-diagonal invariant holds exactly downstream. The result holds a
-    read-only copy and carries ``tol``.
+    read-only copy and carries ``tol``, the least eigenvalue of the copy's
+    Hermitian part and the Hermitian deviation of the input, which snapping
+    the diagonal can only lower.
     """
-    mm, _ = _hermitian_copy(m, tol)
+    mm, herm_dev = _hermitian_copy(m, tol)
     dev = abs(mm.diagonal() - 1.0)
     if not dev.max() <= tol.tr:  # NaN fails: max propagates it
         k = int(np.argmax(~(dev <= tol.tr)))  # the first bad entry
         raise BadDiagonal(k, mm[k, k])
     np.fill_diagonal(mm, 1.0)
-    _psd_eigenvalues(mm, tol)
+    vals = _psd_eigenvalues(mm, tol)
     xi = CorrelationMatrix(dim=mm.shape[0], matrix=mm)
+    object.__setattr__(xi, "_lam_min", float(vals[0]))
+    object.__setattr__(xi, "_dev", float(herm_dev))
     object.__setattr__(xi, "_tol", tol)
     return xi
 
@@ -199,28 +222,121 @@ def apply_heisenberg(ch: SchurChannel, obs) -> np.ndarray:
 
 def apply_schrodinger(ch: SchurChannel, rho: DensityMatrix) -> DensityMatrix:
     """Schrodinger-picture action on a state: xi^T o rho (transpose taken in
-    the decoherence basis, never omitted): :func:`iterate` once, so validated
-    under, and carrying, the profile of ``rho``."""
-    return iterate(ch, rho, 1)
+    the decoherence basis, never omitted): :func:`iterate` once, so judged
+    under, and carrying, the profile of ``rho``.
+
+    A ``rho`` whose matrix is read-only keeps the image in one slot, with the
+    correlation matrix object it came from: a repeat call with the same
+    ``ch.xi`` object returns the kept image, and
+    :func:`~schurmaps.infometrics.entropy_production_check` reads its
+    spectrum. A call with another correlation matrix replaces the slot."""
+    image = _kept_image(ch, rho)
+    if image is None:
+        image = iterate(ch, rho, 1)
+        if not rho.matrix.flags.writeable:
+            object.__setattr__(rho, "_image", (ch.xi, image))
+    return image
+
+
+def _kept_image(ch: SchurChannel, rho: DensityMatrix):
+    """The image of ``rho`` that :func:`apply_schrodinger` kept under ``ch.xi``, or None."""
+    kept = rho._image
+    return kept[1] if kept is not None and kept[0] is ch.xi else None
 
 
 def iterate(ch: SchurChannel, rho: DensityMatrix, n: int) -> DensityMatrix:
     """n-fold application of the channel to a state.
 
     Implemented as a single Schur product with the elementwise n-th power of
-    xi^T, which is exactly equivalent for Schur maps and stabler for large n.
-    The result is validated under, and carries, the profile of ``rho``; a
-    state of another dimension raises :class:`DimensionMismatch`.
+    xi^T, which is exactly equivalent for Schur maps and stabler for large n;
+    a count numpy cannot take as a double raises :class:`BadCount`, a state
+    of another dimension :class:`DimensionMismatch`. The image is judged
+    under, and carries, the profile of ``rho``, and it is accepted exactly
+    when :meth:`DensityMatrix.from_matrix` would accept it.
+
+    Where ``rho`` and ``ch.xi`` carry their validation facts, the image's
+    Hermitian deviation and trace are tested as ``from_matrix`` tests them,
+    and its least eigenvalue is bounded without an eigensolve
+    (:func:`_psd_bound`). An image that passes all three holds the fresh
+    product read-only, carries its deviation and solves its spectrum on
+    first read; any other image is fully checked by ``from_matrix``, which
+    also raises every refusal.
     """
-    return DensityMatrix.from_matrix(_evolved(ch, rho, n), rho._tol)
+    n = _integer(n, 0, "iteration count")
+    m = _evolved(ch, rho, n)
+    tol = rho._tol
+    if _psd_bound(ch.xi, rho, n) <= tol.psd / 2:  # finite, so is every entry of m
+        dev = abs(m - m.conj().T).max()  # the expressions and tests of from_matrix
+        if dev <= tol.herm and abs(float(m.trace().real) - 1.0) <= tol.tr:
+            image = _carry(DensityMatrix(rho.dim, _read_only(m)), rho)
+            object.__setattr__(image, "_dev", dev)
+            return image
+    return DensityMatrix.from_matrix(m, tol)
+
+
+_EPS = float(np.finfo(float).eps)
+_LN2 = math.log(2)
+_HUGE = 2.0**1020  # ||rho|| beyond this takes the full check: no image entry may overflow
+
+
+def _psd_bound(xi: CorrelationMatrix, rho: DensityMatrix, n: int) -> float:
+    """A bound b >= 0 such that the least eigenvalue that ``from_matrix`` solves for
+    the image (xi^T)^(o n) o rho is at least -b; inf where ``xi`` or ``rho``
+    carries no validation facts or the bound would not be finite.
+
+    Let A be the Hermitian part of the stored xi: unit diagonal, A >= -alpha I,
+    with alpha the carried least eigenvalue's negative part plus 64 d eps
+    ||A||, ||A|| <= tr(A + alpha I) <= d(1 + alpha). Then (A^T + alpha I)^(o n)
+    is PSD (Schur), and its off-diagonal entries are those of Q = (A^T)^(o n),
+    its diagonal (1 + alpha)^n, so Q >= -alpha_n I with alpha_n = (1 +
+    alpha)^n - 1. Likewise rho's Hermitian part R >= -beta I, beta from its
+    carried spectrum, and (Q + alpha_n I) o (R + beta I) >= 0 gives
+    Q o R >= -[beta (1 + alpha_n) + alpha_n max_k rho_kk] (Ostrowski, as in
+    :func:`~schurmaps.correction._states`), with max_k rho_kk <= ||rho||.
+
+    The Hermitian part of the computed image is Q o R plus that of an error
+    matrix. Q o (rho - R) is anti-Hermitian and drops out. What is left is
+    (P - Q) o rho, with P the computed power, and the rounding of the
+    product, at most 2 eps |P_kl| |rho_kl| an entry. With M = 1 + alpha +
+    dev(xi) >= |xi_kl|, |A_kl|, each entry of P - Q is at most n M^n dev(xi)/2
+    from xi's anti-Hermitian part and 16 (n + 1) eps M^n from numpy's power
+    (repeated products or exp(n log z), each within about 4 n eps |z|^n),
+    and an error matrix of entries at most e has norm at most d e. The full
+    check's own eigensolve errs by 64 d eps times the norm of the image, at
+    most (1 + 2 alpha_n) ||rho|| plus the error matrix's. ||rho|| is bounded
+    by its carried spectrum plus d times its deviation. The bound is taken
+    only while M^n <= 2 and ||rho|| <= 2^1020, so every term stays finite,
+    and no entry of the image, nor a difference of two, overflows. The
+    arithmetic is in Python floats.
+    """
+    if rho._dev is None or xi._dev is None:
+        return math.inf
+    d, eps = rho.dim, _EPS
+    vals = rho._eigenvalues  # carried, or solved once and kept
+    lo, hi = float(vals[0]), float(vals[-1])
+    norm = max(-lo, hi) + d * float(rho._dev)
+    beta = max(0.0, -lo) + 64 * d * eps * norm
+    low = max(0.0, -xi._lam_min)
+    alpha = low + 64 * d * eps * d * (1 + low)
+    growth = n * math.log1p(alpha + xi._dev)
+    if not (growth <= _LN2 and norm <= _HUGE):  # a NaN fails too
+        return math.inf
+    m_n, alpha_n = math.exp(growth), math.expm1(n * math.log1p(alpha))
+    e_p = n * m_n * xi._dev / 2 + 16 * (n + 1) * eps * m_n
+    error = d * (e_p + 2 * eps * (m_n + e_p)) * norm
+    exact = beta * (1 + alpha_n) + alpha_n * norm
+    return exact + error + 64 * d * eps * ((1 + 2 * alpha_n) * norm + error)
 
 
 def _evolved(ch: SchurChannel, rho: DensityMatrix, n: int) -> np.ndarray:
-    """The matrix (xi^T)^(o n) o rho of :func:`iterate`, unvalidated."""
-    n = _integer(n, 0, "iteration count")
+    """The matrix (xi^T)^(o n) o rho of :func:`iterate`, unvalidated, for an int n >= 0."""
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != channel dim {ch.dim}")
-    return schur_product(np.power(ch.xi.matrix.T, n), rho.matrix)
+    try:
+        power = np.power(ch.xi.matrix.T, n)
+    except OverflowError:  # numpy takes the count as a double
+        raise BadCount("iteration count must fit in a double, below about 1.8e308") from None
+    return schur_product(power, rho.matrix)
 
 
 def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:

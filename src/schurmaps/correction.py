@@ -34,7 +34,14 @@ from .dilation import Dilation, _unit_dilation
 from .errors import (
     BadDimension, DimensionMismatch, RecoveryFailure, ShapeMismatch, VerificationFailure
 )
-from .numerics import DEFAULT_TOL, NEGLIGIBLE, RESIDUAL_TOL, ToleranceProfile, _integer
+from .numerics import (
+    DEFAULT_TOL,
+    NEGLIGIBLE,
+    RESIDUAL_TOL,
+    ToleranceProfile,
+    _ArrayFields,
+    _integer,
+)
 
 __all__ = [
     "EnvPovm",
@@ -48,7 +55,7 @@ __all__ = [
     "screen_pattern",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvPovm(_ReadOnlyArrays):
     """Rank-one POVM on the environment: read-only effects |v_i><v_i| summing to I."""
 
@@ -68,7 +75,7 @@ class EnvPovm(_ReadOnlyArrays):
             raise VerificationFailure("POVM effects do not sum to the identity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectionOutcomeRecord(_ReadOnlyArrays):
     """One kept outcome of a correction: its probability, the state it leaves
     (read-only, certified from the input's carried spectrum or fully checked)
@@ -170,8 +177,8 @@ class EraserScenario:
         return EnvPovm(self.dim, self.correction_phases / np.sqrt(self.dim))
 
 
-@dataclass(frozen=True)
-class ScreenPattern:
+@dataclass(frozen=True, eq=False)
+class ScreenPattern(_ArrayFields):
     thetas: np.ndarray
     intensities: np.ndarray
     visibility: float

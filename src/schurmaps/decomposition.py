@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatDecomposition(_ReadOnlyArrays):
     """Compressed random-unitary decomposition.
 

@@ -19,7 +19,7 @@ from .numerics import DEFAULT_TOL, RANK_THRESHOLD, _numbers, _spectrum
 __all__ = ["Dilation", "kolmogorov_vectors", "build_dilation", "environment_state"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dilation(_ReadOnlyArrays):
     """System-environment unitary realization with pure environment input |0>_e.
 

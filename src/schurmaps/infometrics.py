@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import DensityMatrix, SchurChannel, _evolved
+from .channels import DensityMatrix, SchurChannel, _evolved, _kept_image
 from .decomposition import FlatDecomposition, _require_accepted, verify_decomposition
 from .dilation import _factor
 from .errors import DimensionMismatch, NotDistribution, VerificationFailure
@@ -145,10 +145,13 @@ def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyPro
     which the profile lets differ from 1, and may have eigenvalues down to
     -psd. Each entropy is judged and reported for its operator's spectrum
     clamped at 0 and divided by its sum, so that the inequality is that of
-    states and neither slack can turn an entropy negative. So, as for the
-    entropy-exchange operator, the spectrum of E(rho) is read straight from
-    the Schur product that :func:`~schurmaps.channels.apply_schrodinger`
-    builds, and nothing is validated: no state is built.
+    states and neither slack can turn an entropy negative. So nothing is
+    validated and no state is built. The spectrum of E(rho) is that of the
+    image that :func:`~schurmaps.channels.apply_schrodinger` kept on ``rho``
+    under ``ch.xi``, solved once and shared with a later read, where there
+    is one; else it is solved straight from the Schur product that
+    ``apply_schrodinger`` builds, as for the entropy-exchange operator. Both
+    are the same spectrum to the bit.
     """
 
     def of_state(vals):  # S of the positive part of a spectrum, normalized to unit sum
@@ -157,7 +160,8 @@ def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyPro
 
     s_ex = of_state(_exchange_eigenvalues(ch, rho))  # first: it checks the dimensions
     s_in = of_state(rho._eigenvalues)
-    s_out = of_state(_eigenvalues(_evolved(ch, rho, 1)))
+    image = _kept_image(ch, rho)
+    s_out = of_state(_eigenvalues(_evolved(ch, rho, 1)) if image is None else image._eigenvalues)
     return EntropyProductionReport(
         entropy_in=s_in,
         entropy_out=s_out,

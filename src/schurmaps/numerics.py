@@ -9,7 +9,7 @@ convention.
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,8 +69,31 @@ ENTROPY_SLACK = 1e-9  # slack of the entropy inequalities (bounds sandwich, entr
 MAJORIZATION_SLACK = 1e-10  # slack of the partial-sum comparisons in majorization_check
 
 
-@dataclass(frozen=True)
-class HermitianEigenResult:
+class _ArrayFields:
+    """Base of the dataclasses that hold arrays, each declared with ``eq=False``:
+    ``==`` compares two instances of one class field by field, an array by
+    ``np.array_equal`` (shape and entries), any other value by ``==``. No
+    instance hashes, as none did while the dataclass ``==`` compared arrays
+    as tuples."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _equal(a, b) -> bool:
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(np.array_equal(a, b))
+    return bool(a == b)
+
+
+@dataclass(frozen=True, eq=False)
+class HermitianEigenResult(_ArrayFields):
     """Eigenvalues sorted descending; column j of ``eigenvectors`` pairs with
     ``eigenvalues[j]``."""
 

@@ -39,7 +39,7 @@ def matrix_to_dict(m, kind: str) -> dict:
     mm = _numbers(m, complex, SerializationError)
     if mm.ndim != 2 or mm.shape[0] != mm.shape[1]:
         raise SerializationError(f"expected a square matrix, got shape {mm.shape}")
-    entries = [[z.real, z.imag] for z in mm.reshape(-1)]
+    entries = np.ascontiguousarray(mm).view(float).reshape(-1, 2).tolist()  # [re, im] rows
     return {"kind": kind, "dim": mm.shape[0], "entries": entries}
 
 

@@ -1,30 +1,52 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurmaps
 from schurmaps import (
+    DEFAULT_TOL,
+    BadCount,
     BadDiagonal,
+    CorrectionOutcomeRecord,
+    CorrelationMatrix,
     DensityMatrix,
+    Dilation,
+    EnvPovm,
+    FlatDecomposition,
+    HermitianEigenResult,
     NotPSD,
     SchurChannel,
     SchurMapsError,
+    ScreenPattern,
     ShapeMismatch,
+    ToleranceProfile,
     apply_heisenberg,
     apply_schrodinger,
     asymptotic_state,
     choi_operator,
+    decompose_identity_xi,
+    decompose_qubit,
     entropy_production_check,
     eraser_scenario,
     hermitian_eig,
     iterate,
     jamiolkowski_operator,
+    majorization_check,
+    run_correction,
     run_eraser,
+    screen_pattern,
+    serialize,
     validate_correlation,
 )
+from schurmaps import infometrics
+from schurmaps.channels import _evolved
 from schurmaps.numerics import _eigenvalues
-from conftest import random_correlation, random_density
+from conftest import random_correlation, random_density, random_pure
 
 
 def channel(m) -> SchurChannel:
@@ -382,3 +404,253 @@ class TestConvexity:
 def test_exported_dataclasses_declare_no_private_fields(cls):
     # what a value object keeps or carries lives in its instance, outside the fields
     assert not [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]
+
+
+# one instance, another equal to it, and a third that differs, for each exported
+# dataclass that holds an array, itself or in a field
+VALUE_SAMPLES = {
+    SchurChannel: lambda: (SchurChannel(validate_correlation(np.eye(2))),
+                           SchurChannel(validate_correlation(np.eye(2))),
+                           SchurChannel(validate_correlation(np.ones((2, 2))))),
+    DensityMatrix: lambda: (DensityMatrix.from_matrix(np.eye(2) / 2),
+                            DensityMatrix(2, np.eye(2, dtype=complex) / 2),
+                            DensityMatrix.pure([1, 0])),
+    CorrelationMatrix: lambda: (validate_correlation(np.eye(3)), CorrelationMatrix(3, np.eye(3)),
+                                validate_correlation(np.ones((3, 3)))),
+    FlatDecomposition: lambda: (decompose_identity_xi(2), decompose_identity_xi(2),
+                                decompose_identity_xi(3)),
+    ScreenPattern: lambda: (screen_pattern(DensityMatrix.pure([1, 1]), 8),
+                            screen_pattern(DensityMatrix.pure([1, 1]), 8),
+                            screen_pattern(DensityMatrix.pure([1, 1j]), 8)),
+    Dilation: lambda: (Dilation(2, 2, np.eye(2)), Dilation(2, 2, np.eye(2, dtype=complex)),
+                       Dilation(2, 2, np.eye(2)[::-1])),
+    EnvPovm: lambda: (EnvPovm(2, np.eye(2)), EnvPovm(2, np.eye(2)),
+                      EnvPovm(2, np.array([[1, 1], [1, -1]]) / np.sqrt(2))),
+    HermitianEigenResult: lambda: (hermitian_eig(np.diag([2.0, 1.0])),
+                                   hermitian_eig(np.diag([2.0, 1.0])),
+                                   hermitian_eig(np.diag([3.0, 1.0]))),
+    CorrectionOutcomeRecord: lambda: (
+        run_eraser(eraser_scenario(2), DensityMatrix.pure([1, 1]))[0][0],
+        run_eraser(eraser_scenario(2), DensityMatrix.pure([1, 1]))[0][0],
+        run_eraser(eraser_scenario(2), DensityMatrix.pure([1, 1]))[0][1],
+    ),
+}
+
+
+def holds_array(cls) -> bool:
+    return any(f.type is np.ndarray or (dataclasses.is_dataclass(f.type) and holds_array(f.type))
+               for f in dataclasses.fields(cls))
+
+
+def test_every_exported_array_holder_compares_by_value():
+    exported = [v for v in vars(schurmaps).values()
+                if isinstance(v, type) and dataclasses.is_dataclass(v)]
+    assert {cls for cls in exported if holds_array(cls)} == set(VALUE_SAMPLES)
+    for cls, make in VALUE_SAMPLES.items():
+        a, b, c = make()
+        assert type(a) is type(b) is type(c) is cls
+        assert a is not b and a == b and not a != b
+        assert a != c and not a == c
+        assert a != object()
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+# the profiles the certificate is tried under: the default, a loose one, and each zero slack
+PROFILES = [DEFAULT_TOL, ToleranceProfile(1e-6, 1e-6, 1e-6), ToleranceProfile(herm=0.0),
+            ToleranceProfile(psd=0.0), ToleranceProfile(tr=0.0)]
+COUNTS = [0, 1, 2, 5, 20, 400]
+
+
+def hermitian(a):
+    return (a + a.conj().T) / 2  # exactly Hermitian, so every zero-slack profile can take it
+
+
+@st.composite
+def image_inputs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    tol = draw(st.sampled_from(PROFILES))
+    kind = draw(st.sampled_from(["wishart", "rank-deficient", "identity", "ones"]))
+    if kind in ("wishart", "rank-deficient"):
+        r = d if kind == "wishart" else int(rng.integers(1, d + 1))
+        v = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        m_xi = hermitian(v @ v.conj().T)
+    else:
+        m_xi = np.eye(d) if kind == "identity" else np.ones((d, d))
+    if draw(st.booleans()):  # xi - s I over 1 - s: unit diagonal, a least eigenvalue >= -psd
+        s = rng.uniform() * tol.psd / (1 + tol.psd)
+        m_xi = (m_xi - s * np.eye(d)) / (1 - s)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    spectrum = draw(st.sampled_from(["mixed", "pure", "negative"]))
+    lam = np.eye(d)[0] if spectrum == "pure" else rng.dirichlet(np.ones(d))
+    if d > 1 and spectrum == "negative":  # a least eigenvalue in [-psd, 0]
+        lam[0] = -rng.uniform() * tol.psd
+        lam /= lam.sum()
+    m_rho = hermitian((q * lam) @ q.conj().T)
+    return m_xi, m_rho, tol, draw(st.sampled_from(COUNTS))
+
+
+def judged_as_full_check(ch, rho, n):
+    """iterate(ch, rho, n) against from_matrix of the same product: the same refusal,
+    or the same matrix, spectrum, deviation and profile; the image if it was certified."""
+    product = _evolved(ch, rho, n)
+    try:
+        full = DensityMatrix.from_matrix(product, rho._tol)
+    except SchurMapsError as exc:
+        with pytest.raises(SchurMapsError) as refused:
+            iterate(ch, rho, n)
+        assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+        return None
+    image = iterate(ch, rho, n)
+    certified = image._eigvals is None
+    assert image.matrix.tobytes() == full.matrix.tobytes()
+    assert image._eigenvalues.tobytes() == full._eigvals.tobytes()
+    assert repr(image._dev) == repr(full._dev) and image._tol is rho._tol
+    assert not image.matrix.flags.writeable and not image._eigenvalues.flags.writeable
+    return image if certified else None
+
+
+class TestCertifiedImage:
+    """iterate judges (xi^T)^(o n) o rho by a certificate from what xi and rho carry,
+    and accepts only what the full check of from_matrix accepts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(image_inputs())
+    def test_certificate_accepts_only_what_the_full_check_accepts(self, inputs):
+        m_xi, m_rho, tol, n = inputs
+        try:
+            ch = SchurChannel(validate_correlation(m_xi, tol))
+            rho = DensityMatrix.from_matrix(m_rho, tol)
+        except SchurMapsError:  # a zero-slack profile refuses most drawn inputs
+            return
+        image = judged_as_full_check(ch, rho, n)
+        if image is not None:  # a certified image is an input that carries its facts
+            judged_as_full_check(ch, image, 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_default_profile_validates_no_image(self, rng, monkeypatch, d):
+        ch = SchurChannel(random_correlation(rng, d))
+        states = [random_density(rng, d), DensityMatrix.from_matrix(random_pure(rng, d).matrix)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated a state")
+
+        monkeypatch.setattr(DensityMatrix, "from_matrix", refuse)
+        for rho in states:
+            for image in [apply_schrodinger(ch, rho)] + [iterate(ch, rho, n) for n in (0, 1, 5, 20)]:
+                assert image._eigvals is None and image._dev is not None
+                assert image._tol is rho._tol
+
+    def test_certified_spectrum_is_kept_from_its_first_read(self, rng):
+        rho = random_density(rng, 3)
+        image = iterate(SchurChannel(random_correlation(rng, 3)), rho, 2)
+        vals = image._eigenvalues
+        assert image._eigenvalues is vals
+        assert vals.tobytes() == _eigenvalues(image.matrix).tobytes()
+
+    def test_states_without_facts_take_the_full_check(self, rng, monkeypatch):
+        # a directly built xi or rho carries no facts, so the image is validated
+        xi = random_correlation(rng, 3)
+        rho = random_density(rng, 3)
+        calls = []
+        full = DensityMatrix.from_matrix
+        monkeypatch.setattr(DensityMatrix, "from_matrix",
+                            lambda m, tol=DEFAULT_TOL: calls.append(1) or full(m, tol))
+        for ch, state in [(SchurChannel(CorrelationMatrix(3, xi.matrix)), rho),
+                          (SchurChannel(xi), DensityMatrix(3, rho.matrix))]:
+            calls.clear()
+            assert iterate(ch, state, 1)._eigvals is not None and calls == [1]
+
+    def test_uncountable_count(self, rng):
+        # numpy takes a count as a double; one beyond a double's range is refused
+        ch = SchurChannel(random_correlation(rng, 3))
+        rho = random_density(rng, 3)
+        for n in (10**400, 2**1024):
+            with pytest.raises(BadCount):
+                iterate(ch, rho, n)
+        for n in (2**63, 10**20, 10**300):
+            expected = np.power(ch.xi.matrix.T, n) * rho.matrix
+            assert iterate(ch, rho, n).matrix.tobytes() == expected.tobytes()
+
+
+class TestKeptImage:
+    """A state with a read-only matrix keeps its image under the last xi object."""
+
+    def test_same_xi_object_returns_the_kept_image(self, rng):
+        xi, rho = random_correlation(rng, 3), random_density(rng, 3)
+        image = apply_schrodinger(SchurChannel(xi), rho)
+        assert apply_schrodinger(SchurChannel(xi), rho) is image
+        assert rho._image == (xi, image) and rho._image[0] is xi
+
+    def test_another_xi_gets_a_fresh_image(self, rng):
+        xi, rho = random_correlation(rng, 3), random_density(rng, 3)
+        image = apply_schrodinger(SchurChannel(xi), rho)
+        twin = validate_correlation(xi.matrix)  # equal, but another object
+        fresh = apply_schrodinger(SchurChannel(twin), rho)
+        assert fresh is not image and fresh == image
+        assert rho._image[0] is twin and rho._image[1] is fresh
+        other = apply_schrodinger(SchurChannel(random_correlation(rng, 3)), rho)
+        assert other != image and rho._image[1] is other
+
+    def test_writeable_state_keeps_no_image(self, rng):
+        rho = DensityMatrix(3, np.array(random_density(rng, 3).matrix))
+        ch = SchurChannel(random_correlation(rng, 3))
+        image = apply_schrodinger(ch, rho)
+        assert rho._image is None and "_image" not in vars(rho)
+        assert apply_schrodinger(ch, rho) is not image
+
+    def test_pickle_and_copy_of_a_state_with_a_kept_image(self, rng):
+        ch = SchurChannel(random_correlation(rng, 3))
+        rho = random_density(rng, 3)
+        image = apply_schrodinger(ch, rho)
+        back = pickle.loads(pickle.dumps(rho))
+        assert back == rho and back._image[1] == image
+        assert not back.matrix.flags.writeable and not back._image[1].matrix.flags.writeable
+        assert apply_schrodinger(SchurChannel(back._image[0]), back) is back._image[1]
+        assert apply_schrodinger(ch, back) == image  # a fresh image: ch.xi is not back's
+        shallow = copy.copy(rho)
+        assert shallow.matrix is rho.matrix and apply_schrodinger(ch, shallow) is image
+
+    def test_entropy_check_reads_the_kept_spectrum(self, rng, monkeypatch):
+        ch = SchurChannel(random_correlation(rng, 4))
+        rho = random_density(rng, 4)
+        before = entropy_production_check(ch, rho)
+        image = apply_schrodinger(ch, rho)
+
+        def refuse(*args):
+            raise AssertionError("solved the product again")
+
+        monkeypatch.setattr(infometrics, "_evolved", refuse)
+        assert entropy_production_check(ch, rho) == before
+        assert image._eigvals is not None  # solved by the check, kept for majorization_check
+        assert majorization_check(image)
+
+
+@pytest.mark.parametrize(
+    "m_xi, dec",
+    [(np.array([[1, 0.3 + 0.2j], [0.3 - 0.2j, 1]]), "qubit"), (np.eye(3), "identity")],
+)
+def test_eigensolves_per_small_request(rng, monkeypatch, m_xi, dec):
+    # validate xi and rho, E(rho) and E^5(rho), a correction, the entropy and
+    # majorization checks and a JSON round trip: xi, rho, the exchange operator,
+    # E(rho) once, shared by the checks, and the round trip's state
+    d = m_xi.shape[0]
+    dec = decompose_qubit(validate_correlation(m_xi)) if dec == "qubit" else decompose_identity_xi(d)
+    m_rho = random_density(rng, d).matrix
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k)
+        )
+    ch = SchurChannel(validate_correlation(m_xi))
+    rho = DensityMatrix.from_matrix(m_rho)
+    out = apply_schrodinger(ch, rho)
+    out_n = iterate(ch, rho, 5)
+    run_correction(ch, dec, rho)
+    assert entropy_production_check(ch, rho).satisfied
+    assert majorization_check(out)
+    serialize.density_from_dict(serialize.matrix_to_dict(out_n.matrix, "state"))
+    assert len(calls) == 5

@@ -76,6 +76,14 @@ class TestEvolve:
         assert "nonnegative" in capsys.readouterr().err
         assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
 
+    def test_count_beyond_a_double_exits_2_without_files(self, workdir, capsys):
+        xp = write_matrix(workdir / "xi.json", np.eye(2), "correlation")
+        rp = write_matrix(workdir / "rho.json", np.eye(2) / 2, "state")
+        assert main(["--out", "ev", "evolve", xp, rp, str(10**400)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: iteration count") and err.count("\n") == 1
+        assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
+
     def test_decay_slope(self, workdir):
         xi = np.array([[1, 0.5], [0.5, 1]])
         rho = np.full((2, 2), 0.5)

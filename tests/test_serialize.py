@@ -59,6 +59,24 @@ class TestMatrixEnvelope:
         with pytest.raises(SerializationError):
             serialize.matrix_from_dict(obj)
 
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_entries_are_those_of_each_scalar(self, rng, indent):
+        # the entries taken in one pass write the JSON that [z.real, z.imag] per numpy
+        # scalar wrote, byte for byte
+        special = np.array([[-0.0, np.inf], [-np.inf, np.nan]], dtype=complex)
+        special[0, 1] += complex(0, -0.0)
+        special[1, 0] += complex(0, np.nan)
+        cases = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (1, 2, 4, 7)]
+        cases += [special, complex(-0.0, -0.0) * np.ones((2, 2)), rng.normal(size=(3, 3))]
+        cases += [(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).T]
+        for m in cases:
+            mm = np.asarray(m, dtype=complex)
+            expected = {"kind": "state", "dim": mm.shape[0],
+                        "entries": [[z.real, z.imag] for z in mm.reshape(-1)]}
+            got = serialize.matrix_to_dict(m, "state")
+            assert json.dumps(got, indent=indent) == json.dumps(expected, indent=indent)
+            assert all(type(x) is float for entry in got["entries"] for x in entry)
+
     def test_integral_float_dim_accepted(self):
         kind, m = serialize.matrix_from_dict({"kind": "state", "dim": 1.0, "entries": [[2, 0]]})
         assert m.shape == (1, 1) and m[0, 0] == 2

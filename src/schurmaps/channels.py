@@ -8,6 +8,7 @@ standard basis here.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,16 +80,21 @@ class DensityMatrix(_ReadOnlyArrays):
     deviation max |rho_kl - conj(rho_lk)| that the validation computed; an
     image that :func:`iterate` certified carries its deviation and solves its
     spectrum on first read; a state built any other way carries neither. A
-    state whose matrix is read-only keeps its image under the last
-    correlation matrix :func:`apply_schrodinger` sent it through. ``==``
-    compares ``dim`` and the matrix entries, and a pickle round trip keeps
-    its arrays read-only."""
+    state that carries its deviation points weakly to its image under the
+    last correlation matrix :func:`apply_schrodinger` sent it through.
+    ``==`` compares ``dim`` and the matrix entries, and a pickle round trip
+    keeps its arrays read-only and drops that pointer."""
 
     dim: int
     matrix: np.ndarray
     # class defaults, not fields: a state carries its own in its instance
     _eigvals = _dev = _image = None
     _tol = DEFAULT_TOL
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_image", None)  # a weak reference, which pickle cannot carry
+        return state
 
     @property
     def _eigenvalues(self) -> np.ndarray:
@@ -225,23 +231,23 @@ def apply_schrodinger(ch: SchurChannel, rho: DensityMatrix) -> DensityMatrix:
     the decoherence basis, never omitted): :func:`iterate` once, so judged
     under, and carrying, the profile of ``rho``.
 
-    A ``rho`` whose matrix is read-only keeps the image in one slot, with the
-    correlation matrix object it came from: a repeat call with the same
-    ``ch.xi`` object returns the kept image, and
-    :func:`~schurmaps.infometrics.entropy_production_check` reads its
-    spectrum. A call with another correlation matrix replaces the slot."""
-    image = _kept_image(ch, rho)
-    if image is None:
-        image = iterate(ch, rho, 1)
-        if not rho.matrix.flags.writeable:
-            object.__setattr__(rho, "_image", (ch.xi, image))
+    Every call builds the image afresh. A validated ``rho`` (one that carries
+    its Hermitian deviation, so its matrix is its own) points to it in one
+    slot, ``(ch.xi, weak reference to the image)``, which the next call
+    replaces; :func:`~schurmaps.infometrics.entropy_production_check` reads
+    the image's spectrum there while the caller holds the image. A weak
+    reference keeps no image alive, so a chain of calls holds no chain of
+    states, and a pickle or deep copy of ``rho`` leaves the slot out."""
+    image = iterate(ch, rho, 1)
+    if rho._dev is not None:
+        object.__setattr__(rho, "_image", (ch.xi, weakref.ref(image)))
     return image
 
 
 def _kept_image(ch: SchurChannel, rho: DensityMatrix):
-    """The image of ``rho`` that :func:`apply_schrodinger` kept under ``ch.xi``, or None."""
+    """The live image of ``rho`` under ``ch.xi`` that :func:`apply_schrodinger` built, or None."""
     kept = rho._image
-    return kept[1] if kept is not None and kept[0] is ch.xi else None
+    return kept[1]() if kept is not None and kept[0] is ch.xi else None
 
 
 def iterate(ch: SchurChannel, rho: DensityMatrix, n: int) -> DensityMatrix:

@@ -147,11 +147,12 @@ def entropy_production_check(ch: SchurChannel, rho: DensityMatrix) -> EntropyPro
     clamped at 0 and divided by its sum, so that the inequality is that of
     states and neither slack can turn an entropy negative. So nothing is
     validated and no state is built. The spectrum of E(rho) is that of the
-    image that :func:`~schurmaps.channels.apply_schrodinger` kept on ``rho``
-    under ``ch.xi``, solved once and shared with a later read, where there
-    is one; else it is solved straight from the Schur product that
-    ``apply_schrodinger`` builds, as for the entropy-exchange operator. Both
-    are the same spectrum to the bit.
+    image that :func:`~schurmaps.channels.apply_schrodinger` last built from
+    a validated ``rho`` under ``ch.xi``, solved once and shared with a later
+    read, while the caller still holds that image; else it is solved
+    straight from the Schur product that ``apply_schrodinger`` builds, as
+    for the entropy-exchange operator. Both are the same spectrum to the
+    bit.
     """
 
     def of_state(vals):  # S of the positive part of a spectrum, normalized to unit sum

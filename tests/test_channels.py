@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -576,42 +577,69 @@ class TestCertifiedImage:
 
 
 class TestKeptImage:
-    """A state with a read-only matrix keeps its image under the last xi object."""
+    """A validated state points weakly to its image under the last xi object, for
+    entropy_production_check to read while the caller holds the image."""
 
-    def test_same_xi_object_returns_the_kept_image(self, rng):
+    def test_each_call_builds_the_image_and_points_to_it(self, rng):
         xi, rho = random_correlation(rng, 3), random_density(rng, 3)
         image = apply_schrodinger(SchurChannel(xi), rho)
-        assert apply_schrodinger(SchurChannel(xi), rho) is image
-        assert rho._image == (xi, image) and rho._image[0] is xi
+        again = apply_schrodinger(SchurChannel(xi), rho)
+        assert again is not image and again == image
+        assert rho._image[0] is xi and rho._image[1]() is again
+        other = SchurChannel(random_correlation(rng, 3))
+        fresh = apply_schrodinger(other, rho)
+        assert fresh != image and rho._image[0] is other.xi and rho._image[1]() is fresh
+        # the pointer is keyed by the xi object: another channel solves its own product
+        twin = SchurChannel(validate_correlation(xi.matrix))
+        solved = entropy_production_check(twin, DensityMatrix(3, rho.matrix))
+        assert entropy_production_check(twin, rho) == solved
 
-    def test_another_xi_gets_a_fresh_image(self, rng):
-        xi, rho = random_correlation(rng, 3), random_density(rng, 3)
-        image = apply_schrodinger(SchurChannel(xi), rho)
-        twin = validate_correlation(xi.matrix)  # equal, but another object
-        fresh = apply_schrodinger(SchurChannel(twin), rho)
-        assert fresh is not image and fresh == image
-        assert rho._image[0] is twin and rho._image[1] is fresh
-        other = apply_schrodinger(SchurChannel(random_correlation(rng, 3)), rho)
-        assert other != image and rho._image[1] is other
-
-    def test_writeable_state_keeps_no_image(self, rng):
-        rho = DensityMatrix(3, np.array(random_density(rng, 3).matrix))
+    def test_state_built_directly_keeps_no_pointer(self, rng):
+        # a read-only view of a caller's writeable array: a later change must show
         ch = SchurChannel(random_correlation(rng, 3))
+        base = np.array(random_density(rng, 3).matrix)
+        view = base.view()
+        view.flags.writeable = False
+        rho = DensityMatrix(3, view)
         image = apply_schrodinger(ch, rho)
         assert rho._image is None and "_image" not in vars(rho)
-        assert apply_schrodinger(ch, rho) is not image
+        base[...] = random_density(rng, 3).matrix
+        assert not np.array_equal(image.matrix, _evolved(ch, rho, 1))
+        assert entropy_production_check(ch, rho) == entropy_production_check(
+            ch, DensityMatrix(3, np.array(base))
+        )
 
-    def test_pickle_and_copy_of_a_state_with_a_kept_image(self, rng):
+    def test_a_chain_of_calls_holds_no_chain_of_states(self, rng):
+        ch = SchurChannel(random_correlation(rng, 3))
+        rho = random_density(rng, 3)
+        state, early = rho, []
+        for k in range(2000):
+            state = apply_schrodinger(ch, state)
+            if k < 3:
+                early.append(weakref.ref(state))
+        assert all(ref() is None for ref in early)  # each freed once the loop moved on
+        for back in (pickle.loads(pickle.dumps(rho)), copy.deepcopy(rho)):
+            assert back == rho and "_image" not in vars(back)
+
+    def test_pickle_and_copies_of_a_state_that_points_to_its_image(self, rng):
         ch = SchurChannel(random_correlation(rng, 3))
         rho = random_density(rng, 3)
         image = apply_schrodinger(ch, rho)
-        back = pickle.loads(pickle.dumps(rho))
-        assert back == rho and back._image[1] == image
-        assert not back.matrix.flags.writeable and not back._image[1].matrix.flags.writeable
-        assert apply_schrodinger(SchurChannel(back._image[0]), back) is back._image[1]
-        assert apply_schrodinger(ch, back) == image  # a fresh image: ch.xi is not back's
-        shallow = copy.copy(rho)
-        assert shallow.matrix is rho.matrix and apply_schrodinger(ch, shallow) is image
+        report = entropy_production_check(ch, rho)
+        for back in (pickle.loads(pickle.dumps(rho)), copy.deepcopy(rho)):
+            assert back == rho and "_image" not in vars(back)
+            assert not back.matrix.flags.writeable
+            assert entropy_production_check(ch, back) == report
+        shallow = copy.copy(rho)  # shares the matrix, so the image is its image too
+        assert shallow.matrix is rho.matrix and shallow._image[1]() is image
+
+    def test_a_freed_image_is_solved_again(self, rng):
+        ch = SchurChannel(random_correlation(rng, 4))
+        rho = random_density(rng, 4)
+        before = entropy_production_check(ch, rho)
+        apply_schrodinger(ch, rho)  # not held, so freed at once
+        assert rho._image[1]() is None
+        assert entropy_production_check(ch, rho) == before
 
     def test_entropy_check_reads_the_kept_spectrum(self, rng, monkeypatch):
         ch = SchurChannel(random_correlation(rng, 4))

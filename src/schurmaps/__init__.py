@@ -4,84 +4,102 @@ Correlation-matrix channels, their unitary dilations, random-unitary
 decompositions, environment-assisted correction (including the
 d-dimensional quantum eraser), and the information-flow bounds relating
 them. All entropies are in bits.
+
+The public names below are loaded on first access (PEP 562): ``import
+schurmaps`` imports no submodule, and ``schurmaps.X`` or ``from schurmaps
+import X`` imports the one submodule that defines ``X``.
 """
 
-from .channels import (
-    CorrelationMatrix,
-    DensityMatrix,
-    SchurChannel,
-    apply_heisenberg,
-    apply_schrodinger,
-    asymptotic_state,
-    choi_operator,
-    iterate,
-    jamiolkowski_operator,
-    validate_correlation,
-)
-from .correction import (
-    CorrectionOutcomeRecord,
-    EnvPovm,
-    EraserScenario,
-    ScreenPattern,
-    dilation_from_decomposition,
-    eraser_scenario,
-    run_correction,
-    run_eraser,
-    screen_pattern,
-    which_way_readout,
-)
-from .decomposition import (
-    ExtremalityResult,
-    ExtremalityVerdict,
-    FlatDecomposition,
-    SearchConfig,
-    VerificationReport,
-    decompose,
-    decompose_identity_xi,
-    decompose_qubit,
-    extremality_test,
-    flat_search,
-    reconstruct_xi,
-    verify_decomposition,
-)
-from .dilation import Dilation, build_dilation, environment_state, kolmogorov_vectors
-from .errors import (
-    BadCount,
-    BadDiagonal,
-    BadDimension,
-    BadTolerance,
-    DimensionMismatch,
-    NoDecompositionFound,
-    NotDistribution,
-    NotHermitian,
-    NotPSD,
-    NotSquare,
-    NotState,
-    RecoveryFailure,
-    SchurMapsError,
-    SerializationError,
-    ShapeMismatch,
-    VerificationFailure,
-)
-from .infometrics import (
-    BoundsReport,
-    EntropyProductionReport,
-    bounds_report,
-    entropy_exchange,
-    entropy_exchange_from_decomposition,
-    entropy_production_check,
-    majorization_check,
-    shannon_entropy,
-)
-from .numerics import (
-    DEFAULT_TOL,
-    HermitianEigenResult,
-    ToleranceProfile,
-    hermitian_eig,
-    partial_trace_env,
-    partial_trace_sys,
-    schur_product,
-    von_neumann_entropy,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# each public name and the submodule that defines it
+_SUBMODULE = {
+    "CorrelationMatrix": "channels",
+    "DensityMatrix": "channels",
+    "SchurChannel": "channels",
+    "apply_heisenberg": "channels",
+    "apply_schrodinger": "channels",
+    "asymptotic_state": "channels",
+    "choi_operator": "channels",
+    "iterate": "channels",
+    "jamiolkowski_operator": "channels",
+    "validate_correlation": "channels",
+    "CorrectionOutcomeRecord": "correction",
+    "EnvPovm": "correction",
+    "EraserScenario": "correction",
+    "ScreenPattern": "correction",
+    "dilation_from_decomposition": "correction",
+    "eraser_scenario": "correction",
+    "run_correction": "correction",
+    "run_eraser": "correction",
+    "screen_pattern": "correction",
+    "which_way_readout": "correction",
+    "ExtremalityResult": "decomposition",
+    "ExtremalityVerdict": "decomposition",
+    "FlatDecomposition": "decomposition",
+    "SearchConfig": "decomposition",
+    "VerificationReport": "decomposition",
+    "decompose": "decomposition",
+    "decompose_identity_xi": "decomposition",
+    "decompose_qubit": "decomposition",
+    "extremality_test": "decomposition",
+    "flat_search": "decomposition",
+    "reconstruct_xi": "decomposition",
+    "verify_decomposition": "decomposition",
+    "Dilation": "dilation",
+    "build_dilation": "dilation",
+    "environment_state": "dilation",
+    "kolmogorov_vectors": "dilation",
+    "BadCount": "errors",
+    "BadDiagonal": "errors",
+    "BadDimension": "errors",
+    "BadTolerance": "errors",
+    "DimensionMismatch": "errors",
+    "NoDecompositionFound": "errors",
+    "NotDistribution": "errors",
+    "NotHermitian": "errors",
+    "NotPSD": "errors",
+    "NotSquare": "errors",
+    "NotState": "errors",
+    "RecoveryFailure": "errors",
+    "SchurMapsError": "errors",
+    "SerializationError": "errors",
+    "ShapeMismatch": "errors",
+    "VerificationFailure": "errors",
+    "BoundsReport": "infometrics",
+    "EntropyProductionReport": "infometrics",
+    "bounds_report": "infometrics",
+    "entropy_exchange": "infometrics",
+    "entropy_exchange_from_decomposition": "infometrics",
+    "entropy_production_check": "infometrics",
+    "majorization_check": "infometrics",
+    "shannon_entropy": "infometrics",
+    "DEFAULT_TOL": "numerics",
+    "HermitianEigenResult": "numerics",
+    "ToleranceProfile": "numerics",
+    "hermitian_eig": "numerics",
+    "partial_trace_env": "numerics",
+    "partial_trace_sys": "numerics",
+    "schur_product": "numerics",
+    "von_neumann_entropy": "numerics",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    """A public name, from its submodule on first access; it is then kept in the
+    package's globals, so every later access is a plain lookup."""
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

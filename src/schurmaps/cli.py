@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 validation failure (including any failed
 allocation, such as a size too large to allocate), 3 verification/recovery
 failure (including an exhausted decomposition search), 4 I/O or parse
 error. All randomness sits behind --seed (default 0), so identical
-invocations produce identical files.
+invocations produce identical files. Each subcommand imports the library
+modules it calls when it runs, so a process loads only what its subcommand
+needs.
 """
 
 import argparse
@@ -16,8 +18,6 @@ import numpy as np
 
 from . import serialize
 from .channels import DensityMatrix, SchurChannel, asymptotic_state, iterate
-from .correction import eraser_scenario, run_correction, run_eraser, screen_pattern
-from .decomposition import decompose, extremality_test, verify_decomposition
 from .errors import (
     NoDecompositionFound,
     RecoveryFailure,
@@ -25,13 +25,13 @@ from .errors import (
     SerializationError,
     VerificationFailure,
 )
-from .infometrics import bounds_report, shannon_entropy
 from .numerics import DEFAULT_TOL, ToleranceProfile
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNVERIFIED = 3
 EXIT_IO = 4
+DECAY_EVERY_N = 1000  # evolve's decay table has a row for every n up to this
 
 
 def _load_tol(path) -> ToleranceProfile:
@@ -52,6 +52,8 @@ def _emit(args, obj, table_lines):
 
 
 def cmd_validate(args, tol: ToleranceProfile) -> int:
+    from .decomposition import extremality_test
+
     xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     ch = SchurChannel(xi)
     ext = extremality_test(xi)
@@ -90,13 +92,28 @@ def cmd_evolve(args, tol: ToleranceProfile) -> int:
     serialize.write_csv(
         csv_path,
         ["n"] + [f"abs_rho_{a}_{b}" for a, b in zip(k, l)],
-        ([n] + [abs(z) for z in np.power(xi_t, n) * rho_kl] for n in range(args.n + 1)),
+        ([n] + [abs(z) for z in np.power(xi_t, n) * rho_kl] for n in _decay_counts(args.n)),
     )
     print(f"wrote {prefix}_state.json and {csv_path}")
     return EXIT_OK
 
 
+def _decay_counts(count: int):
+    """The n of evolve's decay table: every n up to ``DECAY_EVERY_N``, then
+    ``DECAY_EVERY_N * 2**j`` (j >= 1) below ``count``, then ``count`` itself, so
+    any count that fits in a double takes at most 2,016 rows."""
+    yield from range(min(count, DECAY_EVERY_N) + 1)
+    n = 2 * DECAY_EVERY_N
+    while n < count:
+        yield n
+        n *= 2
+    if count > DECAY_EVERY_N:
+        yield count
+
+
 def cmd_decompose(args, tol: ToleranceProfile) -> int:
+    from .decomposition import decompose, verify_decomposition
+
     xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     dec = decompose(xi, args.seed)
     report = verify_decomposition(xi, dec)
@@ -121,6 +138,9 @@ def cmd_decompose(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_correct(args, tol: ToleranceProfile) -> int:
+    from .correction import run_correction
+    from .decomposition import decompose
+
     xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     rho = serialize.density_from_dict(serialize.load_json(args.rho), tol)
     ch = SchurChannel(xi)
@@ -156,6 +176,9 @@ def cmd_correct(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_eraser(args, tol: ToleranceProfile) -> int:
+    from .correction import eraser_scenario, run_eraser, screen_pattern
+    from .infometrics import shannon_entropy
+
     scenario = eraser_scenario(args.d)
     if args.state:
         rho = serialize.density_from_dict(serialize.load_json(args.state), tol)
@@ -187,6 +210,8 @@ def cmd_eraser(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_bounds(args, tol: ToleranceProfile) -> int:
+    from .infometrics import bounds_report
+
     xi = serialize.correlation_from_dict(serialize.load_json(args.xi), tol)
     ch = SchurChannel(xi)
     dec = None

@@ -52,6 +52,7 @@ __all__ = [
     "run_correction",
     "eraser_scenario",
     "run_eraser",
+    "which_way_readout",
     "screen_pattern",
 ]
 

@@ -9,13 +9,16 @@ repr, so every file the library writes reads back bit-exactly.
 
 import json
 import numbers
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import CorrelationMatrix, DensityMatrix, validate_correlation
-from .decomposition import FlatDecomposition
 from .errors import SerializationError
 from .numerics import DEFAULT_TOL, ToleranceProfile, _numbers
+
+if TYPE_CHECKING:  # imported where it is built, so reading matrices loads no decomposition
+    from .decomposition import FlatDecomposition
 
 __all__ = [
     "matrix_to_dict",
@@ -107,7 +110,7 @@ def correlation_from_dict(obj, tol: ToleranceProfile = DEFAULT_TOL) -> Correlati
     return validate_correlation(_matrix_of_kind(obj, "correlation"), tol)
 
 
-def decomposition_to_dict(dec: FlatDecomposition) -> dict:
+def decomposition_to_dict(dec: "FlatDecomposition") -> dict:
     return {
         "dim": dec.dim,
         "weights": [float(w) for w in dec.weights],
@@ -115,7 +118,9 @@ def decomposition_to_dict(dec: FlatDecomposition) -> dict:
     }
 
 
-def decomposition_from_dict(obj) -> FlatDecomposition:
+def decomposition_from_dict(obj) -> "FlatDecomposition":
+    from .decomposition import FlatDecomposition
+
     try:
         dim = _dim(obj["dim"])
         weights = np.asarray(obj["weights"], dtype=float)

@@ -397,11 +397,14 @@ class TestConvexity:
         assert np.max(np.abs(out_mixed - out_parts)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "cls",
-    [v for v in vars(schurmaps).values() if isinstance(v, type) and dataclasses.is_dataclass(v)],
-    ids=lambda cls: cls.__name__,
-)
+def exported_dataclasses():
+    """Every dataclass the package exports; the package loads its names on first access,
+    so they are read through ``__all__``, not from the names touched so far."""
+    exported = (getattr(schurmaps, name) for name in schurmaps.__all__)
+    return [v for v in exported if isinstance(v, type) and dataclasses.is_dataclass(v)]
+
+
+@pytest.mark.parametrize("cls", exported_dataclasses(), ids=lambda cls: cls.__name__)
 def test_exported_dataclasses_declare_no_private_fields(cls):
     # what a value object keeps or carries lives in its instance, outside the fields
     assert not [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]
@@ -444,9 +447,7 @@ def holds_array(cls) -> bool:
 
 
 def test_every_exported_array_holder_compares_by_value():
-    exported = [v for v in vars(schurmaps).values()
-                if isinstance(v, type) and dataclasses.is_dataclass(v)]
-    assert {cls for cls in exported if holds_array(cls)} == set(VALUE_SAMPLES)
+    assert {cls for cls in exported_dataclasses() if holds_array(cls)} == set(VALUE_SAMPLES)
     for cls, make in VALUE_SAMPLES.items():
         a, b, c = make()
         assert type(a) is type(b) is type(c) is cls

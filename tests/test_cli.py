@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurmaps import FlatDecomposition, cli, decompose_identity_xi, serialize
+from schurmaps import FlatDecomposition, correction, decompose_identity_xi, decomposition, serialize
 from schurmaps.cli import main
 from conftest import random_correlation, random_density, src_env
 
@@ -83,6 +83,36 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error: iteration count") and err.count("\n") == 1
         assert sorted(p.name for p in workdir.iterdir()) == ["rho.json", "xi.json"]
+
+    def test_decay_rows_above_a_thousand_double_up_to_the_count(self, workdir):
+        xi = np.array([[1, 0.5j], [-0.5j, 1]])
+        rho = np.full((2, 2), 0.5)
+        xp = write_matrix(workdir / "xi.json", xi, "correlation")
+        rp = write_matrix(workdir / "rho.json", rho, "state")
+        assert main(["--out", "run", "evolve", xp, rp, "5000"]) == 0
+        rows = [line.split(",") for line in Path("run_decay.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1001)) + [2000, 4000, 5000]
+        # each row is the closed form |xi_10^n rho_01|, which underflows to 0 past n ~ 1075
+        assert [float(r[1]) for r in rows[:3]] == [0.5, 0.25, 0.125]
+        assert float(rows[1000][1]) == pytest.approx(0.5**1001, rel=1e-12)
+        assert float(rows[-1][1]) == 0.0
+
+    def test_huge_count_writes_a_small_table_ending_at_the_count(self, workdir):
+        # a unit-modulus coherence keeps its magnitude at every n, however large
+        xi = np.array([[1, 1j], [-1j, 1]])
+        rho = np.full((2, 2), 0.5)
+        xp = write_matrix(workdir / "xi.json", xi, "correlation")
+        rp = write_matrix(workdir / "rho.json", rho, "state")
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurmaps.cli", "--out", "ev", "evolve", xp, rp,
+             str(10**300)],
+            env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in Path("ev_decay.csv").read_text().splitlines()[1:]]
+        assert 1001 < len(rows) <= 2100
+        assert float(rows[-1][0]) == float(10**300)
+        assert all(float(r[1]) == pytest.approx(0.5, abs=1e-12) for r in rows)
 
     def test_decay_slope(self, workdir):
         xi = np.array([[1, 0.5], [0.5, 1]])
@@ -274,7 +304,7 @@ class TestEraser:
         def allocate(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, callee, allocate)
+        monkeypatch.setattr(correction, callee, allocate)
         assert main(["eraser", "--d", "2"] + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {message}"]
 
@@ -387,7 +417,7 @@ class TestBadInput:
         # |u| = 1 + 2e-9 passes the residual check but would give a recovered trace 1 + 4e-9
         clock = decompose_identity_xi(3)
         off_flat = FlatDecomposition(3, clock.weights, clock.phase_vectors * (1 + 2e-9))
-        monkeypatch.setattr(cli, "decompose", lambda xi, seed: off_flat)
+        monkeypatch.setattr(decomposition, "decompose", lambda xi, seed: off_flat)
         xp = write_matrix(workdir / "xi.json", np.eye(3), "correlation")
         rp = write_matrix(workdir / "rho.json", np.eye(3) / 3, "state")
         assert main(["decompose", xp]) == 3

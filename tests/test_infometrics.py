@@ -209,7 +209,7 @@ class TestEntropyProduction:
             assert s >= 0.0
 
     def test_apply_schrodinger_still_refuses_the_off_hermitian_pair(self):
-        # the raw full check of a derived state (ROADMAP item 3), still open here
+        # the raw full check of a derived state (ROADMAP item 4), still open here
         m_xi, m_rho = self.OFF_HERMITIAN_PAIR
         ch = SchurChannel(validate_correlation(m_xi))
         with pytest.raises(NotHermitian):

@@ -433,14 +433,13 @@ class TestProfileAppliedOnce:
 
 def entry_points():
     """(name, callable) for every public function and class of the package and of
-    ``serialize``, and every public method of those classes. The package defines no
-    ``__all__``: its public names are those without a leading underscore."""
-    package = [n for n, obj in vars(schurmaps).items() if not inspect.ismodule(obj)]
-    modules = (("", schurmaps, package), ("serialize.", serialize, serialize.__all__))
+    ``serialize``, and every public method of those classes: the names of each
+    module's ``__all__``, which the package loads on first access."""
+    modules = (("", schurmaps, schurmaps.__all__), ("serialize.", serialize, serialize.__all__))
     for prefix, module, names in modules:
         for name in names:
             obj = getattr(module, name)
-            if name.startswith("_") or not callable(obj):
+            if not callable(obj):
                 continue
             if inspect.isclass(obj) and issubclass(obj, BaseException):
                 continue  # errors take a message

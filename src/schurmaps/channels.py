@@ -148,7 +148,8 @@ class CorrelationMatrix(_ReadOnlyArrays):
     carries the profile it was validated under (``DEFAULT_TOL`` when built
     directly), under which a decomposition of it is judged, and, once
     :func:`~schurmaps.dilation.kolmogorov_vectors` has factored it, that
-    factor and the spectrum it was taken from. Validated by
+    factor and the spectrum it was taken from, and once its face has been
+    counted, its rank and Li-Tam count. Validated by
     :func:`validate_correlation`, it also carries the least eigenvalue of its
     Hermitian part and its Hermitian deviation, which :func:`iterate`'s
     certificate reads; built directly, it carries neither. ``==`` compares
@@ -207,7 +208,7 @@ def validate_correlation(m, tol: ToleranceProfile = DEFAULT_TOL) -> CorrelationM
     Hermitian part and the Hermitian deviation of the input, which snapping
     the diagonal can only lower.
     """
-    mm, herm_dev = _hermitian_copy(m, tol)
+    mm, herm_dev, _ = _hermitian_copy(m, tol)  # its adjoint misses the snapped diagonal
     dev = abs(mm.diagonal() - 1.0)
     if not dev.max() <= tol.tr:  # NaN fails: max propagates it
         k = int(np.argmax(~(dev <= tol.tr)))  # the first bad entry

@@ -9,6 +9,7 @@ frame of the clock decomposition.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,15 +95,20 @@ class CorrectionOutcomeRecord(_ReadOnlyArrays):
     conditional_state: DensityMatrix  # post-measurement, pre-correction
     corrected_state: DensityMatrix
 
+    # The two builders below skip the frozen ``__init__`` and store each value
+    # straight into the new record's ``__dict__``: a call builds up to T records,
+    # and a keyword ``dict.update`` costs about a third more per record.
+
     @classmethod
     def _uncorrected(cls, outcome_index: int, probability: float,
                      state: DensityMatrix) -> "CorrectionOutcomeRecord":
         """The record of a kept outcome that nothing corrects: ``state`` is both
-        its conditional and its corrected state. Built without the frozen
-        ``__init__``, as :meth:`_on_read` builds its records."""
+        its conditional and its corrected state."""
         record = object.__new__(cls)
-        record.__dict__.update(outcome_index=outcome_index, probability=probability,
-                               conditional_state=state, corrected_state=state)
+        kept = record.__dict__
+        kept["outcome_index"] = outcome_index
+        kept["probability"] = probability
+        kept["conditional_state"] = kept["corrected_state"] = state
         return record
 
     @classmethod
@@ -112,8 +118,11 @@ class CorrectionOutcomeRecord(_ReadOnlyArrays):
         correction certified: the state is built on the first read of
         ``conditional_state``, by :meth:`__getattr__`."""
         record = object.__new__(cls)
-        record.__dict__.update(outcome_index=outcome_index, probability=probability,
-                               corrected_state=rho, _row=row)
+        kept = record.__dict__
+        kept["outcome_index"] = outcome_index
+        kept["probability"] = probability
+        kept["corrected_state"] = rho
+        kept["_row"] = row
         return record
 
     def __getattr__(self, name):
@@ -149,6 +158,8 @@ class EraserScenario:
     """
 
     dim: int
+    # a class default, not a field: the first which_way_readout keeps the states in the instance
+    _which_way = None
 
     def __post_init__(self):
         clock = decompose_identity_xi(self.dim)
@@ -198,6 +209,7 @@ class _Plan(NamedTuple):
     decomposition alone; every array is read-only."""
 
     c: np.ndarray  # column i = c_i, as _term_amplitudes lays it out
+    rows: np.ndarray  # row i = c_i: c transposed and row-major, so the record rows b are too
     probs_t: np.ndarray  # |c|^2 transposed: the outcome probabilities are probs_t @ diag(rho)
     terms: int  # T, the columns g_i = u^(i) o c_i of G
     gg: np.ndarray  # G G*
@@ -217,7 +229,8 @@ def _correction_plan(dec: FlatDecomposition) -> _Plan:
 
 def _plan_of(dec: FlatDecomposition) -> _Plan:
     c = _read_only(_term_amplitudes(dec))
-    return _Plan(c, _read_only(np.abs(c) ** 2).T, *_recovery(dec.phase_vectors.T * c))
+    return _Plan(c, _read_only(c.T.copy()), _read_only(np.abs(c) ** 2).T,
+                 *_recovery(dec.phase_vectors.T * c))
 
 
 def dilation_from_decomposition(
@@ -249,14 +262,22 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     outcome i's conditional state is rho o (b_i b_i*), b_i = c_i / sqrt(p_i),
     and the recovered state is rho o (G G*), column i of G being
     g_i = u^(i) o c_i: :func:`_states` builds the recovered state and certifies
-    them all. What depends on ``dec`` alone, c, |c|^2, G's width, G G* and the
-    recovered row's certificate factor, is the plan that ``dec`` keeps from its
-    first correction on; b, the products with rho and every test are per call.
-    Outcome i heralds the Kraus sqrt(p_i) U_i* of the Schrodinger action, and
-    undoing it gives back rho exactly, so every record's corrected state is one
-    shared read-only state: ``rho`` itself when its matrix is read-only, else
-    one read-only copy of it, which every output is built from. Every state is
-    judged under, and carries, the profile of ``rho``.
+    them all. What depends on ``dec`` alone, c and its rows, |c|^2, G's width,
+    G G* and the recovered row's certificate factor, is the plan that ``dec``
+    keeps from its first correction on; b, the products with rho and every
+    test are per call. Outcome i heralds the Kraus sqrt(p_i) U_i* of the
+    Schrodinger action, and undoing it gives back rho exactly, so every
+    record's corrected state is one shared read-only state: ``rho`` itself
+    when its matrix is read-only, else one read-only copy of it, which every
+    output is built from. Every state is judged under, and carries, the
+    profile of ``rho``.
+
+    One code path, whichever outcomes are kept: b is the plan's rows times
+    1/sqrt(p), one product, and the rows are read through an index of the
+    kept outcomes only where an outcome falls below ``NEGLIGIBLE``. Where
+    every outcome is kept, as in the eraser's clock frame (p_j = tr rho / d),
+    no index is built and no row is copied; the rows and b are row-major
+    either way, so every output is the one the indexed rows give, to the bit.
 
     A record's conditional state is built on its first read (see
     :class:`CorrectionOutcomeRecord`) unless it failed its certificate: then
@@ -267,15 +288,17 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     if rho.matrix.flags.writeable:  # later changes to the caller's array reach no output
         rho = _carry(DensityMatrix(rho.dim, _read_only(rho.matrix.copy())), rho)
     plan = _correction_plan(dec)
-    probs = plan.probs_t @ np.diag(rho.matrix).real
-    kept = np.flatnonzero(probs >= NEGLIGIBLE)
+    probs = plan.probs_t @ rho.matrix.diagonal().real
+    # the least probability settles whether an index is needed; NaN fails it, as it fails the index
+    kept = slice(None) if probs.min() >= NEGLIGIBLE else np.flatnonzero(probs >= NEGLIGIBLE)
     p = probs[kept]
-    b = _read_only(plan.c.T[kept] * (1.0 / np.sqrt(p))[:, None])
+    b = _read_only(plan.rows[kept] * (1.0 / np.sqrt(p))[:, None])
     checked, recovered = _states(rho, b, plan.terms, plan.gg, plan.g_bound)
+    outcomes = range(plan.terms) if type(kept) is slice else kept.tolist()
+    on_read = CorrectionOutcomeRecord._on_read
     records = [
-        CorrectionOutcomeRecord._on_read(i, p_i, b_i, rho) if state is None
-        else CorrectionOutcomeRecord(i, p_i, state, rho)
-        for i, p_i, b_i, state in zip(kept.tolist(), p.tolist(), b, checked)
+        on_read(i, p_i, b_i, rho) if state is None else CorrectionOutcomeRecord(i, p_i, state, rho)
+        for i, p_i, b_i, state in zip(outcomes, p.tolist(), b, checked)
     ]
     return records, recovered
 
@@ -294,8 +317,15 @@ def _record_traces(b: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
     of ``b``."""
     products = b.conj().astype(complex, copy=False)
     np.multiply(b, products, out=products)
-    products *= np.diag(rho_m)
+    products *= rho_m.diagonal()
     return products.sum(axis=1).real
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """The Frobenius norm of a complex ``a``, the two dot products that
+    ``np.linalg.norm(a)`` takes, to the bit, without its wrapper."""
+    x = a.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bound):
@@ -333,12 +363,20 @@ def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bou
     copied by :func:`_correct` from a writeable input).
 
     A record's certificate needs no state: its trace is
-    :func:`_record_traces`, its f a row maximum of |b|^2.
+    :func:`_record_traces`, its f a row maximum of |b|^2. Both bounds grow
+    with f, rounding included, so the largest f of the records, the square
+    of the largest |b_ik|, passes them exactly when every record's does; the
+    traces pass exactly when the one farthest from 1 does. So a call whose
+    states all pass tests the largest f, the recovered state's f and the
+    extreme trace, as scalars, and builds no row maxima, no per-row verdict
+    and no list of checked states beyond one of None; only a call where one
+    of those fails takes the verdicts row by row, as the full vectors give
+    them, so each verdict is the one the vectors give, to the bit.
     """
     n, d = b.shape
     rho_m, tol = rho.matrix, rho._tol
     recovered = gg * rho_m
-    residual = float(np.linalg.norm(recovered - rho_m))
+    residual = _frobenius(recovered - rho_m)
     if not residual <= RESIDUAL_TOL:
         raise RecoveryFailure(residual)
     t = recovered.trace().real
@@ -349,12 +387,23 @@ def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bou
     vals = rho._eigenvalues
     low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
     rounding = (64 + 4 * terms) * d * np.finfo(float).eps * norm
-    f = np.append((np.abs(b) ** 2).max(axis=1), g_bound / t)
-    traces = np.append(_record_traces(b, rho_m), recovered.trace().real)
+    herm, psd = dev + rounding, low + rounding
+    herm_room, psd_room = tol.herm / 2, tol.psd / 2
+    f_recovered, trace_recovered = g_bound / t, recovered.trace().real
+    largest = np.abs(b).max() if n else np.nan  # no record: the row-by-row path
+    f_max = largest * largest  # the square that ``** 2`` takes of each |b_ik|
+    traces = _record_traces(b, rho_m)
+    if (
+        f_max * herm <= herm_room and f_max * psd <= psd_room
+        and f_recovered * herm <= herm_room and f_recovered * psd <= psd_room
+        and abs(traces - 1.0).max() <= tol.tr and abs(trace_recovered - 1.0) <= tol.tr
+    ):
+        return [None] * n, _carry(DensityMatrix(d, _read_only(recovered)), rho)
+    f = np.append((np.abs(b) ** 2).max(axis=1), f_recovered)
     ok = (
-        (f * (dev + rounding) <= tol.herm / 2)
-        & (f * (low + rounding) <= tol.psd / 2)
-        & (abs(traces - 1.0) <= tol.tr)
+        (f * herm <= herm_room)
+        & (f * psd <= psd_room)
+        & (abs(np.append(traces, trace_recovered) - 1.0) <= tol.tr)
     )
     checked = [None if ok[i] else DensityMatrix.from_matrix(_conditional(b[i], rho_m), tol)
                for i in range(n)]
@@ -413,7 +462,7 @@ def _which_way_states(scenario: EraserScenario, rho: DensityMatrix) -> tuple:
     """The d read-only one-hot states |k><k| of ``scenario``, rows of one batch,
     each carrying the profile of ``rho``: the ones ``scenario`` keeps if they
     carry that profile object, else built and kept in their place."""
-    kept = scenario.__dict__.get("_which_way")
+    kept = scenario._which_way
     if kept is None or kept[0] is not rho._tol:
         d = scenario.dim
         batch = np.zeros((d, d, d), dtype=complex)
@@ -421,7 +470,7 @@ def _which_way_states(scenario: EraserScenario, rho: DensityMatrix) -> tuple:
         batch[k, k, k] = 1.0
         batch.flags.writeable = False
         kept = rho._tol, tuple(_carry(DensityMatrix(d, m), rho) for m in batch)
-        scenario.__dict__["_which_way"] = kept
+        object.__setattr__(scenario, "_which_way", kept)  # not through __dict__, as channels does
     return kept[1]  # the slot read or built here: another call may replace it meanwhile
 
 
@@ -436,33 +485,36 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
     ``scenario`` keeps them, read-only, for the profile of the last call, so
     a repeat call under that profile object hands out the same state objects.
     Nothing is undone, so each record holds one state object as both its
-    conditional and its corrected state.
+    conditional and its corrected state. The populations are read in one
+    pass, as floats, and an outcome below ``NEGLIGIBLE`` is skipped as its
+    record would be built: no index array and no second pass.
     """
     d = scenario.dim
     if rho.dim != d:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {d}")
-    probs = np.diag(rho.matrix).real
-    kept = np.flatnonzero(probs >= NEGLIGIBLE)
     states = _which_way_states(scenario, rho)
-    return [CorrectionOutcomeRecord._uncorrected(k, p, states[k])
-            for k, p in zip(kept.tolist(), probs[kept].tolist())]
+    uncorrected = CorrectionOutcomeRecord._uncorrected
+    return [uncorrected(k, p, states[k])
+            for k, p in enumerate(rho.matrix.diagonal().real.tolist()) if p >= NEGLIGIBLE]
 
 
 _SCREEN_GEOMETRIES = 16  # (d, S) pairs whose screen geometry is kept
-_SCREEN_GEOMETRY_BYTES = 1 << 18  # the largest geometry kept: S angles and d^2 indices
+_SCREEN_GEOMETRY_BYTES = 1 << 18  # the largest geometry kept: S angles and 2 d^2 bins
 
 
 @functools.lru_cache(maxsize=_SCREEN_GEOMETRIES)
 def _screen_geometry(d: int, samples: int):
-    """The ray angles theta_s = 2 pi s/S and, for each entry of a d x d matrix
-    raveled, the index (l - k) mod S of its diagonal; read-only, since every
-    :func:`screen_pattern` at (d, S) shares them. A geometry larger than
+    """The ray angles theta_s = 2 pi s/S and, for the real and the imaginary
+    part of each entry of a d x d complex matrix, raveled and read interleaved,
+    the bins 2n and 2n + 1, n = (l - k) mod S being the index of its diagonal;
+    read-only, since every :func:`screen_pattern` at (d, S) shares them. A geometry larger than
     ``_SCREEN_GEOMETRY_BYTES`` is built by ``__wrapped__``, for one call, and
     kept nowhere. A size numpy refuses raises its ``ValueError`` before
     anything is allocated, and nothing is kept."""
     thetas = 2.0 * np.pi * np.arange(samples) / samples
     k = np.arange(d)
-    return _read_only(thetas), _read_only(((k[None, :] - k[:, None]) % samples).ravel())
+    n = 2 * ((k[None, :] - k[:, None]) % samples)
+    return _read_only(thetas), _read_only(np.stack((n, n + 1), axis=-1).ravel())
 
 
 def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
@@ -474,21 +526,29 @@ def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     flat superpositions, a flat line for decohered states, and shifted
     fringes for clock-rotated subensembles. ``samples`` must be an integer >= 2.
     ``thetas`` is read-only. The last 16 (d, S) pairs whose angles and
-    diagonal index fit 256 KiB keep them, so every pattern of such a pair
+    diagonal bins fit 256 KiB keep them, so every pattern of such a pair
     shares its ``thetas``; a larger screen builds its own and keeps nothing.
+
+    The folded diagonal sums come from one ``np.bincount`` over the matrix's
+    real and imaginary parts read interleaved, straight into the complex
+    array the inverse FFT takes: the very sums, in the very order, of a
+    bincount per part, without the three complex temporaries of joining
+    them, so for finite entries the intensities are those sums' to the bit.
     """
     samples = _integer(samples, 2, "samples", BadDimension)
     d = rho.dim
     try:  # numpy refuses a size past its index range before allocating anything
-        kept = 8 * (samples + d * d) <= _SCREEN_GEOMETRY_BYTES  # 8-byte floats and indices
+        kept = 8 * (samples + 2 * d * d) <= _SCREEN_GEOMETRY_BYTES  # 8-byte floats and bins
         geometry = _screen_geometry if kept else _screen_geometry.__wrapped__
-        thetas, n = geometry(d, samples)
+        thetas, bins = geometry(d, samples)
     except ValueError as exc:
         raise BadDimension(f"samples = {samples} is too large: {exc}") from None
     # intensity(theta_s) = (1/d) sum_n t_n e^{2 pi i n s/S} with t_n = sum_{l-k=n} rho_kl;
-    # the diagonal sums are taken mod S, so the sum is S/d times an inverse DFT
-    m = rho.matrix.ravel()
-    t = np.bincount(n, m.real, samples) + 1j * np.bincount(n, m.imag, samples)
+    # the diagonal sums are taken mod S, so the sum is S/d times an inverse DFT. One
+    # bincount over the interleaved parts sums the real and the imaginary parts of each
+    # t_n in the order two bincounts would, into the layout of a complex array
+    m = np.asarray(rho.matrix, dtype=complex).ravel().view(float)
+    t = np.bincount(bins, m, 2 * samples).view(complex)
     intensities = (samples / d) * np.fft.ifft(t).real
     i_max, i_min = float(intensities.max()), float(intensities.min())
     visibility = (i_max - i_min) / (i_max + i_min) if i_max + i_min > 0 else 0.0

@@ -385,8 +385,14 @@ def _face(xi: CorrelationMatrix):
     matrices <e_k|(I + H)|e_l> with I + H >= 0 and e_k* H e_k = 0 for every
     k, so it has dimension r^2 - s, and xi is extreme exactly when s = r^2.
     At full rank the d vectors are independent, so are their outer products,
-    and s = d without an SVD.
+    and s = d without an SVD. Counted once per ``xi`` and kept on it, beside
+    its Kolmogorov factor, so :func:`extremality_test` and :func:`flat_search`
+    on one ``xi`` share one count.
     """
+    return _kept(xi, "_face", _face_count)
+
+
+def _face_count(xi: CorrelationMatrix):
     vecs = kolmogorov_vectors(xi)
     d, r = vecs.shape
     return r, d if r == d else _span(vecs)[0]

@@ -133,25 +133,30 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def _hermitian_copy(a, tol: ToleranceProfile) -> tuple[np.ndarray, np.floating]:
-    """A fresh nonempty square complex copy of ``a`` that passed the Hermitian
-    check, and its Hermitian deviation max |a_kl - conj(a_lk)|.
+def _hermitian_copy(a, tol: ToleranceProfile) -> tuple[np.ndarray, np.floating, np.ndarray]:
+    """A fresh nonempty square complex copy m of ``a`` that passed the Hermitian
+    check, its Hermitian deviation max |a_kl - conj(a_lk)|, and m* (a view of a
+    conjugate copy), which the deviation was taken from and which
+    :func:`_eigenvalues` takes rather than form it again.
+    A caller that changes m in place must not pass that m* on.
 
     A NaN or inf entry, or one so large that the difference overflows, makes the
     deviation NaN or inf and fails it, silently: no finiteness pass."""
     m = _as_matrix(a).copy()
     if m.shape[0] != m.shape[1] or not m.size:
         raise NotSquare(f"expected a nonempty square matrix, got shape {m.shape}")
+    adjoint = m.conj().T
     with np.errstate(invalid="ignore", over="ignore"):
-        dev = abs(m - m.conj().T).max()
+        dev = abs(m - adjoint).max()
     if not dev <= tol.herm:
         raise NotHermitian(f"max |a_kl - conj(a_lk)| = {dev:.3e} exceeds {tol.herm:.1e}")
-    return m, dev
+    return m, dev, adjoint
 
 
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of a trusted ``m``: nothing is checked."""
-    return np.linalg.eigvalsh((m + m.conj().T) / 2)
+def _eigenvalues(m: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (m + m*)/2 of a trusted ``m``:
+    nothing is checked. ``adjoint`` is m*, where the caller holds it already."""
+    return np.linalg.eigvalsh((m + (m.conj().T if adjoint is None else adjoint)) / 2)
 
 
 def _spectrum(m: np.ndarray) -> HermitianEigenResult:
@@ -171,9 +176,11 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
-def _psd_eigenvalues(m: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian-checked matrix, or :class:`NotPSD`."""
-    vals = _eigenvalues(m)
+def _psd_eigenvalues(m: np.ndarray, tol: ToleranceProfile,
+                     adjoint: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian-checked matrix, or :class:`NotPSD`;
+    ``adjoint`` as for :func:`_eigenvalues`."""
+    vals = _eigenvalues(m, adjoint)
     if not vals[0] >= -tol.psd:
         raise NotPSD(float(vals[0]))
     return vals
@@ -184,11 +191,11 @@ def _state_eigenvalues(
 ) -> tuple[np.ndarray, np.floating, np.ndarray]:
     """A validated copy of a state (Hermitian, unit trace, PSD), its Hermitian
     deviation and its ascending eigenvalues."""
-    m, dev = _hermitian_copy(a, tol)
+    m, dev, adjoint = _hermitian_copy(a, tol)
     tr = m.trace().real
     if not abs(tr - 1.0) <= tol.tr:
         raise NotState(f"trace {tr} differs from 1 beyond tolerance")
-    return m, dev, _psd_eigenvalues(m, tol)
+    return m, dev, _psd_eigenvalues(m, tol, adjoint)
 
 
 def hermitian_eig(a, tol: ToleranceProfile = DEFAULT_TOL) -> HermitianEigenResult:

@@ -138,9 +138,23 @@ def decomposition_from_dict(obj) -> "FlatDecomposition":
 
 
 def write_csv(path, header, rows) -> None:
-    """A comma-separated table: the ``header`` names, then each row's numbers to 17
-    significant digits (``%.17g``), enough to round-trip any double."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    """A comma-separated table: the ``header`` names, then one line per row, an
+    integer cell in full (``%d``: an evolve count past 2**53 names itself, not
+    the nearest double) and any other number to 17 significant digits
+    (``%.17g``), enough to round-trip any double. A line template is built once
+    for each sequence of cell types the rows bring."""
+    templates = {}
+
+    def line(row) -> str:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%d" if issubclass(kind, numbers.Integral) else "%.17g" for kind in kinds
+            ) + "\n"
+        return template % row
+
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(line % tuple(row) for row in rows)
+        f.writelines(map(line, rows))

@@ -446,6 +446,120 @@ class TestRecordCertificate:
         assert count(request, reconstruct_xi(dec), m_rho) <= 7
 
 
+def plain_correction(dec, rho):
+    """Records and recovered state of the correction in the frame of ``dec``, by
+    the plain formulas: each kept outcome's row b = c_i / sqrt(p_i), its state
+    ``np.outer(b, b.conj()) * rho`` through ``from_matrix``, the input as its
+    corrected state, and the recovered sum (G G*) o rho over its trace."""
+    rho_m, tol = rho.matrix, rho._tol
+    # row-major c, as the correction lays it out: BLAS sums the probabilities in that order
+    c = np.ascontiguousarray(np.sqrt(dec.weights)[None, :] * dec.phase_vectors.conj().T)
+    g = dec.phase_vectors.T * c
+    probs = (np.abs(c) ** 2).T @ np.diag(rho_m).real
+    records = []
+    for i, p in enumerate(probs):
+        if p >= NEGLIGIBLE:
+            b = c[:, i] * (1.0 / np.sqrt(p))
+            state = DensityMatrix.from_matrix(np.outer(b, b.conj()) * rho_m, tol)
+            records.append(CorrectionOutcomeRecord(i, float(p), state, rho))
+    recovered = (g @ g.conj().T) * rho_m
+    return records, DensityMatrix.from_matrix(recovered / recovered.trace().real, tol)
+
+
+def plain_which_way(rho):
+    """The which-way records by the plain formula: p_k = rho_kk, the state |k><k|."""
+    records = []
+    for k, p in enumerate(np.diag(rho.matrix).real):
+        if p >= NEGLIGIBLE:
+            one_hot = np.zeros((rho.dim, rho.dim), dtype=complex)
+            one_hot[k, k] = 1.0
+            state = DensityMatrix(rho.dim, _read_only(one_hot))
+            records.append(CorrectionOutcomeRecord(k, float(p), state, state))
+    return records
+
+
+def plain_screen(rho, samples):
+    """(intensities, visibility) by the plain formula: S/d times the inverse FFT of
+    the diagonal sums t_n = sum_{l-k=n} rho_kl folded mod S, each part summed by
+    its own bincount."""
+    d = rho.dim
+    k = np.arange(d)
+    n = ((k[None, :] - k[:, None]) % samples).ravel()
+    m = rho.matrix.ravel()
+    t = np.bincount(n, m.real, samples) + 1j * np.bincount(n, m.imag, samples)
+    intensities = (samples / d) * np.fft.ifft(t).real
+    i_max, i_min = float(intensities.max()), float(intensities.min())
+    return intensities, (i_max - i_min) / (i_max + i_min) if i_max + i_min > 0 else 0.0
+
+
+class TestKernelEquivalence:
+    """Every output of the correction kernel, the which-way readout and the screen,
+    byte-equal to the plain formulas, on the path where every outcome is kept and
+    on the one where an outcome is dropped."""
+
+    @staticmethod
+    def assert_equal(records, expected):
+        assert records_bytes(records) == records_bytes(expected)
+        assert [r.corrected_state.matrix.tobytes() for r in records] == [
+            e.corrected_state.matrix.tobytes() for e in expected
+        ]
+
+    @staticmethod
+    def assert_screen_equal(rho, samples):
+        pattern = screen_pattern(rho, samples)
+        intensities, visibility = plain_screen(rho, samples)
+        assert pattern.intensities.tobytes() == intensities.tobytes()
+        assert repr(pattern.visibility) == repr(visibility)
+
+    @staticmethod
+    def states(rng, d):
+        return [DensityMatrix.pure(np.ones(d)), random_pure(rng, d), random_density(rng, d)]
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 32])
+    def test_eraser_keeps_every_outcome(self, rng, d):
+        scenario = eraser_scenario(d)
+        for rho in self.states(rng, d):
+            records, recovered = run_eraser(scenario, rho)
+            expected, expected_recovered = plain_correction(decompose_identity_xi(d), rho)
+            assert len(records) == d
+            self.assert_equal(records, expected)
+            assert recovered.matrix.tobytes() == expected_recovered.matrix.tobytes()
+            which = which_way_readout(scenario, rho)
+            self.assert_equal(which, plain_which_way(rho))
+            decohered = DensityMatrix(d, sum(r.probability * r.conditional_state.matrix
+                                             for r in which))
+            for state in (rho, decohered, recovered):
+                for samples in (2, 7, 360):
+                    self.assert_screen_equal(state, samples)
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 32])
+    def test_correction_with_and_without_a_dropped_outcome(self, rng, d):
+        dec = random_flat_decomposition(rng, d, d + 1)
+        weights = dec.weights.copy()
+        weights[1] += weights[0]
+        weights[0] = 0.0  # a zero-weight term: its outcome has probability 0
+        dropped = FlatDecomposition(d, weights, dec.phase_vectors)
+        for decomposition, kept in ((dec, d + 1), (dropped, d)):
+            ch = SchurChannel(validate_correlation(reconstruct_xi(decomposition)))
+            for rho in self.states(rng, d):
+                records, recovered = run_correction(ch, decomposition, rho)
+                expected, expected_recovered = plain_correction(decomposition, rho)
+                assert len(records) == kept
+                self.assert_equal(records, expected)
+                assert recovered.matrix.tobytes() == expected_recovered.matrix.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 32])
+    def test_which_way_drops_an_empty_population(self, rng, d):
+        scenario = eraser_scenario(d)
+        m = random_density(rng, d).matrix.copy()
+        m[0, :] = m[:, 0] = 0.0  # still PSD: population 0 has no weight
+        rho = DensityMatrix.from_matrix(m / m.trace().real)
+        which = which_way_readout(scenario, rho)
+        assert [r.outcome_index for r in which] == list(range(1, d))
+        self.assert_equal(which, plain_which_way(rho))
+        self.assert_screen_equal(rho, 360)
+
+
 class TestRecordsOnRead:
     """The records of run_eraser and run_correction: each builds its certified
     conditional state on its first read and keeps it."""

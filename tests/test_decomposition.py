@@ -735,6 +735,30 @@ class TestExtremality:
             assert decomposition._face(random_correlation(rng, d)) == (d, d)
             assert decomposition._face(validate_correlation(np.eye(d))) == (d, d)
 
+    def test_face_is_counted_once_per_xi(self, rng, monkeypatch):
+        # extremality_test and flat_search on one xi share the count xi keeps:
+        # one span per rank-deficient xi across both calls, none at full rank
+        calls = []
+        span = decomposition._span
+        monkeypatch.setattr(decomposition, "_span", lambda vecs: calls.append(1) or span(vecs))
+        config = SearchConfig(restarts=1, max_iters=20)
+        cases = [
+            (reconstruct_xi(random_flat_decomposition(rng, 5, 2)), 1),  # rank 2, not extreme
+            (gram(random_vectors(rng, 4, 2))[0], 1),  # rank 2, extreme: refused at once
+            (random_correlation(rng, 4).matrix, 0),  # full rank: no span
+        ]
+        for m, spans in cases:
+            xi = validate_correlation(m)
+            calls.clear()
+            for _ in range(2):
+                extremality_test(xi)
+                try:
+                    flat_search(xi, config)
+                except NoDecompositionFound:
+                    pass
+            assert len(calls) == spans
+            assert decomposition._face(xi) == decomposition._face_count(xi)
+
     def test_one_term_exactly_when_extremal(self, rng):
         cases = [gram(random_vectors(rng, d, r))[0] for d in range(1, 9) for r in (1, 2, 3) if r <= d]
         cases += [gram(rng.normal(size=(d, 2)) + 0j)[0] for d in (4, 6)]

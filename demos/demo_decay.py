@@ -2,7 +2,9 @@
 
 Picks a random complete-decoherence channel, iterates it on a random state,
 and shows each off-diagonal magnitude shrinking as |xi_lk|^n while the
-diagonal never moves. The asymptotic state is the diagonal truncation.
+diagonal never moves. The asymptotic state is the diagonal truncation. In the
+Heisenberg picture the same channel converts a fixed observable into a
+diagonal one: its off-diagonal entries decay and its diagonal stays put.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import numpy as np
 from schurmaps import (
     DensityMatrix,
     SchurChannel,
+    apply_heisenberg,
     asymptotic_state,
     iterate,
     validate_correlation,
@@ -43,3 +46,13 @@ for n in (0, 1, 2, 5, 10, 20, 50):
 limit = asymptotic_state(rho0)
 print("\nasymptotic state (diagonal truncation):")
 print(np.round(limit.matrix.real, 4))
+
+obs = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1j], [0.0, -1j, -1.0]])  # a fixed Hermitian O
+print("\nHeisenberg picture, xi o ... o xi o O (n times):")
+print(" n   |O_01|        |O_12|        diag drift")
+out, steps = obs, 0
+for n in (0, 1, 2, 5, 10, 20, 50):
+    while steps < n:
+        out, steps = apply_heisenberg(ch, out), steps + 1
+    drift = np.max(np.abs(np.diag(out) - np.diag(obs)))
+    print(f"{n:3d}   {abs(out[0, 1]):.6e}  {abs(out[1, 2]):.6e}  {drift:.1e}")

@@ -22,9 +22,7 @@ _SUBMODULE = {
     "apply_heisenberg": "channels",
     "apply_schrodinger": "channels",
     "asymptotic_state": "channels",
-    "choi_operator": "channels",
     "iterate": "channels",
-    "jamiolkowski_operator": "channels",
     "validate_correlation": "channels",
     "CorrectionOutcomeRecord": "correction",
     "EnvPovm": "correction",
@@ -77,9 +75,7 @@ _SUBMODULE = {
     "majorization_check": "infometrics",
     "shannon_entropy": "infometrics",
     "DEFAULT_TOL": "numerics",
-    "HermitianEigenResult": "numerics",
     "ToleranceProfile": "numerics",
-    "hermitian_eig": "numerics",
     "partial_trace_env": "numerics",
     "partial_trace_sys": "numerics",
     "schur_product": "numerics",

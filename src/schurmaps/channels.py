@@ -36,8 +36,6 @@ __all__ = [
     "apply_schrodinger",
     "iterate",
     "asymptotic_state",
-    "choi_operator",
-    "jamiolkowski_operator",
 ]
 
 
@@ -104,12 +102,9 @@ class DensityMatrix(_ReadOnlyArrays):
         no caller holds, solved on the first read and kept; else solved on
         every read and kept nowhere, so a later change to a caller's array
         shows."""
-        if self._eigvals is not None:
-            return self._eigvals
-        vals = _read_only(_eigenvalues(self.matrix))
-        if self._dev is not None:  # validated, so its matrix is its own
-            object.__setattr__(self, "_eigvals", vals)
-        return vals
+        if self._dev is None:  # not validated, so a caller may hold its matrix
+            return _solved_eigenvalues(self)
+        return _kept(self, "_eigvals", _solved_eigenvalues)
 
     @classmethod
     def from_matrix(cls, m, tol: ToleranceProfile = DEFAULT_TOL) -> "DensityMatrix":
@@ -158,8 +153,9 @@ class CorrelationMatrix(_ReadOnlyArrays):
 
     dim: int
     matrix: np.ndarray
-    # class defaults, not fields: validation carries its own in the instance
-    _lam_min = _dev = None
+    # class defaults, not fields: validation carries its own in the instance, and
+    # the factor and the face count are kept there on first read
+    _lam_min = _dev = _factor = _face = None
     _tol = DEFAULT_TOL
 
     def __post_init__(self):
@@ -175,9 +171,17 @@ def _carry(obj, source):
 
 def _kept(obj, name: str, build):
     """``build(obj)``, built on the first read and kept in the instance under ``name``,
-    outside the fields; ``dict.setdefault`` makes two threads at once keep one value."""
-    kept = obj.__dict__
-    return kept[name] if name in kept else kept.setdefault(name, build(obj))
+    outside the fields, over the class default None that ``obj``'s class declares.
+    Each builder is deterministic, so two threads that race keep equal values."""
+    value = getattr(obj, name)
+    if value is None:
+        value = build(obj)
+        object.__setattr__(obj, name, value)
+    return value
+
+
+def _solved_eigenvalues(rho: DensityMatrix) -> np.ndarray:
+    return _read_only(_eigenvalues(rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -351,21 +355,3 @@ def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:
     (read-only, carrying the profile of ``rho``)."""
     diagonal = np.diag(np.diag(rho.matrix)).astype(complex)
     return _carry(DensityMatrix(dim=rho.dim, matrix=_read_only(diagonal)), rho)
-
-
-def choi_operator(ch: SchurChannel) -> np.ndarray:
-    """Choi operator: entries <k,k|R_C|l,l> = xi_kl, zero elsewhere (d^2 x d^2)."""
-    d = ch.dim
-    r = np.zeros((d * d, d * d), dtype=complex)
-    kk = np.arange(d) * (d + 1)
-    r[np.ix_(kk, kk)] = ch.xi.matrix
-    return r
-
-
-def jamiolkowski_operator(ch: SchurChannel) -> np.ndarray:
-    """Jamiolkowski operator: sum_kl xi_kl |l,k><k,l| (d^2 x d^2)."""
-    d = ch.dim
-    r = np.zeros((d * d, d * d), dtype=complex)
-    k, l = np.indices((d, d))
-    r[l * d + k, k * d + l] = ch.xi.matrix
-    return r

@@ -94,6 +94,8 @@ class CorrectionOutcomeRecord(_ReadOnlyArrays):
     probability: float
     conditional_state: DensityMatrix  # post-measurement, pre-correction
     corrected_state: DensityMatrix
+    # a class default, not a field: an _on_read record holds its row b in its instance
+    _row = None
 
     # The two builders below skip the frozen ``__init__`` and store each value
     # straight into the new record's ``__dict__``: a call builds up to T records,
@@ -126,10 +128,13 @@ class CorrectionOutcomeRecord(_ReadOnlyArrays):
         return record
 
     def __getattr__(self, name):
-        # reached only for an attribute not set: the state of an _on_read record, on first read
-        if name != "conditional_state" or "_row" not in self.__dict__:
+        # reached only for an attribute not set: the state of an _on_read record, on first
+        # read. A field has no class default for _kept to read, so the state is kept here
+        if name != "conditional_state" or self._row is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return _kept(self, name, _conditional_state)
+        state = _conditional_state(self)
+        object.__setattr__(self, name, state)
+        return state
 
 
 def _conditional_state(record: CorrectionOutcomeRecord) -> DensityMatrix:
@@ -268,9 +273,9 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     test are per call. Outcome i heralds the Kraus sqrt(p_i) U_i* of the
     Schrodinger action, and undoing it gives back rho exactly, so every
     record's corrected state is one shared read-only state: ``rho`` itself
-    when its matrix is read-only, else one read-only copy of it, which every
-    output is built from. Every state is judged under, and carries, the
-    profile of ``rho``.
+    when it carries its validation (its matrix is then its own), else one
+    read-only copy of it, which every output is built from. Every state is
+    judged under, and carries, the profile of ``rho``.
 
     One code path, whichever outcomes are kept: b is the plan's rows times
     1/sqrt(p), one product, and the rows are read through an index of the
@@ -285,7 +290,7 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     """
     if rho.dim != dec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
-    if rho.matrix.flags.writeable:  # later changes to the caller's array reach no output
+    if rho._dev is None:  # not validated, so a caller may hold its matrix: no output shares it
         rho = _carry(DensityMatrix(rho.dim, _read_only(rho.matrix.copy())), rho)
     plan = _correction_plan(dec)
     probs = plan.probs_t @ rho.matrix.diagonal().real
@@ -359,8 +364,8 @@ def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bou
     recovered state. ``tol`` is the profile of ``rho``, which every state
     carries. rho's Hermitian deviation is the one ``rho`` carries from
     :meth:`~schurmaps.channels.DensityMatrix.from_matrix`, and is computed
-    here only for a state that carries none (built directly, by ``pure``, or
-    copied by :func:`_correct` from a writeable input).
+    here only for a state that carries none (the copy :func:`_correct` takes of
+    a state built directly or by ``pure``).
 
     A record's certificate needs no state: its trace is
     :func:`_record_traces`, its f a row maximum of |b|^2. Both bounds grow
@@ -470,7 +475,7 @@ def _which_way_states(scenario: EraserScenario, rho: DensityMatrix) -> tuple:
         batch[k, k, k] = 1.0
         batch.flags.writeable = False
         kept = rho._tol, tuple(_carry(DensityMatrix(d, m), rho) for m in batch)
-        object.__setattr__(scenario, "_which_way", kept)  # not through __dict__, as channels does
+        object.__setattr__(scenario, "_which_way", kept)
     return kept[1]  # the slot read or built here: another call may replace it meanwhile
 
 

@@ -64,8 +64,9 @@ class FlatDecomposition(_ReadOnlyArrays):
     ``phase_vectors`` has one flat vector per row; row i encodes the diagonal
     unitary diag(phase_vectors[i]) applied with probability ``weights[i]``.
     The first entry of every phase vector is normalized to 1. Built with
+    ``dim`` not an integer >= 1, it raises :class:`BadDimension`; with
     ``weights`` not 1-d or empty, or ``phase_vectors`` not of shape (terms,
-    ``dim``), it raises :class:`ShapeMismatch`.
+    ``dim``), :class:`ShapeMismatch`.
 
     It holds read-only copies of both arrays, so no caller can change them,
     and keeps what depends on them alone: from its first verification on, the
@@ -78,8 +79,11 @@ class FlatDecomposition(_ReadOnlyArrays):
     dim: int
     weights: np.ndarray
     phase_vectors: np.ndarray  # shape (terms, dim), entries unimodular
+    # class defaults, not fields: the facts and the plan are kept in the instance on first read
+    _facts = _plan = None
 
     def __post_init__(self):
+        _integer(self.dim, 1, "dim", BadDimension)
         w, u = np.shape(self.weights), np.shape(self.phase_vectors)
         if len(w) != 1 or not w[0] or u != (w[0], self.dim):
             raise ShapeMismatch(
@@ -455,9 +459,9 @@ def _face_descent(xi: CorrelationMatrix) -> FlatDecomposition:
     exists and each split lowers the rank: rank 3 ends in at most 4 terms,
     rank 2 in 2. Terms are sorted by weight, descending and stable.
     """
-    res = _spectrum(xi.matrix)
-    keep = res.eigenvalues > NEGLIGIBLE
-    v = res.eigenvectors[:, keep] * np.sqrt(res.eigenvalues[keep])
+    vals, vecs = _spectrum(xi.matrix)
+    keep = vals > NEGLIGIBLE
+    v = vecs[:, keep] * np.sqrt(vals[keep])
     weights, vectors = map(np.array, zip(*_descend(v, 1.0)))
     order = np.argsort(-weights, kind="stable")
     return FlatDecomposition(xi.dim, weights[order], vectors[order])

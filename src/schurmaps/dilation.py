@@ -93,11 +93,9 @@ def _factor(xi: CorrelationMatrix) -> tuple:
 
 
 def _spectral_factor(xi: CorrelationMatrix) -> tuple:
-    res = _spectrum(xi.matrix)
-    keep = res.eigenvalues > RANK_THRESHOLD
-    vals = res.eigenvalues[keep]
-    vecs = res.eigenvectors[:, keep]
-    return _read_only(res.eigenvalues), _read_only(vecs.conj() * np.sqrt(vals)[None, :])
+    vals, vecs = _spectrum(xi.matrix)
+    keep = vals > RANK_THRESHOLD
+    return _read_only(vals), _read_only(vecs[:, keep].conj() * np.sqrt(vals[keep])[None, :])
 
 
 def _unit_dilation(kets: np.ndarray) -> Dilation:

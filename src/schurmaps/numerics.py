@@ -27,8 +27,6 @@ from .errors import (
 __all__ = [
     "ToleranceProfile",
     "DEFAULT_TOL",
-    "HermitianEigenResult",
-    "hermitian_eig",
     "schur_product",
     "partial_trace_env",
     "partial_trace_sys",
@@ -92,15 +90,6 @@ def _equal(a, b) -> bool:
     return bool(a == b)
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEigenResult(_ArrayFields):
-    """Eigenvalues sorted descending; column j of ``eigenvectors`` pairs with
-    ``eigenvalues[j]``."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _integer(value, least: int, what: str, error=BadCount) -> int:
     """``value`` as an int if ``operator.index`` takes it and it is >= ``least``, else
     ``error``; a bool is no count, though ``operator.index`` takes it."""
@@ -159,14 +148,18 @@ def _eigenvalues(m: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray
     return np.linalg.eigvalsh((m + (m.conj().T if adjoint is None else adjoint)) / 2)
 
 
-def _spectrum(m: np.ndarray) -> HermitianEigenResult:
-    """:func:`hermitian_eig` of a matrix that is trusted: nothing is checked."""
+def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the Hermitian part (m + m*)/2 of a trusted
+    ``m``: nothing is checked. The eigenvalues are sorted descending, column j of
+    the eigenvectors pairs with eigenvalue j, and each column is phase-fixed so
+    that its largest-modulus entry is real and positive, which makes the
+    constructions built on it (Kolmogorov vectors, dilations) deterministic."""
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     anchors = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     vecs = vecs / (anchors / np.abs(anchors))[None, :]
-    return HermitianEigenResult(eigenvalues=vals, eigenvectors=vecs)
+    return vals, vecs
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -196,17 +189,6 @@ def _state_eigenvalues(
     if not abs(tr - 1.0) <= tol.tr:
         raise NotState(f"trace {tr} differs from 1 beyond tolerance")
     return m, dev, _psd_eigenvalues(m, tol, adjoint)
-
-
-def hermitian_eig(a, tol: ToleranceProfile = DEFAULT_TOL) -> HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues sorted descending with matching orthonormal
-    eigenvector columns. Each eigenvector is phase-fixed so that its
-    largest-modulus entry is real and positive, which makes downstream
-    constructions (Kolmogorov vectors, dilations) deterministic.
-    """
-    return _spectrum(_hermitian_copy(a, tol)[0])
 
 
 def schur_product(a, b) -> np.ndarray:

@@ -127,6 +127,8 @@ def decomposition_from_dict(obj) -> "FlatDecomposition":
         phases = np.asarray(obj["phases"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed decomposition: {exc}") from exc
+    if dim < 1:
+        raise SerializationError(f"dim must be >= 1, got {dim}")
     if weights.ndim != 1 or phases.shape != (weights.size, dim):
         raise SerializationError(
             f"phase array shape {phases.shape} does not match "

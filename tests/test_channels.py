@@ -1,5 +1,8 @@
+import ast
 import copy
 import dataclasses
+import importlib
+import inspect
 import pickle
 import weakref
 
@@ -19,7 +22,6 @@ from schurmaps import (
     Dilation,
     EnvPovm,
     FlatDecomposition,
-    HermitianEigenResult,
     NotPSD,
     SchurChannel,
     SchurMapsError,
@@ -29,14 +31,11 @@ from schurmaps import (
     apply_heisenberg,
     apply_schrodinger,
     asymptotic_state,
-    choi_operator,
     decompose_identity_xi,
     decompose_qubit,
     entropy_production_check,
     eraser_scenario,
-    hermitian_eig,
     iterate,
-    jamiolkowski_operator,
     majorization_check,
     run_correction,
     run_eraser,
@@ -47,7 +46,7 @@ from schurmaps import (
 from schurmaps import infometrics
 from schurmaps.channels import _evolved
 from schurmaps.numerics import _eigenvalues
-from conftest import random_correlation, random_density, random_pure
+from conftest import ROOT, random_correlation, random_density, random_pure
 
 
 def channel(m) -> SchurChannel:
@@ -325,63 +324,6 @@ class TestCarriedSpectrum:
         self.assert_solved_again(other)
 
 
-class TestChoiJamiolkowski:
-    def test_all_ones_choi_is_maximally_entangled(self):
-        ch = channel(np.ones((2, 2)))
-        phi = np.zeros(4)
-        phi[0] = phi[3] = 1.0
-        assert np.allclose(choi_operator(ch), np.outer(phi, phi))
-
-    def test_identity_xi_choi(self):
-        ch = channel(np.eye(2))
-        assert np.allclose(choi_operator(ch), np.diag([1.0, 0, 0, 1.0]))
-
-    def test_choi_psd_trace_d(self, rng):
-        for _ in range(30):
-            d = int(rng.integers(2, 6))
-            ch = SchurChannel(random_correlation(rng, d))
-            r = choi_operator(ch)
-            assert hermitian_eig(r).eigenvalues.min() >= -1e-9
-            assert np.trace(r).real == pytest.approx(d)
-
-    def test_jamiolkowski_identity_xi_matches_choi(self):
-        ch = channel(np.eye(3))
-        assert np.allclose(jamiolkowski_operator(ch), choi_operator(ch))
-
-    def test_jamiolkowski_entry(self):
-        c = 0.3 + 0.2j
-        ch = channel([[1, c], [np.conj(c), 1]])
-        r = jamiolkowski_operator(ch)
-        # <2,1| R_J |1,2> = xi_12 in 1-based labels
-        assert r[2, 1] == pytest.approx(c)
-
-    def test_jamiolkowski_trace(self, rng):
-        ch = SchurChannel(random_correlation(rng, 4))
-        assert np.trace(jamiolkowski_operator(ch)).real == pytest.approx(4.0)
-
-    def test_entrywise_consistency(self, rng):
-        # <l,k|R_J|k,l> = <k,k|R_C|l,l>
-        d = 3
-        ch = SchurChannel(random_correlation(rng, d))
-        rc, rj = choi_operator(ch), jamiolkowski_operator(ch)
-        for k in range(d):
-            for l in range(d):
-                assert rj[l * d + k, k * d + l] == pytest.approx(rc[k * d + k, l * d + l])
-
-
-    def test_matches_entry_loops(self, rng):
-        for d in (1, 2, 3, 5):
-            ch = SchurChannel(random_correlation(rng, d))
-            rc = np.zeros((d * d, d * d), dtype=complex)
-            rj = np.zeros((d * d, d * d), dtype=complex)
-            for k in range(d):
-                for l in range(d):
-                    rc[k * d + k, l * d + l] = ch.xi.matrix[k, l]
-                    rj[l * d + k, k * d + l] = ch.xi.matrix[k, l]
-            assert np.array_equal(choi_operator(ch), rc)
-            assert np.array_equal(jamiolkowski_operator(ch), rj)
-
-
 class TestConvexity:
     def test_mixture_channel_is_mixture_of_outputs(self, rng):
         lam = 0.3
@@ -410,6 +352,57 @@ def test_exported_dataclasses_declare_no_private_fields(cls):
     assert not [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]
 
 
+def package_sources():
+    """(module name, syntax tree) of each module of the package."""
+    for path in sorted((ROOT / "src" / "schurmaps").glob("*.py")):
+        yield f"schurmaps.{path.stem}", ast.parse(path.read_text())
+
+
+def dict_readers(body, scope=""):
+    """The qualified name of each function, or "<statement>" of each other statement, in
+    ``body`` whose code reads an attribute ``__dict__``; classes are searched inside."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from dict_readers(node.body, f"{scope}{node.name}.")
+        elif any(isinstance(n, ast.Attribute) and n.attr == "__dict__" for n in ast.walk(node)):
+            yield scope + (node.name if isinstance(node, ast.FunctionDef) else "<statement>")
+
+
+def test_instance_dicts_are_read_only_by_pickle_copy_and_the_record_builders():
+    # a kept value is written over a class default, never through __dict__, which
+    # turns off CPython's inline attribute storage for the instance; the pickle and
+    # copy protocol, and the two record builders that store each value straight in,
+    # are the only readers
+    found = {f"{module}:{name}" for module, tree in package_sources()
+             for name in dict_readers(tree.body)}
+    assert found == {
+        "schurmaps.channels:_ReadOnlyArrays.__setstate__",
+        "schurmaps.channels:_ReadOnlyArrays.__copy__",
+        "schurmaps.channels:DensityMatrix.__getstate__",
+        "schurmaps.correction:CorrectionOutcomeRecord._uncorrected",
+        "schurmaps.correction:CorrectionOutcomeRecord._on_read",
+    }
+
+
+def test_every_kept_value_has_a_class_default_none():
+    # _kept(obj, "name", build) reads obj.name against a class default None, which the
+    # class of build's first parameter, the object kept on, declares
+    kept = []
+    for module, tree in package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kept":
+                name, build = node.args[1].value, node.args[2].id
+                build = getattr(importlib.import_module(module), build)
+                cls = next(iter(inspect.signature(build).parameters.values())).annotation
+                kept.append((cls.__name__, name))
+                assert name in vars(cls) and vars(cls)[name] is None, (cls, name)
+    assert sorted(kept) == [
+        ("CorrelationMatrix", "_face"), ("CorrelationMatrix", "_factor"),
+        ("DensityMatrix", "_eigvals"),
+        ("FlatDecomposition", "_facts"), ("FlatDecomposition", "_plan"),
+    ]
+
+
 # one instance, another equal to it, and a third that differs, for each exported
 # dataclass that holds an array, itself or in a field
 VALUE_SAMPLES = {
@@ -430,9 +423,6 @@ VALUE_SAMPLES = {
                        Dilation(2, 2, np.eye(2)[::-1])),
     EnvPovm: lambda: (EnvPovm(2, np.eye(2)), EnvPovm(2, np.eye(2)),
                       EnvPovm(2, np.array([[1, 1], [1, -1]]) / np.sqrt(2))),
-    HermitianEigenResult: lambda: (hermitian_eig(np.diag([2.0, 1.0])),
-                                   hermitian_eig(np.diag([2.0, 1.0])),
-                                   hermitian_eig(np.diag([3.0, 1.0]))),
     CorrectionOutcomeRecord: lambda: (
         run_eraser(eraser_scenario(2), DensityMatrix.pure([1, 1]))[0][0],
         run_eraser(eraser_scenario(2), DensityMatrix.pure([1, 1]))[0][0],

@@ -323,8 +323,12 @@ class TestRecordCertificate:
                 c, heralded, rho, DEFAULT_TOL
             )
             assert records_bytes(records) == records_bytes(expected)
+            # a validated input is shared as it is; a pure one, which carries no
+            # validation, by one read-only copy that every record shares
+            shared = records[0].corrected_state
+            assert (shared is rho) == (rho._dev is not None)
             for r, e in zip(records, expected):
-                assert r.corrected_state is rho
+                assert r.corrected_state is shared
                 assert np.max(np.abs(rho.matrix - e.corrected_state.matrix)) <= 1e-15
             assert not recovered.matrix.flags.writeable
             assert np.max(np.abs(recovered.matrix - expected_recovered)) <= 1e-14
@@ -378,6 +382,25 @@ class TestRecordCertificate:
             m[1, 0] += 0.25
             after = records_bytes(records) + [shared.matrix.tobytes(), recovered.matrix.tobytes()]
             assert after == before
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        # a directly built state on a read-only view of a caller's writeable array
+        # carries no validation, so it is copied: a record's state built on a later
+        # read shows none of the caller's later changes
+        a = np.eye(2) / 2
+        v = a.view()
+        v.flags.writeable = False
+        rho = DensityMatrix(2, v)
+        for run, args in ((run_eraser, (eraser_scenario(2),)),
+                          (run_correction, (SchurChannel(validate_correlation(np.eye(2))),
+                                            decompose_identity_xi(2)))):
+            records, recovered = run(*args, rho)
+            a[:] = np.diag([1.5, -0.5])
+            for r in records:
+                assert np.array_equal(r.conditional_state.matrix, np.eye(2) / 2)
+                assert np.array_equal(r.corrected_state.matrix, np.eye(2) / 2)
+            assert np.array_equal(recovered.matrix, np.eye(2) / 2)
+            a[:] = np.eye(2) / 2
 
     def test_batch_memory(self, rng):
         # a d = 32 eraser call builds no record's state and takes rho's Hermitian
@@ -614,7 +637,7 @@ class TestRecordsOnRead:
                      r.corrected_state.matrix.tobytes()) for r in records]
 
         def arrays(records):
-            rows = [r.__dict__["_row"] for r in records if "_row" in r.__dict__]
+            rows = [r._row for r in records if r._row is not None]
             return rows + [m for r in records
                            for m in (r.conditional_state.matrix, r.corrected_state.matrix)]
 

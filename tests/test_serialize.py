@@ -104,7 +104,8 @@ class TestDecompositionEnvelope:
     @pytest.mark.parametrize(
         "fields",
         [{"dim": float("inf")}, {"dim": 2.7}, {"dim": 1.5}, {"weights": 1.0}, {"weights": [[1.0]]},
-         {"phases": [[0.0, float("inf")]]}, {"phases": [[float("nan"), 0.0]]}],
+         {"phases": [[0.0, float("inf")]]}, {"phases": [[float("nan"), 0.0]]},
+         {"dim": 0, "phases": [[]]}],
     )
     def test_rejects_malformed_fields(self, fields):
         obj = dict({"dim": 2, "weights": [1.0], "phases": [[0.0, 0.0]]}, **fields)

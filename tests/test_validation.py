@@ -20,6 +20,8 @@ from schurmaps import (
     EnvPovm,
     FlatDecomposition,
     NotDistribution,
+    NotHermitian,
+    NotSquare,
     NotState,
     SchurChannel,
     SchurMapsError,
@@ -42,7 +44,6 @@ from schurmaps import (
     eraser_scenario,
     extremality_test,
     flat_search,
-    hermitian_eig,
     iterate,
     kolmogorov_vectors,
     majorization_check,
@@ -92,8 +93,6 @@ def test_one_non_finite_entry_is_always_rejected(d, seed, k, l, bad, bad_real, m
     probs = np.full(d, 1.0 / d)
     probs[k] = bad_real
     calls = [
-        (hermitian_eig, state),
-        (hermitian_eig, corr),
         (DensityMatrix.from_matrix, state),
         (von_neumann_entropy, state),
         (validate_correlation, corr),
@@ -115,7 +114,13 @@ RAGGED = [[1, 0], [0]]
         pytest.param(lambda: validate_correlation(RAGGED), ShapeMismatch, id="xi-ragged"),
         pytest.param(lambda: DensityMatrix.from_matrix("ab"), ShapeMismatch, id="rho-str"),
         pytest.param(lambda: DensityMatrix.from_matrix(RAGGED), ShapeMismatch, id="rho-ragged"),
-        pytest.param(lambda: hermitian_eig(RAGGED), ShapeMismatch, id="eig-ragged"),
+        pytest.param(
+            lambda: DensityMatrix.from_matrix(np.ones((2, 3))), NotSquare, id="rho-not-square"
+        ),
+        pytest.param(
+            lambda: DensityMatrix.from_matrix([[0.5, 1], [0, 0.5]]), NotHermitian,
+            id="rho-not-hermitian",
+        ),
         pytest.param(lambda: schur_product("ab", [[1]]), ShapeMismatch, id="schur-str"),
         pytest.param(lambda: von_neumann_entropy(RAGGED), ShapeMismatch, id="entropy-ragged"),
         pytest.param(lambda: Dilation(2, 2, "ab"), ShapeMismatch, id="dilation-str"),
@@ -138,6 +143,13 @@ RAGGED = [[1, 0], [0]]
             lambda: EnvPovm(2, np.eye(3)).check_complete(), ShapeMismatch, id="povm-columns"
         ),
         pytest.param(lambda: EnvPovm(2, np.ones(2)).check_complete(), ShapeMismatch, id="povm-1d"),
+        pytest.param(
+            lambda: FlatDecomposition(0, np.ones(1), np.ones((1, 0))), BadDimension, id="dec-dim-0"
+        ),
+        pytest.param(
+            lambda: FlatDecomposition(True, np.ones(1), np.ones((1, 1))), BadDimension,
+            id="dec-dim-bool",
+        ),
     ],
 )
 def test_malformed_input_raises_library_error(call, error):
@@ -452,7 +464,7 @@ def entry_points():
 
 
 def test_a_profile_is_taken_only_where_raw_data_comes_in():
-    # the validators, the readers, the three functions of raw arrays, and the one judge
+    # the validators, the readers, the two functions of raw arrays, and the one judge
     # of a decomposition that has no validated matrix to carry a profile; every other
     # function judges under the profile its validated input carries
     taking = {
@@ -468,7 +480,6 @@ def test_a_profile_is_taken_only_where_raw_data_comes_in():
         "DensityMatrix.from_matrix",
         "serialize.correlation_from_dict",
         "serialize.density_from_dict",
-        "hermitian_eig",
         "von_neumann_entropy",
         "shannon_entropy",
         "dilation_from_decomposition",

@@ -8,6 +8,7 @@ standard basis here.
 """
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -73,7 +74,8 @@ class DensityMatrix(_ReadOnlyArrays):
 
     It carries the profile it was validated under (``DEFAULT_TOL`` when built
     directly or by :meth:`pure`), and every state the library builds from it
-    is judged under, and carries, that profile. Validated by
+    is judged under, and carries, that profile: a Schur product by
+    :func:`_schur_bounds` or the full check. Validated by
     :meth:`from_matrix`, it also carries the spectrum and the Hermitian
     deviation max |rho_kl - conj(rho_lk)| that the validation computed; an
     image that :func:`iterate` certified carries its deviation and solves its
@@ -162,11 +164,15 @@ class CorrelationMatrix(_ReadOnlyArrays):
         object.__setattr__(self, "matrix", _read_only(np.array(self.matrix)))
 
 
-def _carry(obj, source):
-    """``obj``, just built from the validated ``source`` and held by no caller,
-    carrying the profile of ``source``."""
-    object.__setattr__(obj, "_tol", source._tol)
-    return obj
+def _derived(m: np.ndarray, rho: DensityMatrix, dev=None) -> DensityMatrix:
+    """The state of ``m``, a fresh matrix built from ``rho`` that no caller holds,
+    read-only and carrying the profile of ``rho``, and ``dev`` as its Hermitian
+    deviation where one is given."""
+    state = DensityMatrix(rho.dim, _read_only(m))
+    object.__setattr__(state, "_tol", rho._tol)
+    if dev is not None:
+        object.__setattr__(state, "_dev", dev)
+    return state
 
 
 def _kept(obj, name: str, build):
@@ -263,80 +269,80 @@ def iterate(ch: SchurChannel, rho: DensityMatrix, n: int) -> DensityMatrix:
     a count numpy cannot take as a double raises :class:`BadCount`, a state
     of another dimension :class:`DimensionMismatch`. The image is judged
     under, and carries, the profile of ``rho``, and it is accepted exactly
-    when :meth:`DensityMatrix.from_matrix` would accept it.
-
-    Where ``rho`` and ``ch.xi`` carry their validation facts, the image's
-    Hermitian deviation and trace are tested as ``from_matrix`` tests them,
-    and its least eigenvalue is bounded without an eigensolve
-    (:func:`_psd_bound`). An image that passes all three holds the fresh
-    product read-only, carries its deviation and solves its spectrum on
-    first read; any other image is fully checked by ``from_matrix``, which
-    also raises every refusal.
+    when :meth:`DensityMatrix.from_matrix` would accept it: where ``rho`` and
+    ``ch.xi`` carry their validation facts, its Hermitian deviation and trace
+    are tested as ``from_matrix`` tests them and its least eigenvalue is
+    bounded by :func:`_schur_bounds`, so an image that passes carries its
+    deviation and solves its spectrum on first read; any other image is
+    fully checked by ``from_matrix``, which also raises every refusal.
     """
     n = _integer(n, 0, "iteration count")
     m = _evolved(ch, rho, n)
     tol = rho._tol
-    if _psd_bound(ch.xi, rho, n) <= tol.psd / 2:  # finite, so is every entry of m
+    if (rho._dev is not None and ch.xi._dev is not None  # else the full check
+            and _schur_bounds(rho, rho._dev, 2, ch.xi, n)[1] <= tol.psd / 2):  # so m is finite
         dev = abs(m - m.conj().T).max()  # the expressions and tests of from_matrix
         if dev <= tol.herm and abs(float(m.trace().real) - 1.0) <= tol.tr:
-            image = _carry(DensityMatrix(rho.dim, _read_only(m)), rho)
-            object.__setattr__(image, "_dev", dev)
-            return image
+            return _derived(m, rho, dev)
     return DensityMatrix.from_matrix(m, tol)
 
 
-_EPS = float(np.finfo(float).eps)
-_LN2 = math.log(2)
-_HUGE = 2.0**1020  # ||rho|| beyond this takes the full check: no image entry may overflow
+def _schur_bounds(rho: DensityMatrix, dev: float, rounding: float,
+                  xi: CorrelationMatrix | None = None, n: int = 1) -> tuple[float, float]:
+    """Bounds (herm, psd), per unit f, on the Hermitian deviation and on minus
+    the least eigenvalue that ``DensityMatrix.from_matrix`` measures on a
+    computed Schur product F o rho, ``dev`` being the Hermitian deviation of
+    the validated ``rho``: the one certificate of every Schur product the
+    library derives from one. Without ``xi``, F is PSD by construction with diagonal at most f (a
+    correction's b b* or G G*), and ``rounding`` counts the roundings of F and
+    of the product, in eps of |F_kl| |rho_kl| an entry; with ``xi``, F is
+    numpy's power (xi^T)^(o n), f = 1, ``rounding`` counts the product's, and
+    both bounds are inf where a term could overflow.
 
+    Let R be rho's Hermitian part, beta = max(0, -lam_min) from its carried
+    spectrum and N = max(-lam_min, lam_max) + dev >= ||R||, |rho_kl|. Write
+    F/f = Q + (P - Q), Q Hermitian with diagonal at most 1 and Q >= -alpha I,
+    P - Q of entries at most e. By Schur's product theorem (Q + alpha I) o (R
+    + beta I) >= 0, so Q o R >= -[(1 + alpha) beta + alpha N] (Ostrowski; Horn
+    & Johnson, Topics in Matrix Analysis, 1991, 5.3), and |Q_kl| <= 1 + alpha
+    bounds the deviation of Q o rho by (1 + alpha) dev. Q o (rho - R) is
+    anti-Hermitian; the rest, (P - Q) o rho and ``rounding`` eps of entries at
+    most (1 + alpha + e) N, has norm at most E = d N (e + rounding eps (1 +
+    alpha + e)) and adds E to psd, 2 E to herm. An eigensolve errs by at most
+    32 d eps times its matrix's norm, and two are read: rho's, weighted by 1 +
+    alpha, and the full check's of the product, whose Hermitian part has norm
+    at most (1 + 2 alpha) N + E; 64 d eps ((1 + 2 alpha) N + E) covers both.
 
-def _psd_bound(xi: CorrelationMatrix, rho: DensityMatrix, n: int) -> float:
-    """A bound b >= 0 such that the least eigenvalue that ``from_matrix`` solves for
-    the image (xi^T)^(o n) o rho is at least -b; inf where ``xi`` or ``rho``
-    carries no validation facts or the bound would not be finite.
+    For xi^T, its Hermitian part A has unit diagonal and A >= -a I, a being
+    the carried least eigenvalue's negative part plus 64 d eps ||A|| for its
+    own solve, ||A|| <= d (1 + a). So (A^T + a I)^(o n) >= 0 has diagonal (1
+    + a)^n: Q = (A^T)^(o n) has unit diagonal and alpha = (1 + a)^n - 1. With
+    M = 1 + a + dev(xi) >= |xi_kl|, xi's anti-Hermitian part and numpy's
+    power (within about 4 n eps |z|^n) give e = n M^n dev(xi)/2 + 16 (n + 1)
+    eps M^n. The bounds are taken while M^n <= 2 and N <= 2^1020, so no entry
+    of the product, nor a difference of two, overflows.
 
-    Let A be the Hermitian part of the stored xi: unit diagonal, A >= -alpha I,
-    with alpha the carried least eigenvalue's negative part plus 64 d eps
-    ||A||, ||A|| <= tr(A + alpha I) <= d(1 + alpha). Then (A^T + alpha I)^(o n)
-    is PSD (Schur), and its off-diagonal entries are those of Q = (A^T)^(o n),
-    its diagonal (1 + alpha)^n, so Q >= -alpha_n I with alpha_n = (1 +
-    alpha)^n - 1. Likewise rho's Hermitian part R >= -beta I, beta from its
-    carried spectrum, and (Q + alpha_n I) o (R + beta I) >= 0 gives
-    Q o R >= -[beta (1 + alpha_n) + alpha_n max_k rho_kk] (Ostrowski, as in
-    :func:`~schurmaps.correction._states`), with max_k rho_kk <= ||rho||.
-
-    The Hermitian part of the computed image is Q o R plus that of an error
-    matrix. Q o (rho - R) is anti-Hermitian and drops out. What is left is
-    (P - Q) o rho, with P the computed power, and the rounding of the
-    product, at most 2 eps |P_kl| |rho_kl| an entry. With M = 1 + alpha +
-    dev(xi) >= |xi_kl|, |A_kl|, each entry of P - Q is at most n M^n dev(xi)/2
-    from xi's anti-Hermitian part and 16 (n + 1) eps M^n from numpy's power
-    (repeated products or exp(n log z), each within about 4 n eps |z|^n),
-    and an error matrix of entries at most e has norm at most d e. The full
-    check's own eigensolve errs by 64 d eps times the norm of the image, at
-    most (1 + 2 alpha_n) ||rho|| plus the error matrix's. ||rho|| is bounded
-    by its carried spectrum plus d times its deviation. The bound is taken
-    only while M^n <= 2 and ||rho|| <= 2^1020, so every term stays finite,
-    and no entry of the image, nor a difference of two, overflows. The
-    arithmetic is in Python floats.
+    A caller certifies a state whose f-scaled bounds stay within half of
+    tol.herm and tol.psd, the other half covering the rounding of f and of
+    this arithmetic, and whose trace passes the test of ``from_matrix``.
     """
-    if rho._dev is None or xi._dev is None:
-        return math.inf
-    d, eps = rho.dim, _EPS
+    d, eps = rho.dim, sys.float_info.epsilon
+    slack = 64 * d * eps
     vals = rho._eigenvalues  # carried, or solved once and kept
-    lo, hi = float(vals[0]), float(vals[-1])
-    norm = max(-lo, hi) + d * float(rho._dev)
-    beta = max(0.0, -lo) + 64 * d * eps * norm
-    low = max(0.0, -xi._lam_min)
-    alpha = low + 64 * d * eps * d * (1 + low)
-    growth = n * math.log1p(alpha + xi._dev)
-    if not (growth <= _LN2 and norm <= _HUGE):  # a NaN fails too
-        return math.inf
-    m_n, alpha_n = math.exp(growth), math.expm1(n * math.log1p(alpha))
-    e_p = n * m_n * xi._dev / 2 + 16 * (n + 1) * eps * m_n
-    error = d * (e_p + 2 * eps * (m_n + e_p)) * norm
-    exact = beta * (1 + alpha_n) + alpha_n * norm
-    return exact + error + 64 * d * eps * ((1 + 2 * alpha_n) * norm + error)
+    lo, hi, dev = float(vals[0]), float(vals[-1]), float(dev)
+    norm = max(-lo, hi) + dev
+    alpha = e = 0.0
+    if xi is not None:
+        low = max(0.0, -xi._lam_min)
+        a = low + slack * d * (1 + low)
+        growth = n * math.log1p(a + xi._dev)
+        if not (growth <= math.log(2) and norm <= 2.0**1020):  # a NaN fails too
+            return math.inf, math.inf
+        m_n, alpha = math.exp(growth), math.expm1(n * math.log1p(a))
+        e = n * m_n * xi._dev / 2 + 16 * (n + 1) * eps * m_n
+    error = d * (e + rounding * eps * (1 + alpha + e)) * norm
+    psd = (1 + alpha) * max(0.0, -lo) + alpha * norm + error
+    return (1 + alpha) * dev + 2 * error, psd + slack * ((1 + 2 * alpha) * norm + error)
 
 
 def _evolved(ch: SchurChannel, rho: DensityMatrix, n: int) -> np.ndarray:
@@ -353,5 +359,4 @@ def _evolved(ch: SchurChannel, rho: DensityMatrix, n: int) -> np.ndarray:
 def asymptotic_state(rho: DensityMatrix) -> DensityMatrix:
     """Diagonal truncation of the state, the fixed point of complete decoherence
     (read-only, carrying the profile of ``rho``)."""
-    diagonal = np.diag(np.diag(rho.matrix)).astype(complex)
-    return _carry(DensityMatrix(dim=rho.dim, matrix=_read_only(diagonal)), rho)
+    return _derived(np.diag(np.diag(rho.matrix)).astype(complex), rho)

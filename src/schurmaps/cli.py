@@ -11,6 +11,7 @@ needs.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -119,7 +120,7 @@ def cmd_decompose(args, tol: ToleranceProfile) -> int:
     report = verify_decomposition(xi, dec)
     obj = {
         "decomposition": serialize.decomposition_to_dict(dec),
-        "verification": vars(report),
+        "verification": dataclasses.asdict(report),
     }
     if args.out:
         serialize.save_json(args.out + "_decomposition.json", obj["decomposition"])

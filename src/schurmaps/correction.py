@@ -18,10 +18,11 @@ import numpy as np
 from .channels import (
     DensityMatrix,
     SchurChannel,
-    _carry,
+    _derived,
     _kept,
     _ReadOnlyArrays,
     _read_only,
+    _schur_bounds,
     validate_correlation,
 )
 from .decomposition import (
@@ -140,7 +141,7 @@ class CorrectionOutcomeRecord(_ReadOnlyArrays):
 def _conditional_state(record: CorrectionOutcomeRecord) -> DensityMatrix:
     """The state rho o (row row*) of an ``_on_read`` record, read-only, carrying rho's profile."""
     rho = record.corrected_state
-    return _carry(DensityMatrix(rho.dim, _read_only(_conditional(record._row, rho.matrix))), rho)
+    return _derived(_conditional(record._row, rho.matrix), rho)
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def _correct(dec: FlatDecomposition, rho: DensityMatrix):
     if rho.dim != dec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {dec.dim}")
     if rho._dev is None:  # not validated, so a caller may hold its matrix: no output shares it
-        rho = _carry(DensityMatrix(rho.dim, _read_only(rho.matrix.copy())), rho)
+        rho = _derived(rho.matrix.copy(), rho)
     plan = _correction_plan(dec)
     probs = plan.probs_t @ rho.matrix.diagonal().real
     # the least probability settles whether an index is needed; NaN fails it, as it fails the index
@@ -350,35 +351,22 @@ def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bou
 
     Each state is rho o P with P PSD and max_k P_kk <= f: f = max_k |b_k|^2
     for a record, sum_i max_k |g_ik|^2 over the trace for the recovered
-    state. In exact arithmetic on the rounded operands, its Hermitian
-    deviation is then at most f times rho's, and its least eigenvalue at least
-    f min(0, lam_min(rho)) (Ostrowski: rho + low I is PSD, so (rho + low I) o P
-    is), so rho's carried spectrum bounds every state. Each entry takes two
-    roundings of a product at most f norm(rho), a T-term sum of G G* adds about
-    T eps f norm(rho) to each entry, not symmetrically, and each eigensolve
-    errs by about d eps times its matrix's norm: f (64 + 4 T) d eps norm(rho)
-    covers them all. A state whose two bounds stay within half of tol.herm and
-    tol.psd (the other half covers the rounding of f), and whose trace passes
-    the very test of ``from_matrix``, is certified; any other state takes the
-    full check, here, and the records' states in row order before the
-    recovered state. ``tol`` is the profile of ``rho``, which every state
-    carries. rho's Hermitian deviation is the one ``rho`` carries from
-    :meth:`~schurmaps.channels.DensityMatrix.from_matrix`, and is computed
-    here only for a state that carries none (the copy :func:`_correct` takes of
-    a state built directly or by ``pure``).
+    state, so f times the bounds of :func:`~schurmaps.channels._schur_bounds`
+    certifies it; states that fail take the full check here, the records' in
+    row order before the recovered state. rho's Hermitian deviation is the
+    one ``rho`` carries from validation, computed here only for the copy
+    :func:`_correct` takes of a state built directly or by ``pure``.
 
     A record's certificate needs no state: its trace is
     :func:`_record_traces`, its f a row maximum of |b|^2. Both bounds grow
-    with f, rounding included, so the largest f of the records, the square
-    of the largest |b_ik|, passes them exactly when every record's does; the
-    traces pass exactly when the one farthest from 1 does. So a call whose
-    states all pass tests the largest f, the recovered state's f and the
-    extreme trace, as scalars, and builds no row maxima, no per-row verdict
-    and no list of checked states beyond one of None; only a call where one
-    of those fails takes the verdicts row by row, as the full vectors give
-    them, so each verdict is the one the vectors give, to the bit.
+    with f, so the largest f of the records, the square of the largest
+    |b_ik|, passes them exactly when every record's does; the traces pass
+    exactly when the one farthest from 1 does. So a call whose states all
+    pass tests the largest f, the recovered state's f and the extreme trace,
+    as scalars; only a call where one of those fails takes the verdicts row
+    by row, so each verdict is the one the full vectors give, to the bit.
     """
-    n, d = b.shape
+    n = len(b)
     rho_m, tol = rho.matrix, rho._tol
     recovered = gg * rho_m
     residual = _frobenius(recovered - rho_m)
@@ -386,13 +374,12 @@ def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bou
         raise RecoveryFailure(residual)
     t = recovered.trace().real
     recovered /= t
-    dev = rho._dev  # rho is validated, so finite
+    dev = rho._dev
     if dev is None:
         dev = abs(rho_m - rho_m.conj().T).max()
-    vals = rho._eigenvalues
-    low, norm = max(0.0, -vals[0]), max(-vals[0], vals[-1]) + dev  # norm >= max |rho_kl|
-    rounding = (64 + 4 * terms) * d * np.finfo(float).eps * norm
-    herm, psd = dev + rounding, low + rounding
+    # G G*'s T-term sums, the product with rho and the division by t stay within
+    # (T/2 + 3) eps of |P_kl| |rho_kl| an entry, a record's two products within 3 eps
+    herm, psd = _schur_bounds(rho, dev, terms / 2 + 3)
     herm_room, psd_room = tol.herm / 2, tol.psd / 2
     f_recovered, trace_recovered = g_bound / t, recovered.trace().real
     largest = np.abs(b).max() if n else np.nan  # no record: the row-by-row path
@@ -403,7 +390,7 @@ def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bou
         and f_recovered * herm <= herm_room and f_recovered * psd <= psd_room
         and abs(traces - 1.0).max() <= tol.tr and abs(trace_recovered - 1.0) <= tol.tr
     ):
-        return [None] * n, _carry(DensityMatrix(d, _read_only(recovered)), rho)
+        return [None] * n, _derived(recovered, rho)
     f = np.append((np.abs(b) ** 2).max(axis=1), f_recovered)
     ok = (
         (f * herm <= herm_room)
@@ -413,7 +400,7 @@ def _states(rho: DensityMatrix, b: np.ndarray, terms: int, gg: np.ndarray, g_bou
     checked = [None if ok[i] else DensityMatrix.from_matrix(_conditional(b[i], rho_m), tol)
                for i in range(n)]
     if ok[n]:  # a fresh array that no caller holds
-        return checked, _carry(DensityMatrix(d, _read_only(recovered)), rho)
+        return checked, _derived(recovered, rho)
     return checked, DensityMatrix.from_matrix(recovered, tol)
 
 
@@ -429,10 +416,9 @@ def run_correction(ch: SchurChannel, dec: FlatDecomposition, rho: DensityMatrix)
     The recovered state, the sum over outcomes computed from the decomposition,
     must reproduce rho within ``RESIDUAL_TOL``; a larger residual raises
     :class:`RecoveryFailure` before any record is built. It is returned
-    divided by its trace. Every conditional state and the recovered state are
-    certified in one pass from the input's carried spectrum, without an
-    eigensolve, where the bounds fit, and fully checked where they do not,
-    under the profile of ``rho``, which every state carries.
+    divided by its trace. Every state is certified without an eigensolve
+    (:func:`~schurmaps.channels._schur_bounds`) or fully checked, under the
+    profile of ``rho``, which it carries.
 
     Returns (records, recovered), ``records`` a list. A record's conditional
     state is built on its first read and kept, so a repeat read returns the
@@ -474,7 +460,7 @@ def _which_way_states(scenario: EraserScenario, rho: DensityMatrix) -> tuple:
         k = np.arange(d)
         batch[k, k, k] = 1.0
         batch.flags.writeable = False
-        kept = rho._tol, tuple(_carry(DensityMatrix(d, m), rho) for m in batch)
+        kept = rho._tol, tuple(_derived(m, rho) for m in batch)
         object.__setattr__(scenario, "_which_way", kept)
     return kept[1]  # the slot read or built here: another call may replace it meanwhile
 

@@ -38,6 +38,7 @@ from .numerics import (
     ToleranceProfile,
     _entropy_bits,
     _integer,
+    _numbers,
     _spectrum,
 )
 
@@ -65,10 +66,11 @@ class FlatDecomposition(_ReadOnlyArrays):
     unitary diag(phase_vectors[i]) applied with probability ``weights[i]``.
     The first entry of every phase vector is normalized to 1. Built with
     ``dim`` not an integer >= 1, it raises :class:`BadDimension`; with
-    ``weights`` not 1-d or empty, or ``phase_vectors`` not of shape (terms,
-    ``dim``), :class:`ShapeMismatch`.
+    ``weights`` not 1-d real numbers or empty, or ``phase_vectors`` not
+    complex numbers of shape (terms, ``dim``), :class:`ShapeMismatch`.
 
-    It holds read-only copies of both arrays, so no caller can change them,
+    It keeps ``dim`` as an int and holds read-only float and complex copies
+    of the arrays, so no caller can change them,
     and keeps what depends on them alone: from its first verification on, the
     facts of :func:`verify_decomposition` that need no correlation matrix (its
     reconstruction of xi among them), and from its first correction on, the
@@ -83,15 +85,15 @@ class FlatDecomposition(_ReadOnlyArrays):
     _facts = _plan = None
 
     def __post_init__(self):
-        _integer(self.dim, 1, "dim", BadDimension)
-        w, u = np.shape(self.weights), np.shape(self.phase_vectors)
-        if len(w) != 1 or not w[0] or u != (w[0], self.dim):
-            raise ShapeMismatch(
-                f"weights of shape {w} and phase vectors of shape {u} "
-                f"do not make a decomposition of dim {self.dim}"
-            )
-        for name in ("weights", "phase_vectors"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+        dim = _integer(self.dim, 1, "dim", BadDimension)
+        w = np.array(_numbers(self.weights, float, ShapeMismatch))
+        u = np.array(_numbers(self.phase_vectors, complex, ShapeMismatch))
+        if w.ndim != 1 or not w.size or u.shape != (w.size, dim):
+            raise ShapeMismatch(f"weights of shape {w.shape} and phase vectors of shape "
+                                f"{u.shape} do not make a decomposition of dim {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "weights", _read_only(w))
+        object.__setattr__(self, "phase_vectors", _read_only(u))
 
     @property
     def terms(self) -> int:

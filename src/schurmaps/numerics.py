@@ -51,7 +51,8 @@ class ToleranceProfile:
     tr: float = 1e-9
 
     def __post_init__(self):
-        for name, value in vars(self).items():
+        # read through fields: vars(self) would make every later attribute read slower
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
             # a bool or a string is no tolerance; the bound also rejects an int no double holds
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and 0 <= value <= sys.float_info.max):

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schurmaps
@@ -44,7 +44,8 @@ from schurmaps import (
     validate_correlation,
 )
 from schurmaps import infometrics
-from schurmaps.channels import _evolved
+from schurmaps.channels import _evolved, _schur_bounds
+from schurmaps.correction import _conditional
 from schurmaps.numerics import _eigenvalues
 from conftest import ROOT, random_correlation, random_density, random_pure
 
@@ -358,19 +359,25 @@ def package_sources():
         yield f"schurmaps.{path.stem}", ast.parse(path.read_text())
 
 
+def reads_dict(n) -> bool:
+    """Whether node ``n`` reads an instance dict: an attribute ``__dict__`` or a ``vars(...)`` call."""
+    return (isinstance(n, ast.Attribute) and n.attr == "__dict__"
+            or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "vars")
+
+
 def dict_readers(body, scope=""):
     """The qualified name of each function, or "<statement>" of each other statement, in
-    ``body`` whose code reads an attribute ``__dict__``; classes are searched inside."""
+    ``body`` whose code reads an instance dict; classes are searched inside."""
     for node in body:
         if isinstance(node, ast.ClassDef):
             yield from dict_readers(node.body, f"{scope}{node.name}.")
-        elif any(isinstance(n, ast.Attribute) and n.attr == "__dict__" for n in ast.walk(node)):
+        elif any(reads_dict(n) for n in ast.walk(node)):
             yield scope + (node.name if isinstance(node, ast.FunctionDef) else "<statement>")
 
 
 def test_instance_dicts_are_read_only_by_pickle_copy_and_the_record_builders():
-    # a kept value is written over a class default, never through __dict__, which
-    # turns off CPython's inline attribute storage for the instance; the pickle and
+    # a kept value is written over a class default, never through __dict__ or vars, which
+    # turn off CPython's inline attribute storage for the instance; the pickle and
     # copy protocol, and the two record builders that store each value straight in,
     # are the only readers
     found = {f"{module}:{name}" for module, tree in package_sources()
@@ -565,6 +572,78 @@ class TestCertifiedImage:
         for n in (2**63, 10**20, 10**300):
             expected = np.power(ch.xi.matrix.T, n) * rho.matrix
             assert iterate(ch, rho, n).matrix.tobytes() == expected.tobytes()
+
+
+@st.composite
+def schur_inputs(draw):
+    """A state at its profile's edges and a factor: b b* of a random row b, or numpy's power
+    (xi^T)^(o n) of a xi validated with its least eigenvalue at -psd.
+
+    The state's least eigenvalue lies in [-psd, 0], its trace at 1 +- tr and its Hermitian
+    deviation up to herm; the profile is the default, a loose one, or one with a zero slack.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    tol = draw(st.sampled_from(PROFILES))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lam = rng.dirichlet(np.ones(d)) if draw(st.booleans()) else np.eye(d)[0]
+    if d > 1:
+        lam[-1] = -draw(st.floats(0, 1)) * tol.psd
+        lam /= lam.sum()
+    m_rho = hermitian((q * lam) @ q.conj().T) * (1 + draw(st.floats(-1, 1)) * tol.tr)
+    skew = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    skew -= skew.conj().T  # |skew_kl - conj(skew_lk)| = 2 |skew_kl|
+    m_rho += draw(st.floats(0, 1)) * tol.herm / 2 * skew / max(np.abs(skew).max(), 1.0)
+    if draw(st.booleans()):
+        return tol, m_rho, rng.normal(size=d) + 1j * rng.normal(size=d), None
+    r = int(rng.integers(1, d + 1)) if draw(st.booleans()) else 1  # rank 1: a flat u u*
+    v = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(d, r))) if r == 1 else (
+        rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    s = tol.psd / (1 + tol.psd)  # a singular xi - s I over 1 - s: unit diagonal, lam_min -psd
+    m_xi = (hermitian(v @ v.conj().T) - s * np.eye(d)) / (1 - s) if r < d else hermitian(v @ v.conj().T)
+    return tol, m_rho, m_xi, draw(st.sampled_from(COUNTS))
+
+
+# the flat pure state against xi = (J - s I)/(1 - s), s = psd/2, at n = 400: the image's
+# least eigenvalue, about -200 s, is all the alpha N term of the bound
+SHIFTED_ONES = (DEFAULT_TOL, np.ones((2, 2)) / 2, (np.ones((2, 2)) - 5e-10 * np.eye(2)) / (1 - 5e-10), 400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schur_inputs())
+@example(SHIFTED_ONES)
+def test_schur_bounds_hold_on_the_computed_product(inputs):
+    # f times each bound is at least what the full check measures on the product the
+    # library computes: its Hermitian deviation and minus its least eigenvalue
+    tol, m_rho, factor, n = inputs
+    try:
+        rho = DensityMatrix.from_matrix(m_rho, tol)
+        xi = None if n is None else validate_correlation(factor, tol)
+    except SchurMapsError:  # a zero-slack profile refuses most drawn inputs
+        return
+    if xi is None:
+        m, f = _conditional(factor, rho.matrix), float((np.abs(factor) ** 2).max())
+        herm, psd = _schur_bounds(rho, rho._dev, 3)  # a record's two products
+    else:
+        m, f = _evolved(SchurChannel(xi), rho, n), 1.0
+        herm, psd = _schur_bounds(rho, rho._dev, 2, xi, n)
+    assert f * herm >= abs(m - m.conj().T).max()
+    assert f * psd >= -_eigenvalues(m)[0]
+
+
+def test_machine_epsilon_and_the_eigensolve_slack_live_only_in_the_certificate():
+    # one source for the slack: every machine epsilon and every literal 64 of the
+    # package is read in _schur_bounds
+    inside, outside = [], []
+    for module, tree in package_sources():
+        helper = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_schur_bounds" for n in ast.walk(f)}
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr in ("finfo", "epsilon")
+                    or isinstance(n, ast.Constant) and type(n.value) in (int, float) and n.value == 64):
+                (inside if id(n) in helper else outside).append(f"{module}:{n.lineno}")
+    assert inside and not outside, outside
 
 
 class TestKeptImage:

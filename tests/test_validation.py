@@ -150,12 +150,35 @@ RAGGED = [[1, 0], [0]]
             lambda: FlatDecomposition(True, np.ones(1), np.ones((1, 1))), BadDimension,
             id="dec-dim-bool",
         ),
+        *(
+            pytest.param(lambda w=w, u=u: verify_decomposition(
+                validate_correlation(np.eye(3)), FlatDecomposition(3, w, u)
+            ), ShapeMismatch, id=f"dec-{name}")
+            for name, w, u in [
+                ("complex-weights", np.full(3, 1 / 3 + 0j), np.ones((3, 3))),
+                ("str-weights", ["a", "b", "c"], np.ones((3, 3))),
+                ("object-weights", np.array(["x", 0.5, 0.5], dtype=object), np.ones((3, 3))),
+                ("str-phases", np.full(3, 1 / 3), np.full((3, 3), "x")),
+                ("object-phases", np.full(3, 1 / 3), np.full((3, 3), {}, dtype=object)),
+            ]
+        ),
     ],
 )
 def test_malformed_input_raises_library_error(call, error):
     # never numpy's ValueError or TypeError, nor a returned value
     with pytest.raises(error):
         call()
+
+
+def test_decomposition_keeps_an_int_dim_and_float_and_complex_arrays(tmp_path):
+    # a numpy integer dim is kept as the int it checks, so the decomposition saves as JSON
+    clock = decompose_identity_xi(3)
+    dec = FlatDecomposition(np.int64(3), clock.weights.astype(object), clock.phase_vectors.tolist())
+    assert type(dec.dim) is int and dec == clock
+    assert dec.weights.dtype == float and dec.phase_vectors.dtype == complex
+    path = tmp_path / "dec.json"
+    serialize.save_json(path, serialize.decomposition_to_dict(dec))
+    assert serialize.load_json(path) == serialize.decomposition_to_dict(clock)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ fully described by a correlation matrix xi (PSD, unit diagonal): it acts as
 standard basis here.
 """
 
+import functools
 import math
 import sys
 import weakref
@@ -184,6 +185,30 @@ def _kept(obj, name: str, build):
         value = build(obj)
         object.__setattr__(obj, name, value)
     return value
+
+
+_KEPT_RECENT = 16  # values each bounded builder keeps, the least recently used dropped first
+_KEPT_BYTES = 1 << 18  # the largest value kept: 256 KiB
+
+
+def _kept_bounded(nbytes):
+    """Decorator for a builder of read-only arrays from hashable arguments alone: the
+    last ``_KEPT_RECENT`` values whose size ``nbytes(*args)`` is at most ``_KEPT_BYTES``
+    are kept (an LRU), so equal calls share them; a larger value is built by
+    ``__wrapped__`` for its call alone and kept nowhere. A builder that raises keeps
+    nothing. The decorated function has the LRU's ``cache_info`` and ``cache_clear``."""
+
+    def decorate(build):
+        kept = functools.lru_cache(maxsize=_KEPT_RECENT)(build)
+
+        @functools.wraps(build)
+        def value(*args):
+            return (kept if nbytes(*args) <= _KEPT_BYTES else build)(*args)
+
+        value.cache_info, value.cache_clear = kept.cache_info, kept.cache_clear
+        return value
+
+    return decorate
 
 
 def _solved_eigenvalues(rho: DensityMatrix) -> np.ndarray:

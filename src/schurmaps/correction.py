@@ -8,7 +8,6 @@ measurement on the probe, clock-unitary corrections): the same loop in the
 frame of the clock decomposition.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,6 +19,7 @@ from .channels import (
     SchurChannel,
     _derived,
     _kept,
+    _kept_bounded,
     _ReadOnlyArrays,
     _read_only,
     _schur_bounds,
@@ -489,19 +489,15 @@ def which_way_readout(scenario: EraserScenario, rho: DensityMatrix):
             for k, p in enumerate(rho.matrix.diagonal().real.tolist()) if p >= NEGLIGIBLE]
 
 
-_SCREEN_GEOMETRIES = 16  # (d, S) pairs whose screen geometry is kept
-_SCREEN_GEOMETRY_BYTES = 1 << 18  # the largest geometry kept: S angles and 2 d^2 bins
-
-
-@functools.lru_cache(maxsize=_SCREEN_GEOMETRIES)
+@_kept_bounded(lambda d, samples: 8 * (samples + 2 * d * d))  # S angles, 2 d^2 bins
 def _screen_geometry(d: int, samples: int):
     """The ray angles theta_s = 2 pi s/S and, for the real and the imaginary
     part of each entry of a d x d complex matrix, raveled and read interleaved,
     the bins 2n and 2n + 1, n = (l - k) mod S being the index of its diagonal;
-    read-only, since every :func:`screen_pattern` at (d, S) shares them. A geometry larger than
-    ``_SCREEN_GEOMETRY_BYTES`` is built by ``__wrapped__``, for one call, and
-    kept nowhere. A size numpy refuses raises its ``ValueError`` before
-    anything is allocated, and nothing is kept."""
+    read-only, since every :func:`screen_pattern` at (d, S) shares them, and
+    kept by the rule of :func:`~schurmaps.channels._kept_bounded`. A size numpy
+    refuses raises its ``ValueError`` before anything is allocated, and
+    nothing is kept."""
     thetas = 2.0 * np.pi * np.arange(samples) / samples
     k = np.arange(d)
     n = 2 * ((k[None, :] - k[:, None]) % samples)
@@ -529,9 +525,7 @@ def screen_pattern(rho: DensityMatrix, samples: int) -> ScreenPattern:
     samples = _integer(samples, 2, "samples", BadDimension)
     d = rho.dim
     try:  # numpy refuses a size past its index range before allocating anything
-        kept = 8 * (samples + 2 * d * d) <= _SCREEN_GEOMETRY_BYTES  # 8-byte floats and bins
-        geometry = _screen_geometry if kept else _screen_geometry.__wrapped__
-        thetas, bins = geometry(d, samples)
+        thetas, bins = _screen_geometry(d, samples)
     except ValueError as exc:
         raise BadDimension(f"samples = {samples} is too large: {exc}") from None
     # intensity(theta_s) = (1/d) sum_n t_n e^{2 pi i n s/S} with t_n = sum_{l-k=n} rho_kl;

@@ -17,12 +17,13 @@ Li-Tam count that sizes the search certifies it, as in
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CorrelationMatrix, _kept, _ReadOnlyArrays, _read_only
+from .channels import CorrelationMatrix, _kept, _kept_bounded, _ReadOnlyArrays, _read_only
 from .dilation import kolmogorov_vectors
 from .errors import (
     BadDimension,
@@ -116,7 +117,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            _integer(getattr(self, name), least, name)
+            object.__setattr__(self, name, _integer(getattr(self, name), least, name))
 
 
 @dataclass(frozen=True)
@@ -189,67 +190,87 @@ def _unpack(x, m, d):
     """
     n_theta = m * (d - 1)
     u = np.ones((m, d), dtype=complex)
-    u[:, 1:] = np.exp(1j * x[:n_theta].reshape(m, d - 1))
-    es = np.exp(x[n_theta:] - np.max(x[n_theta:]))
+    np.exp(1j * x[:n_theta].reshape(m, d - 1), out=u[:, 1:])
+    es = np.exp(x[n_theta:] - x[n_theta:].max())
     return u, es / es.sum()
 
 
+def _edge_bytes(d):
+    """Bytes of the :func:`_edges` of dimension d: two index arrays of the
+    R = d(d-1)/2 entries, the 2R x (d - 1) incidence and the 2R x 2R kernel."""
+    n = d * (d - 1) // 2
+    return 8 * (2 * n + 2 * n * (d - 1) + 4 * n * n)
+
+
+@_kept_bounded(_edge_bytes)
 def _edges(d):
-    """Index arrays of the R = d(d-1)/2 entries k < l above the diagonal, and
-    the (2R, d - 1) incidence e_k - e_l of the real and then the imaginary
-    part of each entry on the free angles 1..d-1."""
-    iu = np.triu_indices(d, 1)
-    inc = np.zeros((iu[0].size, d))
-    inc[np.arange(iu[0].size), iu[0]] = 1.0
-    inc[np.arange(iu[0].size), iu[1]] = -1.0
-    return iu, np.vstack([inc[:, 1:], inc[:, 1:]])
+    """(iu, inc, kernel), read-only: the search geometry of dimension d. iu
+    indexes the R = d(d-1)/2 entries k < l above the diagonal, inc is the
+    (2R, d - 1) incidence e_k - e_l of the real and then the imaginary part
+    of each entry on the free angles 1..d-1, and kernel is the K = inc inc^T
+    of :func:`_gauss_newton`. Every search at d shares them, kept by the rule
+    of :func:`~schurmaps.channels._kept_bounded`, which keeps d <= 13."""
+    k, l = np.triu_indices(d, 1)
+    half = np.zeros((k.size, d))
+    half[np.arange(k.size), k] = 1.0
+    half[np.arange(k.size), l] = -1.0
+    inc = _read_only(np.vstack([half[:, 1:], half[:, 1:]]))
+    return (_read_only(k), _read_only(l)), inc, _read_only(inc @ inc.T)
 
 
-def _residual(x, target, m, d, iu):
+@_kept_bounded(lambda key, m, d: 8 * m * d)
+def _start(key, m, d):
+    """The point a polish of m terms at d starts from, drawn with
+    ``default_rng(key)``: m(d - 1) angles uniform on [0, 2 pi), then m
+    standard normal scores; read-only, since every search that draws it
+    shares it, kept by the rule of :func:`~schurmaps.channels._kept_bounded`."""
+    rng = np.random.default_rng(key)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=m * (d - 1))
+    return _read_only(np.concatenate([angles, rng.normal(0.0, 1.0, size=m)]))
+
+
+def _residual(x, m, fit):
     """(p, w, r) at the parameters x of :func:`_unpack`: the weights p, the
     entries w_i = [Re, Im] of u_ik conj(u_il) above the diagonal for each
     flat vector u_i, and the residual r = target - p @ w of the same real
-    layout. The diagonal of sum_i p_i u_i u_i* is 1 by construction, so r is
-    all of the residual."""
-    u, p = _unpack(x, m, d)
-    w = u[:, iu[0]] * u[:, iu[1]].conj()
+    layout, from the kept entry indices of :func:`_edges`. The diagonal of
+    sum_i p_i u_i u_i* is 1 by construction, so r is all of the residual."""
+    target, (k, l), inc, _ = fit
+    u, p = _unpack(x, m, inc.shape[1] + 1)
+    w = u[:, k] * u[:, l].conj()
     w = np.concatenate([w.real, w.imag], axis=1)
     return p, w, target - p @ w
 
 
-def _gauss_newton(p, w, kernel, inc):
-    """J J^T and z -> J^T z for the Jacobian J of the residual r of
-    :func:`_residual` in the parameters of :func:`_unpack`, without forming J.
+def _gauss_newton(p, w, fit):
+    """(J J^T, a, b) for the Jacobian J of the residual r of :func:`_residual`
+    in the parameters of :func:`_unpack`, without forming J.
 
     The column of J for the angle theta_ij is a_i o inc[:, j], with
     a_i = p_i [Im w_i, -Re w_i] (w_i turns with its phases), and for the
     score of term i it is -b_i, b_i = p_i (w_i - p @ w) (the softmax
-    derivative). So J J^T = (a^T a) o K + b^T b with K = inc inc^T, and J^T z
-    takes one (m, 2R) @ (2R, d - 1) product for the angles and one
-    matrix-vector product for the scores.
+    derivative). So J J^T = (a^T a) o K + b^T b with K = inc inc^T, and
+    J^T z is ((a o z) @ inc).ravel() for the angles, one (m, 2R) @ (2R, d - 1)
+    product, followed by -b @ z for the scores, which :func:`_polish` takes.
     """
     n = w.shape[1] // 2
-    a = p[:, None] * np.concatenate([w[:, n:], -w[:, :n]], axis=1)
-    b = p[:, None] * (w - p @ w)
+    weights = p[:, None]
+    a = weights * np.concatenate([w[:, n:], -w[:, :n]], axis=1)
+    b = weights * (w - p @ w)
     jjt = a.T @ a  # then in place: no (2R)^2 temporary, whether or not numpy elides one
-    jjt *= kernel
+    jjt *= fit[3]
     jjt += b.T @ b
-
-    def pull(z):
-        return np.concatenate([((a * z) @ inc).ravel(), -(b @ z)])
-
-    return jjt, pull
+    return jjt, a, b
 
 
 def _fit(xi: CorrelationMatrix):
     """(target, iu, inc, kernel): what every :func:`_polish` of one search on
-    xi shares, built once per search. target holds the real and then the
-    imaginary parts of the entries of xi above the diagonal, iu and inc are
-    those of :func:`_edges`, and kernel = inc inc^T is the K of
-    :func:`_gauss_newton`."""
-    iu, inc = _edges(xi.dim)
-    target = np.concatenate([xi.matrix[iu].real, xi.matrix[iu].imag])
-    return target, iu, inc, inc @ inc.T
+    xi shares. target, built once per search, holds the real and then the
+    imaginary parts of the entries of xi above the diagonal; the rest is the
+    geometry of :func:`_edges`, kept for the dimension of xi."""
+    iu, inc, kernel = _edges(xi.dim)
+    upper = xi.matrix[iu]
+    return np.concatenate([upper.real, upper.imag]), iu, inc, kernel
 
 
 def _polish(x0, m, fit, max_iters):
@@ -277,14 +298,15 @@ def _polish(x0, m, fit, max_iters):
     f <= 1e-26, when f has not halved over 50 iterations, or when mu exceeds
     1e15 times scale (no step lowers f any more). mu is added to the
     diagonal of J J^T in place, from a copy of that diagonal, so no identity
-    and no second 2R x 2R matrix is formed.
+    and no second 2R x 2R matrix is formed. The step J^T y is taken in the
+    loop from the factors a, b of :func:`_gauss_newton`, and the damping's
+    scalars are Python floats, so an iteration costs its numpy passes alone.
     """
-    target, iu, inc, kernel = fit
-    d = inc.shape[1] + 1
+    inc = fit[2]
     x = x0
-    p, w, r = _residual(x, target, m, d, iu)
-    f = 2.0 * (r @ r)
-    lam, nu, jjt, checkpoint = None, 2.0, None, np.inf
+    p, w, r = _residual(x, m, fit)
+    f = 2.0 * float(r @ r)
+    lam, nu, jjt, checkpoint = None, 2.0, None, math.inf
     for it in range(max_iters):
         if it % 50 == 0:
             if not f <= checkpoint / 2.0:
@@ -293,25 +315,26 @@ def _polish(x0, m, fit, max_iters):
         if f <= 1e-26:
             break
         if jjt is None:
-            jjt, pull = _gauss_newton(p, w, kernel, inc)
-            scale = np.trace(jjt) / target.size
+            jjt, a, b = _gauss_newton(p, w, fit)
             diagonal = jjt.diagonal().copy()
+            damped = jjt.reshape(-1)[:: r.size + 1]  # a writeable view of the diagonal
+            scale = float(np.trace(jjt)) / r.size
             if lam is None:
-                lam = 1.0 / np.sqrt(f)
-        mu = lam * scale * np.sqrt(f)
+                lam = 1.0 / math.sqrt(f)
+        mu = lam * scale * math.sqrt(f)
         if not mu <= 1e15 * scale:
             break
-        np.fill_diagonal(jjt, diagonal + mu)
+        np.add(diagonal, mu, out=damped)
         try:
             y = np.linalg.solve(jjt, r)
         except np.linalg.LinAlgError:  # mu lost in the rounding of a singular J J^T
-            f_new = np.inf  # dropped like a step that does not lower f
+            f_new = math.inf  # dropped like a step that does not lower f
         else:
-            x_new = x - pull(y)
-            p_new, w_new, r_new = _residual(x_new, target, m, d, iu)
-            f_new = 2.0 * (r_new @ r_new)
+            x_new = x - np.concatenate([((a * y) @ inc).ravel(), -(b @ y)])
+            p_new, w_new, r_new = _residual(x_new, m, fit)
+            f_new = 2.0 * float(r_new @ r_new)
         if f_new < f:
-            decrease, predicted = f - f_new, f - 2.0 * mu * mu * (y @ y)
+            decrease, predicted = f - f_new, f - 2.0 * mu * mu * float(y @ y)
             gain = decrease / predicted if predicted > decrease else 1.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             x, p, w, r, f = x_new, p_new, w_new, r_new, f_new
@@ -355,11 +378,8 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     best_residual = np.inf
     for restart in range(config.restarts):
         for m in rungs:
-            key = [config.seed, restart] if m == face_bound else [config.seed, restart, m]
-            rng = np.random.default_rng(key)
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=m * (d - 1))
-            x0 = np.concatenate([angles, rng.normal(0.0, 1.0, size=m)])
-            x, f = _polish(x0, m, fit, config.max_iters)
+            key = (config.seed, restart) if m == face_bound else (config.seed, restart, m)
+            x, f = _polish(_start(key, m, d), m, fit, config.max_iters)
             residual = np.sqrt(max(f, 0.0))
             best_residual = min(best_residual, residual)
             if residual <= RESIDUAL_TOL:

@@ -43,7 +43,7 @@ from schurmaps import (
     verify_decomposition,
     which_way_readout,
 )
-from schurmaps import SearchConfig, correction, decomposition, serialize
+from schurmaps import SearchConfig, channels, correction, decomposition, serialize
 from schurmaps.channels import _read_only
 from schurmaps.correction import (
     CorrectionOutcomeRecord,
@@ -1249,7 +1249,7 @@ class TestScreenPattern:
         assert correction._screen_geometry.cache_info().currsize == 0
 
     def test_geometry_is_shared_read_only_and_bounded(self):
-        bound = correction._SCREEN_GEOMETRIES
+        bound = channels._KEPT_RECENT
         rho = DensityMatrix.pure([1, 1j, -1])
         for samples in (7, 360):
             pat = screen_pattern(rho, samples)

@@ -31,7 +31,7 @@ from schurmaps import (
     verify_decomposition,
     von_neumann_entropy,
 )
-from schurmaps import decomposition, serialize
+from schurmaps import channels, decomposition, serialize
 from schurmaps.infometrics import shannon_entropy
 from conftest import random_correlation, random_density, random_flat_decomposition
 
@@ -210,7 +210,8 @@ class TestFlatSearch:
 
     def test_gauss_newton_matches_finite_differences(self, rng):
         # oracle: the central-difference Jacobian J of the real residual
-        # [Re r, Im r], r the entries k < l of xi - sum_i p_i u_i u_i*
+        # [Re r, Im r], r the entries k < l of xi - sum_i p_i u_i u_i*; J^T z is
+        # read off the factors a, b as _polish reads it
         def residual(x, xi, m, d):
             u, p = decomposition._unpack(x, m, d)
             r = (xi - (u.T * p) @ u.conj())[np.triu_indices(d, 1)]
@@ -222,10 +223,9 @@ class TestFlatSearch:
             r, s = decomposition._face(xi)
             m = r * r - s + 1
             x = rng.normal(size=m * d)
-            iu, inc = decomposition._edges(d)
-            target = np.concatenate([xi.matrix[iu].real, xi.matrix[iu].imag])
-            p, w, res = decomposition._residual(x, target, m, d, iu)
-            jjt, pull = decomposition._gauss_newton(p, w, inc @ inc.T, inc)
+            fit = decomposition._fit(xi)
+            p, w, res = decomposition._residual(x, m, fit)
+            jjt, a, b = decomposition._gauss_newton(p, w, fit)
             eps = 1e-6
             jac = np.stack(
                 [
@@ -238,7 +238,8 @@ class TestFlatSearch:
             z = rng.normal(size=jac.shape[0])
             assert np.max(np.abs(res - residual(x, xi.matrix, m, d))) < 1e-14
             assert np.max(np.abs(jjt - jac @ jac.T)) < 1e-8
-            assert np.max(np.abs(pull(z) - jac.T @ z)) < 1e-8
+            pull = np.concatenate([((a * z) @ fit[2]).ravel(), -(b @ z)])
+            assert np.max(np.abs(pull - jac.T @ z)) < 1e-8
 
     def test_rank_deficient_mixture_decomposes_within_its_face_bound(self):
         # rank 3 at d = 4: four Kolmogorov outer products in C^3 span s = 4, so the
@@ -257,7 +258,7 @@ class TestFlatSearch:
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
-        for d in (6, 8, 10):
+        for d in range(4, 11):
             rng = np.random.default_rng(d)
             for _ in range(3):
                 lam = rng.uniform(0.3, 0.6)
@@ -268,6 +269,43 @@ class TestFlatSearch:
                 assert verify_decomposition(xi, dec).accepted
                 assert dec.terms == 2 * d
                 assert len(calls) <= 15
+
+    def test_search_geometry_and_start_points_are_kept_read_only(self):
+        # two searches at one d build its geometry and their start point once; a
+        # result is the same to the bit on a miss, on a hit and after cache_clear()
+        rng = np.random.default_rng(5)
+        mix = reconstruct_xi(random_flat_decomposition(rng, 5, 2))
+        xi = validate_correlation(0.5 * np.eye(5) + 0.5 * mix)
+        config = SearchConfig(restarts=1, max_iters=1000)
+        kept = (decomposition._edges, decomposition._start)
+        for f in kept:
+            f.cache_clear()
+        decs = [flat_search(xi, config), flat_search(xi, config)]
+        for f in kept:
+            info = f.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+            f.cache_clear()
+        decs.append(flat_search(xi, config))
+        for dec in decs[1:]:
+            assert np.array_equal(dec.weights, decs[0].weights)
+            assert np.array_equal(dec.phase_vectors, decs[0].phase_vectors)
+        iu, inc, kernel = decomposition._edges(5)
+        start = decomposition._start((0, 0, 10), 10, 5)
+        for a in (*iu, inc, kernel, start):
+            assert not a.flags.writeable
+
+    def test_geometry_over_the_byte_cap_is_built_per_call(self):
+        # d = 13 fits the 256 KiB cap and is kept; d = 14 is built afresh and kept nowhere
+        cap = channels._KEPT_BYTES
+        assert decomposition._edge_bytes(13) <= cap < decomposition._edge_bytes(14)
+        decomposition._edges.cache_clear()
+        first, again = decomposition._edges(14), decomposition._edges(14)
+        assert first[1] is not again[1] and np.array_equal(first[2], again[2])
+        assert decomposition._edges.cache_info().currsize == 0
+        assert decomposition._edges(13) is decomposition._edges(13)
+        iu, inc, kernel = first
+        assert inc.shape == (14 * 13, 13) and kernel.shape == (14 * 13,) * 2
+        assert sum(a.nbytes for a in (*iu, inc, kernel)) == decomposition._edge_bytes(14)
 
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_failed_short_rung_gives_the_face_rung(self, rng, monkeypatch, d):

@@ -1,7 +1,9 @@
 """Validation at the library's boundaries: non-finite input, aliasing,
 settings, and the single acceptance predicate for decompositions."""
 
+import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -301,8 +303,11 @@ class TestSettings:
             SearchConfig(**kwargs)
 
     def test_search_accepts_numpy_integers(self):
+        # kept as plain ints, so the config serializes as JSON
         config = SearchConfig(restarts=np.int64(2), max_iters=np.uint16(9), seed=np.int32(0))
         assert (config.restarts, config.max_iters, config.seed) == (2, 9, 0)
+        assert all(type(v) is int for v in (config.restarts, config.max_iters, config.seed))
+        assert json.dumps(dataclasses.asdict(config)) == '{"restarts": 2, "max_iters": 9, "seed": 0}'
 
 
 def scaled_clock(d, factor, u_factor=1.0):

@@ -10,7 +10,8 @@ u u*, so every face of higher rank can be split in two faces of lower rank
 until only flat vectors are left. For d >= 4 a seeded numerical search takes
 over: Levenberg-Marquardt on the residual, first with 2d terms and, where
 that fails, with as many as the Caratheodory bound of the face of xi allows
-(d^2 - d + 1 at full rank, fewer below it). An extreme correlation matrix
+(d^2 - d + 1 at full rank, fewer below it); a polish that misses is polished
+once more without its vanishing terms. An extreme correlation matrix
 of rank >= 2 (possible only for d >= 4) has no flat decomposition; the
 Li-Tam count that sizes the search certifies it, as in
 :func:`extremality_test`, and the search refuses it.
@@ -107,8 +108,9 @@ class SearchConfig:
 
     ``restarts`` counts the restarts of :func:`flat_search`, each of which
     polishes one random starting point per rung of its ladder (2d terms, then
-    the face bound); ``max_iters`` counts the Levenberg-Marquardt iterations
-    (linear solves) allowed from each point.
+    the face bound), and after a miss the terms of that polish which keep a
+    weight of at least 1e-3; ``max_iters`` counts the Levenberg-Marquardt
+    iterations (linear solves) allowed from each point, pruned ones included.
     """
 
     restarts: int = 32
@@ -181,6 +183,21 @@ def decompose_identity_xi(d: int) -> FlatDecomposition:
     return FlatDecomposition(d, np.full(d, 1.0 / d), phases)
 
 
+class _Attempt(NamedTuple):
+    """What one :func:`_polish` produced: its point x, in the layout of
+    :func:`_unpack`, its squared Frobenius residual f and its term count m."""
+
+    x: np.ndarray
+    f: float
+    m: int
+
+
+def _by_weight(d, vectors, weights) -> FlatDecomposition:
+    """The decomposition of these terms, sorted by weight, descending and stable."""
+    order = np.argsort(-weights, kind="stable")
+    return FlatDecomposition(d, weights[order], vectors[order])
+
+
 def _unpack(x, m, d):
     """Flat vectors (rows) and weights from the search parameters.
 
@@ -193,6 +210,22 @@ def _unpack(x, m, d):
     np.exp(1j * x[:n_theta].reshape(m, d - 1), out=u[:, 1:])
     es = np.exp(x[n_theta:] - x[n_theta:].max())
     return u, es / es.sum()
+
+
+_VANISHING = 1e-3  # a weight below this, where a polish stalls, is dropped by _cut
+
+
+def _cut(attempt, d):
+    """(x, n): the point of :func:`_unpack`'s layout that keeps the angles and
+    scores of the n terms of ``attempt`` whose weight is at least
+    ``_VANISHING``; None when that keeps every term or none."""
+    x, _, m = attempt
+    keep = _unpack(x, m, d)[1] >= _VANISHING
+    n = int(np.count_nonzero(keep))
+    if not 0 < n < m:
+        return None
+    angles = x[: m * (d - 1)].reshape(m, d - 1)[keep]
+    return np.concatenate([angles.ravel(), x[m * (d - 1) :][keep]]), n
 
 
 def _edge_bytes(d):
@@ -276,7 +309,7 @@ def _fit(xi: CorrelationMatrix):
 def _polish(x0, m, fit, max_iters):
     """Drive the residual of :func:`_residual` to zero from x0 by
     Levenberg-Marquardt, with m terms on the :func:`_fit` of xi; returns
-    (x, f) with f the squared Frobenius residual.
+    the :class:`_Attempt` it ends at.
 
     Each iteration takes the minimum-norm damped Gauss-Newton step
     -J^T y, y = (J J^T + mu I)^-1 r, solved in the 2R-dimensional residual
@@ -342,7 +375,7 @@ def _polish(x0, m, fit, max_iters):
         else:
             lam *= nu
             nu *= 2.0
-    return x, f
+    return _Attempt(x, f, m)
 
 
 def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) -> FlatDecomposition:
@@ -358,13 +391,19 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     dimension r^2 - s. If that fails it polishes m terms, from a point drawn
     with ``default_rng([seed, k])``. At full rank m = d^2 - d + 1, so d >= 3
     tries 2d terms first; a rank-deficient xi may go straight to its face
-    bound. Deterministic under a fixed seed. Raises
-    :class:`NoDecompositionFound` (carrying the best residual of either
-    rung) when every restart fails -- an expected outcome for some d >= 4
-    inputs -- and at once, before any restart, when the face is the point xi
-    with rank >= 2 (Li-Tam, as in :func:`extremality_test`): such an xi is
-    its own only decomposition into correlation matrices, so no mixture of
-    flat rank-one matrices equals it.
+    bound. A polish that misses is pruned once: the terms of weight below
+    1e-3 are dropped, and the angles and scores of the rest are polished
+    again under the same ``max_iters`` before the ladder goes on. On a
+    rank-deficient face the surplus weights creep toward 0, which the
+    softmax reaches only asymptotically, so such a polish stalls just above
+    the tolerance; the pruned one can meet it, with fewer terms than the
+    face bound. Deterministic under a fixed seed. Raises
+    :class:`NoDecompositionFound` (carrying the best residual of every
+    polish, pruned ones included) when every restart fails -- an expected
+    outcome for some d >= 4 inputs -- and at once, before any restart, when
+    the face is the point xi with rank >= 2 (Li-Tam, as in
+    :func:`extremality_test`): such an xi is its own only decomposition into
+    correlation matrices, so no mixture of flat rank-one matrices equals it.
     """
     d = xi.dim
     if d < 2:
@@ -372,21 +411,30 @@ def flat_search(xi: CorrelationMatrix, config: SearchConfig = SearchConfig()) ->
     r, s = _face(xi)
     if s >= r * r and r >= 2:
         raise NoDecompositionFound(np.inf, 0, extreme_rank=r)
-    face_bound = r * r - s + 1
-    rungs = [2 * d, face_bound] if 2 * d < face_bound else [face_bound]
+    best = _Attempt(None, np.inf, 0)
+    for attempt in _ladder(xi, r * r - s + 1, config):
+        best = min(best, attempt, key=lambda a: a.f)  # a NaN f is never below best's
+        if np.sqrt(attempt.f) <= RESIDUAL_TOL:
+            return _by_weight(d, *_unpack(attempt.x, attempt.m, d))
+    raise NoDecompositionFound(np.sqrt(best.f), config.restarts)
+
+
+def _ladder(xi: CorrelationMatrix, face_bound, config: SearchConfig):
+    """The polishes of :func:`flat_search`, as :class:`_Attempt` values, for
+    as long as it asks for more: in each restart, for each rung, the polish
+    from the rung's seeded start and then, since the search only asks again
+    after a miss, one polish of the terms that :func:`_cut` keeps."""
+    d = xi.dim
     fit = _fit(xi)
-    best_residual = np.inf
+    rungs = [2 * d, face_bound] if 2 * d < face_bound else [face_bound]
     for restart in range(config.restarts):
         for m in rungs:
             key = (config.seed, restart) if m == face_bound else (config.seed, restart, m)
-            x, f = _polish(_start(key, m, d), m, fit, config.max_iters)
-            residual = np.sqrt(max(f, 0.0))
-            best_residual = min(best_residual, residual)
-            if residual <= RESIDUAL_TOL:
-                u, p = _unpack(x, m, d)
-                order = np.argsort(-p, kind="stable")
-                return FlatDecomposition(d, p[order], u[order])
-    raise NoDecompositionFound(best_residual, config.restarts)
+            attempt = _polish(_start(key, m, d), m, fit, config.max_iters)
+            yield attempt
+            cut = _cut(attempt, d)
+            if cut is not None:
+                yield _polish(*cut, fit, config.max_iters)
 
 
 def _span(vecs: np.ndarray):
@@ -485,8 +533,7 @@ def _face_descent(xi: CorrelationMatrix) -> FlatDecomposition:
     keep = vals > NEGLIGIBLE
     v = vecs[:, keep] * np.sqrt(vals[keep])
     weights, vectors = map(np.array, zip(*_descend(v, 1.0)))
-    order = np.argsort(-weights, kind="stable")
-    return FlatDecomposition(xi.dim, weights[order], vectors[order])
+    return _by_weight(xi.dim, vectors, weights)
 
 
 def decompose(xi: CorrelationMatrix, seed=0) -> FlatDecomposition:

@@ -62,7 +62,8 @@ class NoDecompositionFound(SchurMapsError):
     """No flat decomposition. A legitimate outcome for d >= 4, not a fault.
 
     Either the search exhausted its restarts, and the exception carries the
-    best residual seen and the number of restarts used, or xi is extreme with
+    best residual of all its polishes (those of the terms a missed polish
+    kept included) and the number of restarts used, or xi is extreme with
     rank ``extreme_rank`` >= 2, which certifies that none exists: then nothing
     was searched (restarts 0, best residual inf).
     """
